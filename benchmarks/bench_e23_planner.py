@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.core.conventions import SET_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import generators
@@ -34,6 +35,8 @@ from repro.engine import evaluate
 from repro.workloads import sweeps
 
 import _common
+
+ORACLE = EvalOptions(planner=False)
 
 ANCESTOR = (
     "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
@@ -54,7 +57,7 @@ def test_join_chain_planner_on(benchmark, width):
     db = generators.chain_database(width, 60, domain=30, seed=3)
     query = sweeps.join_chain_query(width)
     result = benchmark(evaluate, query, db, SET_CONVENTIONS)
-    assert result == evaluate(query, db, SET_CONVENTIONS, planner=False)
+    assert result == evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
 
 
 @pytest.mark.parametrize("width", [2, 3])
@@ -62,7 +65,7 @@ def test_join_chain_planner_off(benchmark, width):
     db = generators.chain_database(width, 60, domain=30, seed=3)
     query = sweeps.join_chain_query(width)
     _run_off_once(
-        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, planner=False)
+        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
     )
 
 
@@ -74,7 +77,7 @@ def test_grouped_aggregate_planner_on(benchmark, n_rows):
     db = sweeps.size_sweep_database(n_rows, seed=1)
     query = sweeps.grouped_aggregate_query()
     result = benchmark(evaluate, query, db, SET_CONVENTIONS)
-    assert result == evaluate(query, db, SET_CONVENTIONS, planner=False)
+    assert result == evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
 
 
 @pytest.mark.parametrize("n_rows", [100, 300, 900])
@@ -82,7 +85,7 @@ def test_grouped_aggregate_planner_off(benchmark, n_rows):
     db = sweeps.size_sweep_database(n_rows, seed=1)
     query = sweeps.grouped_aggregate_query()
     _run_off_once(
-        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, planner=False)
+        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
     )
 
 
@@ -94,7 +97,7 @@ def test_correlated_lateral_planner_on(benchmark, n_rows):
     db = sweeps.size_sweep_database(n_rows, seed=2)
     query = sweeps.lateral_query()
     result = benchmark(evaluate, query, db, SET_CONVENTIONS)
-    assert result == evaluate(query, db, SET_CONVENTIONS, planner=False)
+    assert result == evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
 
 
 @pytest.mark.parametrize("n_rows", [30, 120])
@@ -102,7 +105,7 @@ def test_correlated_lateral_planner_off(benchmark, n_rows):
     db = sweeps.size_sweep_database(n_rows, seed=2)
     query = sweeps.lateral_query()
     _run_off_once(
-        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, planner=False)
+        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
     )
 
 
@@ -122,7 +125,7 @@ def test_transitive_closure_planner_off(benchmark, n_nodes):
     db = generators.parent_edges(n_nodes, seed=5, extra_edges=n_nodes // 4)
     query = parse(ANCESTOR)
     result = _run_off_once(
-        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, planner=False)
+        benchmark, lambda: evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
     )
     assert len(result) >= n_nodes - 1
 

@@ -39,12 +39,15 @@ import time
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.backends.exec import clear_catalog_cache
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import generators
 from repro.engine import evaluate
 from repro.workloads import sweeps
+
+SQLITE = EvalOptions(backend="sqlite")
 
 ANCESTOR = (
     "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
@@ -53,7 +56,7 @@ ANCESTOR = (
 
 
 def _sqlite(query, db):
-    return evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
+    return evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
 
 
 def _planner(query, db):

@@ -41,9 +41,13 @@ import time
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.engine import evaluate
 from repro.workloads import sweeps
+
+SQLITE = EvalOptions(backend="sqlite")
+NO_DECORRELATE = EvalOptions(decorrelate=False)
 
 
 def _decorrelated(query, db):
@@ -51,11 +55,11 @@ def _decorrelated(query, db):
 
 
 def _per_row(query, db):
-    return evaluate(query, db, SQL_CONVENTIONS, decorrelate=False)
+    return evaluate(query, db, SQL_CONVENTIONS, options=NO_DECORRELATE)
 
 
 def _sqlite(query, db):
-    return evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
+    return evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
 
 
 def _single_db(n):

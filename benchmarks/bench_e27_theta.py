@@ -44,9 +44,13 @@ import time
 import pytest
 
 import _common
+from repro.api import EvalOptions
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.engine import evaluate
 from repro.workloads import sweeps
+
+SQLITE = EvalOptions(backend="sqlite")
+NO_DECORRELATE = EvalOptions(decorrelate=False)
 
 
 def _band(query, db):
@@ -54,11 +58,11 @@ def _band(query, db):
 
 
 def _per_row(query, db):
-    return evaluate(query, db, SQL_CONVENTIONS, decorrelate=False)
+    return evaluate(query, db, SQL_CONVENTIONS, options=NO_DECORRELATE)
 
 
 def _sqlite(query, db):
-    return evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
+    return evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
 
 
 def _agg_db(n):

@@ -6,7 +6,7 @@
 >>> prepared.run()          # warm: cached plan, probe verdict, connection
 """
 
-from .options import EvalOptions, reset_legacy_warnings, warn_legacy
+from .options import EvalOptions
 from .session import Explain, Prepared, Session, SessionContext
 
 __all__ = [
@@ -15,8 +15,6 @@ __all__ = [
     "Prepared",
     "Session",
     "SessionContext",
-    "reset_legacy_warnings",
-    "warn_legacy",
     "serve",
 ]
 

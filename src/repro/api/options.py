@@ -9,37 +9,38 @@ engine, and the backend dispatch simply never looked at ``planner``).
 :class:`EvalOptions` is the replacement: an immutable, validated bundle that
 **raises** :class:`~repro.errors.OptionsError` on contradictory combinations
 instead of picking a winner silently.  :class:`~repro.api.Session` carries
-one; the legacy ``evaluate(...)`` kwargs still work through a deprecation
-shim (:func:`warn_legacy`) that warns once per kwarg per process.
+one, and the one-shot ``evaluate(..., options=...)`` takes one.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from ..errors import OptionsError
 from ..util.deadline import Deadline
 
 
-def validate_budget(timeout_ms, max_rows, *, flavor=""):
+def validate_budget(timeout_ms, max_rows, *, flavor="",
+                    timeout_name="timeout_ms"):
     """Raise :class:`OptionsError` on malformed deadline/budget values.
 
-    Shared by :class:`EvalOptions` and the per-request overrides ``repro
-    serve`` accepts, so both reject the same shapes with the same wording.
-    *flavor* prefixes the message (e.g. ``"request "``).
+    Shared by :class:`EvalOptions`, the per-request overrides ``repro
+    serve`` accepts, and the server's own millisecond limits, so all
+    reject the same shapes with the same wording.  *flavor* prefixes the
+    message (e.g. ``"request "``); *timeout_name* names the millisecond
+    value (e.g. ``"hard_timeout_ms"``).
     """
     if timeout_ms is not None:
         if isinstance(timeout_ms, bool) or not isinstance(
             timeout_ms, (int, float)
         ):
             raise OptionsError(
-                f"{flavor}timeout_ms must be a number of milliseconds, got "
-                f"{timeout_ms!r}"
+                f"{flavor}{timeout_name} must be a number of milliseconds, "
+                f"got {timeout_ms!r}"
             )
         if timeout_ms <= 0:
             raise OptionsError(
-                f"{flavor}timeout_ms must be positive, got {timeout_ms!r}"
+                f"{flavor}{timeout_name} must be positive, got {timeout_ms!r}"
             )
     if max_rows is not None:
         if isinstance(max_rows, bool) or not isinstance(max_rows, int):
@@ -133,47 +134,18 @@ class EvalOptions:
         db_file = self.db_file if backend == "sqlite" else None
         return replace(self, backend=backend, db_file=db_file)
 
-    def deadline(self, timeout_ms=None, max_rows=None, cancel=None):
+    def deadline(self, timeout_ms=None, max_rows=None):
         """Arm a :class:`~repro.util.deadline.Deadline` for one run.
 
         Per-run overrides (e.g. a request-level ``timeout_ms`` from
         ``repro serve``) take precedence over the option set's defaults;
         returns None when no source sets a bound, so the unbounded path
-        stays entirely check-free.  A *cancel*
-        :class:`~repro.util.deadline.CancelToken` (the serving watchdog's
-        handle) arms a Deadline even without a wall/row bound — external
-        interruption rides the same stride checks.
+        stays entirely check-free.
         """
         validate_budget(timeout_ms, max_rows, flavor="override ")
         timeout_ms = timeout_ms if timeout_ms is not None else self.timeout_ms
         max_rows = max_rows if max_rows is not None else self.max_rows
-        if timeout_ms is None and max_rows is None and cancel is None:
+        if timeout_ms is None and max_rows is None:
             return None
-        return Deadline(timeout_ms=timeout_ms, max_rows=max_rows, cancel=cancel)
+        return Deadline(timeout_ms=timeout_ms, max_rows=max_rows)
 
-
-#: Legacy ``evaluate(...)`` kwargs that have already warned this process.
-_WARNED_LEGACY = set()
-
-
-def warn_legacy(kwarg, *, stacklevel=3):
-    """Deprecation-warn about a legacy ``evaluate`` kwarg, once per process.
-
-    The shim keeps every old call site working; the warning fires exactly
-    once per kwarg name per process (not per call), so hot loops that still
-    pass ``planner=False`` pay one set lookup, not a warning flood.
-    """
-    if kwarg in _WARNED_LEGACY:
-        return
-    _WARNED_LEGACY.add(kwarg)
-    warnings.warn(
-        f"evaluate(..., {kwarg}=...) is deprecated; pass "
-        "options=repro.api.EvalOptions(...) or hold a repro.api.Session",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_legacy_warnings():
-    """Forget which legacy kwargs have warned (test isolation hook)."""
-    _WARNED_LEGACY.clear()

@@ -35,7 +35,10 @@ Concurrency semantics
   A draining server answers 503.
 * **Deadlines** still apply per request *inside* the worker
   (``timeout_ms`` / ``max_rows``), so admission and execution budgets
-  compose.
+  compose.  Each run gets exactly one wall-clock Deadline: the request's
+  soft ``timeout_ms`` (else the session default) capped by the server's
+  hard wall cap (``--hard-timeout-ms``, else
+  :data:`DEFAULT_HARD_TIMEOUT_MS` for deadline-less requests).
 
 Self-healing
 ------------
@@ -44,15 +47,14 @@ worker is respawned with fresh warm Sessions and the in-flight caller
 gets a typed 500 (``error_type: "WorkerCrash"``); a request fingerprint
 that kills workers repeatedly is quarantined and answers **422**
 (``error_type: "PoisonQuery"``) with ``Retry-After`` until its TTL
-lapses; a stuck query is interrupted by the watchdog at its hard wall
-cap (``--hard-timeout-ms``) and answers 408 like any deadline; and
-deadline-aware shedding refuses requests (429 + ``Retry-After``) whose
-budget the queue would already consume.  ``/stats`` exposes
-``pool.workers_respawned`` / ``watchdog_cancels`` / ``shed_total`` and a
-``quarantine`` block; ``/metrics`` exports the matching
-``arc_worker_respawns_total`` / ``arc_watchdog_cancels_total`` /
-``arc_shed_total`` / ``arc_quarantined_total`` counters and the
-``arc_quarantine_size`` gauge.
+lapses; a stuck query runs into the hard wall cap inside its own
+Deadline and answers 408 like any deadline; and deadline-aware shedding
+refuses requests (429 + ``Retry-After``) whose budget the queue would
+already consume.  ``/stats`` exposes ``pool.workers_respawned`` /
+``shed_total`` and a ``quarantine`` block; ``/metrics`` exports the
+matching ``arc_worker_respawns_total`` / ``arc_shed_total`` /
+``arc_quarantined_total`` counters and the ``arc_quarantine_size``
+gauge.
 
 ``GET /healthz`` answers liveness — 200 while healthy, **503 degraded**
 while any backend circuit breaker is open *or the job queue is
@@ -95,6 +97,7 @@ import signal
 import threading
 import time
 import uuid
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..backends.exec import breaker_states
@@ -123,12 +126,14 @@ from ..serve import (
 )
 from ..serve.pool import DEFAULT_QUEUE_DEPTH, DEFAULT_SESSION_LIMIT
 from ..util import failpoints
-from ..util.deadline import CancelToken
 from .options import validate_budget
 
 #: Default bound on request bodies (1 MiB): a query is text, not a bulk
 #: upload, so anything larger is a client error or an attack.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
+
+#: Hard wall cap (ms) for requests with no soft deadline of their own.
+DEFAULT_HARD_TIMEOUT_MS = 10_000
 
 #: Upper bound a handler thread waits for its own job / a coalesced
 #: leader.  Generous on purpose: per-request deadlines (``timeout_ms``)
@@ -200,13 +205,14 @@ class Outcome:
 
 
 def _error_outcome(exc_or_message, status, headers=(), worker=None):
+    """The ``{"error": ..., "error_type": ...}`` body every error answers
+    with.  An exception names its own type; a plain message takes the
+    status phrase (``BadRequest``, ``NotFound``)."""
     if isinstance(exc_or_message, BaseException):
-        body = {
-            "error": str(exc_or_message),
-            "error_type": type(exc_or_message).__name__,
-        }
+        error_type = type(exc_or_message).__name__
     else:
-        body = {"error": exc_or_message, "error_type": "BadRequest"}
+        error_type = HTTPStatus(status).phrase.replace(" ", "")
+    body = {"error": str(exc_or_message), "error_type": error_type}
     headers = tuple(headers)
     if worker is not None:
         headers += (("X-Arc-Worker", str(worker)),)
@@ -338,8 +344,15 @@ class QueryServer(ThreadingHTTPServer):
                  hard_timeout_ms=None, shed_threshold_ms=None,
                  poison_threshold=DEFAULT_POISON_THRESHOLD,
                  quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S):
+        # Validated before binding: a non-positive cap would turn every
+        # request into a 408 (or a 400), so refuse it at startup instead.
+        validate_budget(hard_timeout_ms, None, timeout_name="hard_timeout_ms")
+        validate_budget(
+            shed_threshold_ms, None, timeout_name="shed_threshold_ms"
+        )
         super().__init__(address, _Handler)
         self.session = session
+        self.hard_timeout_ms = hard_timeout_ms
         self.quiet = quiet
         self.max_body_bytes = max_body_bytes
         self.started = time.monotonic()
@@ -373,8 +386,7 @@ class QueryServer(ThreadingHTTPServer):
         self.pool = WorkerPool(
             self.factory, workers, queue_depth,
             session_limit=session_limit, metrics=self.metrics,
-            adopt=session, hard_timeout_ms=hard_timeout_ms,
-            shed_threshold_ms=shed_threshold_ms,
+            adopt=session, shed_threshold_ms=shed_threshold_ms,
             poison_threshold=poison_threshold,
             quarantine_ttl_s=quarantine_ttl_s,
         )
@@ -411,12 +423,11 @@ class QueryServer(ThreadingHTTPServer):
         outcome = None
         try:
             try:
-                # The soft deadline the shedding estimate compares against:
-                # the request's own budget, else the session default.
+                # The soft deadline is both the admission budget and, capped
+                # by the hard wall cap, the run's one Deadline.
                 soft_ms = timeout_ms
                 if soft_ms is None:
                     soft_ms = self.session.options.timeout_ms
-                cancel = CancelToken()
                 fingerprint = poison_fingerprint(
                     catalog, query, frontend, backend
                 )
@@ -424,10 +435,9 @@ class QueryServer(ThreadingHTTPServer):
                     future = self.pool.submit(
                         lambda worker: self._run_query(
                             worker, catalog, query, frontend, backend,
-                            timeout_ms, max_rows, query_id, cancel,
+                            self._wall_cap_ms(soft_ms), max_rows, query_id,
                         ),
                         timeout_ms=soft_ms, fingerprint=fingerprint,
-                        cancel=cancel,
                     )
                 except PoisonQuery as exc:
                     headers = (
@@ -456,15 +466,28 @@ class QueryServer(ThreadingHTTPServer):
             self.coalescer.publish(key, outcome)
         return outcome, False
 
+    def _wall_cap_ms(self, soft_ms):
+        """The one wall-clock budget a run gets: ``min(soft, hard)``.
+
+        *soft_ms* is the request's ``timeout_ms`` (else the session
+        default); the hard cap is ``hard_timeout_ms``, else
+        :data:`DEFAULT_HARD_TIMEOUT_MS` for a run with no soft deadline.
+        The cap is always finite, so every served run is armed and no
+        query can pin a worker forever.
+        """
+        bounds = [
+            ms for ms in (soft_ms, self.hard_timeout_ms) if ms is not None
+        ]
+        return min(bounds) if bounds else DEFAULT_HARD_TIMEOUT_MS
+
     def _run_query(self, worker, catalog, query, frontend, backend,
-                   timeout_ms, max_rows, query_id, cancel=None):
+                   timeout_ms, max_rows, query_id):
         """The worker-side job: run on the worker's Session, map errors to
         HTTP statuses, and serialize the answer exactly once.
 
-        *cancel* is the job's :class:`~repro.util.deadline.CancelToken` —
-        shared with the pool's watchdog, which fires it when the job blows
-        past its hard wall cap; the run then unwinds as
-        :class:`~repro.errors.QueryTimeout` (→ 408) like any deadline.
+        *timeout_ms* is the run's whole wall-clock budget (see
+        :meth:`_wall_cap_ms`), armed when the job starts; past it the run
+        unwinds as :class:`~repro.errors.QueryTimeout` (→ 408).
         """
         session = worker.session_for(catalog)
         # The response header ties client-side logs to the spans/metrics
@@ -477,8 +500,7 @@ class QueryServer(ThreadingHTTPServer):
             prepared = session.prepare(query, frontend)
             warm = prepared.run_count > 0
             info = prepared.run_info(
-                backend=backend, timeout_ms=timeout_ms, max_rows=max_rows,
-                cancel=cancel,
+                backend=backend, timeout_ms=timeout_ms, max_rows=max_rows
             )
         except QueryTimeout as exc:
             # The query is dead but the connection is fine: answer 408 and
@@ -700,23 +722,17 @@ class _Handler(BaseHTTPRequestHandler):
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
             return
-        self._send_json(404, {"error": f"unknown path {self.path!r}"})
+        self._error(404, f"unknown path {self.path!r}")
 
     # -- POST /query -------------------------------------------------------
 
-    def _error(self, status, exc_or_message, *, close=False, headers=()):
-        if isinstance(exc_or_message, BaseException):
-            body = {
-                "error": str(exc_or_message),
-                "error_type": type(exc_or_message).__name__,
-            }
-        else:
-            body = {"error": exc_or_message, "error_type": "BadRequest"}
-        headers = tuple(headers)
+    def _error(self, status, exc_or_message, *, close=False):
+        headers = ()
         if close:
             self.close_connection = True
-            headers += (("Connection", "close"),)
-        self._send_json(status, body, headers=headers)
+            headers = (("Connection", "close"),)
+        outcome = _error_outcome(exc_or_message, status, headers)
+        self._send_payload(outcome.status, outcome.payload, outcome.headers)
 
     def do_POST(self):
         self._request_started = time.perf_counter()
@@ -747,42 +763,36 @@ class _Handler(BaseHTTPRequestHandler):
             return
         payload = self.rfile.read(length)
         if self.path != "/query":
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            self._error(404, f"unknown path {self.path!r}")
             return
         try:
             request = json.loads(payload or b"{}")
         except json.JSONDecodeError:
-            self._send_json(400, {"error": "request body must be JSON"})
+            self._error(400, "request body must be JSON")
             return
         if not isinstance(request, dict) or not isinstance(
             request.get("query"), str
         ):
-            self._send_json(
-                400, {"error": 'request must be {"query": "...", ...}'}
-            )
+            self._error(400, 'request must be {"query": "...", ...}')
             return
         frontend = request.get("frontend", "arc")
         if frontend not in FRONTENDS:
-            self._send_json(
-                400,
-                {"error": f"unknown frontend {frontend!r}; choose from {FRONTENDS}"},
+            self._error(
+                400, f"unknown frontend {frontend!r}; choose from {FRONTENDS}"
             )
             return
         backend = request.get("backend")
         if backend is not None and not isinstance(backend, str):
-            self._send_json(400, {"error": "backend must be a string"})
+            self._error(400, "backend must be a string")
             return
         factory = self.server.factory
         catalog = request.get("catalog")
         if catalog is None:
             catalog = factory.default
         elif not isinstance(catalog, str) or not factory.has(catalog):
-            self._send_json(
+            self._error(
                 400,
-                {
-                    "error": f"unknown catalog {catalog!r}; "
-                    f"choose from {factory.names()}"
-                },
+                f"unknown catalog {catalog!r}; choose from {factory.names()}",
             )
             return
         timeout_ms = request.get("timeout_ms")
@@ -826,8 +836,9 @@ def make_server(session, host="127.0.0.1", port=0, *, workers=1,
     ``log_requests``).
 
     Self-healing knobs: ``hard_timeout_ms`` caps any single execution's
-    wall time (the watchdog interrupts past it; default 10× the request's
-    soft deadline); ``shed_threshold_ms`` sheds deadline-less requests
+    wall time (each run's Deadline is ``min(soft, hard)``; without it a
+    deadline-less run is capped at :data:`DEFAULT_HARD_TIMEOUT_MS`);
+    ``shed_threshold_ms`` sheds deadline-less requests
     when the estimated queue wait exceeds it; ``poison_threshold`` /
     ``quarantine_ttl_s`` tune the poison-query quarantine.
     """

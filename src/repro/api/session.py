@@ -70,8 +70,7 @@ class Prepared:
         self.frontend = frontend
         self.run_count = 0
 
-    def run(self, backend=None, *, timeout_ms=None, max_rows=None,
-            cancel=None):
+    def run(self, backend=None, *, timeout_ms=None, max_rows=None):
         """Evaluate on the session's engine (or *backend* for this run).
 
         Returns a :class:`~repro.data.relation.Relation` for collections
@@ -79,17 +78,13 @@ class Prepared:
         ``timeout_ms`` / ``max_rows`` override the session options' budget
         for this run only; exceeding either raises
         :class:`~repro.errors.QueryTimeout` /
-        :class:`~repro.errors.BudgetExceeded`.  *cancel* attaches a
-        :class:`~repro.util.deadline.CancelToken` so an external
-        supervisor (the serving watchdog) can interrupt the run.
+        :class:`~repro.errors.BudgetExceeded`.
         """
         return self.session._run_prepared(
-            self, backend, timeout_ms=timeout_ms, max_rows=max_rows,
-            cancel=cancel,
+            self, backend, timeout_ms=timeout_ms, max_rows=max_rows
         )
 
-    def run_info(self, backend=None, *, timeout_ms=None, max_rows=None,
-                 cancel=None):
+    def run_info(self, backend=None, *, timeout_ms=None, max_rows=None):
         """Like :meth:`run`, plus execution metadata.
 
         Returns ``{"result": ..., "fallback_reasons": [...]}`` where the
@@ -104,7 +99,6 @@ class Prepared:
             timeout_ms=timeout_ms,
             max_rows=max_rows,
             reasons=reasons,
-            cancel=cancel,
         )
         return {"result": result, "fallback_reasons": reasons}
 
@@ -304,9 +298,9 @@ class Session:
     # -- running -----------------------------------------------------------
 
     def _run_prepared(self, prepared, backend=None, *, timeout_ms=None,
-                      max_rows=None, reasons=None, cancel=None):
+                      max_rows=None, reasons=None):
         options = self.options.with_backend(backend)
-        deadline = options.deadline(timeout_ms, max_rows, cancel)
+        deadline = options.deadline(timeout_ms, max_rows)
         tracer = self.tracer
         with NULL_SPAN if tracer is None else tracer.span(
             "query",

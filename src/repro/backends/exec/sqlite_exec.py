@@ -671,10 +671,7 @@ class SqliteBackend(Backend):
             raise BackendUnsupported(
                 f"SQLite connection failed ({exc})"
             ) from exc
-        cancel = getattr(deadline, "cancel", None)
-        armed = deadline is not None and (
-            deadline.timeout_ms is not None or cancel is not None
-        )
+        armed = deadline is not None and deadline.timeout_ms is not None
         if armed:
             # Nonzero return aborts the VM, which surfaces as
             # OperationalError("interrupted") — mapped to QueryTimeout
@@ -683,11 +680,6 @@ class SqliteBackend(Backend):
             conn.set_progress_handler(
                 lambda: 1 if deadline.expired() else 0, _PROGRESS_STRIDE
             )
-        if cancel is not None:
-            # The watchdog's token interrupts this connection directly:
-            # conn.interrupt() aborts the VM from the supervisor thread
-            # without waiting for the next progress callback.
-            cancel.arm_connection(conn)
         try:
             with NULL_SPAN if tracer is None else tracer.span(
                 "sqlite.execute"
@@ -708,16 +700,6 @@ class SqliteBackend(Backend):
                         raw = cursor.fetchall()
                 except sqlite3.Error as exc:
                     if armed and deadline.expired():
-                        # A cancelled run (watchdog interrupt) reports its
-                        # canceller's reason; a plain deadline keeps the
-                        # wall-clock wording.  Both are QueryTimeout so an
-                        # interrupted query never falls back and runs away
-                        # a second time.
-                        if cancel is not None and cancel.cancelled:
-                            raise QueryTimeout(
-                                cancel.reason
-                                or "query was interrupted inside SQLite"
-                            ) from exc
                         raise QueryTimeout(
                             f"query exceeded its {deadline.timeout_ms} ms "
                             "deadline (aborted inside SQLite)"
@@ -727,8 +709,6 @@ class SqliteBackend(Backend):
                     ) from exc
                 span.tag(rows=len(raw))
         finally:
-            if cancel is not None:
-                cancel.disarm_connection()
             if armed:
                 conn.set_progress_handler(None, 0)
             if db_file is not None:

@@ -26,6 +26,7 @@ Session alive across HTTP requests.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -113,20 +114,23 @@ def _session_options(args):
             "--no-planner and --backend both select an engine; use "
             "--backend reference instead of combining them"
         )
-    try:
-        return EvalOptions(
-            planner=not getattr(args, "no_planner", False),
-            decorrelate=not getattr(args, "no_decorrelate", False),
-            backend=args.backend,
-            db_file=args.db_file,  # implies backend="sqlite" when set
-            timeout_ms=args.timeout_ms,
-            max_rows=args.max_rows,
-        )
-    except OptionsError as exc:
-        message = str(exc).replace("db_file", "--db-file")
-        message = message.replace("timeout_ms", "--timeout-ms")
-        message = message.replace("max_rows", "--max-rows")
-        raise ArcError(message) from None
+    return EvalOptions(
+        planner=not getattr(args, "no_planner", False),
+        decorrelate=not getattr(args, "no_decorrelate", False),
+        backend=args.backend,
+        db_file=args.db_file,  # implies backend="sqlite" when set
+        timeout_ms=args.timeout_ms,
+        max_rows=args.max_rows,
+    )
+
+
+def _flag_names(exc):
+    """*exc*'s message with option names spelled as their CLI flags."""
+    return re.sub(
+        r"\b(db_file|timeout_ms|max_rows|hard_timeout_ms|shed_threshold_ms)\b",
+        lambda match: "--" + match.group(1).replace("_", "-"),
+        str(exc),
+    )
 
 
 def cmd_eval(args):
@@ -549,9 +553,10 @@ def build_parser():
         type=int,
         default=None,
         metavar="MS",
-        help="hard wall cap per execution: the watchdog interrupts any "
-        "query past this, even deadline-less ones (default: 10x the "
-        "request's soft deadline, else 10000)",
+        help="hard wall cap per execution: every run's deadline is the "
+        "smaller of this and its own timeout_ms, so even deadline-less "
+        "queries answer 408 past it (default: the request's own "
+        "deadline, else 10000)",
     )
     p_serve.add_argument(
         "--shed-threshold-ms",
@@ -648,6 +653,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OptionsError as exc:
+        # Options are validated once, in the library; the CLI only spells
+        # their names the way the user typed them.
+        print(f"error: {_flag_names(exc)}", file=sys.stderr)
+        return 2
     except ArcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

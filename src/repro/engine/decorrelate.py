@@ -28,7 +28,7 @@ outer row.  This module rewrites FOI plans into FIO at two levels:
   Indexes are cached on the inner scope's stored relations
   (:meth:`repro.data.relation.Relation.derived_put_shared`), so they
   survive across evaluations and are dropped the moment any inner relation
-  mutates.  ``evaluate(..., decorrelate=False)`` / ``--no-decorrelate``
+  mutates.  ``EvalOptions(decorrelate=False)`` / ``--no-decorrelate``
   disables the pass, keeping the per-row strategy as the oracle.
 
 * **SQL level** (:func:`rewrite_for_sql`) — equality-correlated scopes are

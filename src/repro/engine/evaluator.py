@@ -76,21 +76,8 @@ def _relation_refs(node):
     return refs
 
 
-_UNSET = object()
-
-
-def evaluate(
-    node,
-    database,
-    conventions=SET_CONVENTIONS,
-    externals=None,
-    *,
-    planner=_UNSET,
-    decorrelate=_UNSET,
-    backend=_UNSET,
-    db_file=_UNSET,
-    options=None,
-):
+def evaluate(node, database, conventions=SET_CONVENTIONS, externals=None, *,
+             options=None):
     """Evaluate *node* against *database* under *conventions*.
 
     Returns a :class:`~repro.data.relation.Relation` for collections and
@@ -98,51 +85,14 @@ def evaluate(
 
     This is the one-shot convenience wrapper over the Session API: it
     builds a transient :class:`repro.api.Session` from *options* (an
-    :class:`repro.api.EvalOptions`) and evaluates once.  Long-lived
-    callers should hold a Session and :meth:`~repro.api.Session.prepare`
-    their queries instead — repeated one-shot calls re-derive state a
-    session keeps warm.
-
-    The individual ``planner`` / ``decorrelate`` / ``backend`` /
-    ``db_file`` kwargs are deprecated shims (each warns once per process):
-    ``planner=False`` selects the paper's reference nested-loop oracle,
-    ``decorrelate=False`` disables the FOI → FIO pass, ``backend`` picks a
-    registered engine with planner fallback, ``db_file`` persists the
-    SQLite catalog.  Contradictory combinations that the old kwarg pile
-    silently resolved — ``planner=False`` together with ``backend=`` —
-    now raise :class:`~repro.errors.OptionsError`.
+    :class:`repro.api.EvalOptions`; ``EvalOptions(planner=False)`` selects
+    the paper's reference nested-loop oracle) and evaluates once.
+    Long-lived callers should hold a Session and
+    :meth:`~repro.api.Session.prepare` their queries instead — repeated
+    one-shot calls re-derive state a session keeps warm.
     """
-    from ..api.options import EvalOptions, warn_legacy
     from ..api.session import Session
-    from ..errors import OptionsError
 
-    # A kwarg explicitly passed with its old default value (planner=True,
-    # backend=None, ...) requests nothing: no warning, no conflict with
-    # options=.
-    legacy = {
-        name: value
-        for name, value, default in (
-            ("planner", planner, True),
-            ("decorrelate", decorrelate, True),
-            ("backend", backend, None),
-            ("db_file", db_file, None),
-        )
-        if value is not _UNSET and value != default
-    }
-    if legacy:
-        if options is not None:
-            raise OptionsError(
-                "pass options=EvalOptions(...) or the legacy kwargs "
-                f"({sorted(legacy)}), not both"
-            )
-        for name in legacy:
-            warn_legacy(name)
-        options = EvalOptions(
-            planner=legacy.get("planner", True),
-            decorrelate=legacy.get("decorrelate", True),
-            backend=legacy.get("backend"),
-            db_file=legacy.get("db_file"),
-        )
     return Session(
         database, conventions, externals=externals, options=options
     ).evaluate(node)

@@ -20,14 +20,15 @@ mode into a worker-pool server:
   (RPS + p50/p99 latency) used by ``benchmarks/bench_e29_load.py``.
 
 The HTTP front end itself stays in :mod:`repro.api.serve`; this package
-holds the transport-agnostic machinery under it.
+holds the transport-agnostic machinery under it.  Nothing here times a
+query out: the front end arms each run with one Deadline that includes
+the server's hard wall cap, and the engines enforce it.
 """
 
 from .admission import RETRY_AFTER_S, AdmissionError
 from .coalesce import Coalescer
 from .loadgen import LoadSummary, percentile, run_load
 from .pool import (
-    DEFAULT_HARD_TIMEOUT_MS,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_SESSION_LIMIT,
     DEFAULT_WORKERS,
@@ -46,7 +47,6 @@ from .supervise import (
 __all__ = [
     "AdmissionError",
     "Coalescer",
-    "DEFAULT_HARD_TIMEOUT_MS",
     "DEFAULT_POISON_THRESHOLD",
     "DEFAULT_QUARANTINE_TTL_S",
     "DEFAULT_QUEUE_DEPTH",

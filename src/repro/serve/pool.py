@@ -10,9 +10,10 @@ process-wide fingerprint cache; evicting a Session closes its
 connections.
 
 Jobs are plain callables ``fn(worker) -> result`` submitted through a
-**bounded** queue.  :meth:`WorkerPool.submit` never blocks: a full queue
-raises :class:`~repro.serve.admission.AdmissionError` (HTTP 429) and a
-draining pool raises it with status 503 — overload is refused at the
+**bounded** queue.  :meth:`WorkerPool.submit` never blocks: one admission
+decision refuses a job the queue cannot take in time with
+:class:`~repro.serve.admission.AdmissionError` (HTTP 429), and a
+draining pool refuses with status 503 — overload is refused at the
 door, not buffered.  :meth:`WorkerPool.drain` implements graceful
 shutdown: stop admitting, let every queued and in-flight job finish,
 then join the workers and close their Sessions.  The drain flag flips
@@ -34,22 +35,18 @@ The pool is **self-healing** (PR 10):
   ``poison_threshold`` times is refused at admission with a typed
   :class:`~repro.errors.PoisonQuery` until its TTL lapses (see
   :mod:`repro.serve.supervise`).
-* **Stuck-query watchdog** — a supervisor thread enforces each job's
-  hard wall cap (``hard_timeout_ms``; default 10× the request's soft
-  deadline, or :data:`DEFAULT_HARD_TIMEOUT_MS` for deadline-less
-  requests) by cancelling the job's
-  :class:`~repro.util.deadline.CancelToken` — cooperative interruption
-  at the Deadline stride for in-process engines, and
-  ``sqlite3.Connection.interrupt()`` for offloaded queries — so no
-  request can pin a worker forever.
 * **Deadline-aware shedding** — admission estimates queue wait from a
   rolling per-worker service-time EWMA and refuses (429) requests whose
-  ``timeout_ms`` would already be spent queueing, with ``Retry-After``
-  derived from the estimate; ``shed_threshold_ms`` optionally caps the
-  estimated wait for deadline-less traffic too.
+  budget — their ``timeout_ms``, else ``shed_threshold_ms`` — would
+  already be spent queueing, with ``Retry-After`` derived from the
+  estimate.
+
+The pool runs jobs; it does not time them out.  A job bounds itself: the
+server arms each query with one Deadline that already includes its hard
+wall cap (see :class:`repro.api.serve.QueryServer`).
 
 Observability: the pool exports busy-worker and queue-depth gauges,
-per-worker handled counts, respawn/watchdog/shed counters, and (when
+per-worker handled counts, respawn/shed counters, and (when
 given a registry) an ``arc_worker_seconds`` histogram labelled by worker
 index plus an ``arc_pool_service_ewma_ms`` gauge.
 """
@@ -65,7 +62,6 @@ from collections import OrderedDict
 from ..core.conventions import SET_CONVENTIONS
 from ..errors import PoisonQuery, WorkerCrash
 from ..util import failpoints
-from ..util.deadline import CancelToken
 from .admission import AdmissionError
 from .supervise import (
     DEFAULT_POISON_THRESHOLD,
@@ -84,17 +80,6 @@ DEFAULT_SESSION_LIMIT = 4
 
 #: Default catalog name when ``POST /query`` omits the ``catalog`` field.
 DEFAULT_CATALOG = "default"
-
-#: Hard wall cap for requests with no soft deadline of their own (ms).
-DEFAULT_HARD_TIMEOUT_MS = 10_000
-
-#: Hard cap as a multiple of the request's soft deadline when no explicit
-#: ``hard_timeout_ms`` is configured: the watchdog is a backstop for
-#: queries that ignore their deadline, not a second, tighter deadline.
-HARD_TIMEOUT_FACTOR = 10
-
-#: How often the watchdog scans in-flight jobs for hard-cap breaches.
-WATCHDOG_INTERVAL_S = 0.05
 
 #: Smoothing factor for the rolling per-job service-time EWMA.
 _EWMA_ALPHA = 0.2
@@ -138,28 +123,15 @@ class Future:
 
 
 class _Job:
-    """One accepted unit of work plus the state supervision needs.
+    """One accepted unit of work; ``fingerprint`` ties it to the poison
+    quarantine."""
 
-    ``fingerprint`` ties the job to the poison quarantine; ``cancel`` is
-    the token the watchdog fires on a hard-cap breach; ``hard_deadline``
-    (a ``time.perf_counter`` instant, set when execution starts) is what
-    the watchdog compares against.
-    """
+    __slots__ = ("fn", "future", "fingerprint")
 
-    __slots__ = (
-        "fn", "future", "fingerprint", "cancel",
-        "hard_ms", "hard_deadline", "started",
-    )
-
-    def __init__(self, fn, future, *, fingerprint=None, cancel=None,
-                 hard_ms=None):
+    def __init__(self, fn, future, fingerprint=None):
         self.fn = fn
         self.future = future
         self.fingerprint = fingerprint
-        self.cancel = cancel if cancel is not None else CancelToken()
-        self.hard_ms = hard_ms
-        self.hard_deadline = None  # set by the worker when the job starts
-        self.started = None
 
 
 class SessionFactory:
@@ -303,7 +275,7 @@ class SessionLRU:
 class Worker:
     """One pool thread's identity and warm state."""
 
-    __slots__ = ("index", "sessions", "handled", "pool", "current")
+    __slots__ = ("index", "sessions", "handled", "pool")
 
     def __init__(self, index, pool, session_limit):
         self.index = index
@@ -313,11 +285,6 @@ class Worker:
         )
         #: Jobs this worker completed (written by the worker thread only).
         self.handled = 0
-        #: The in-flight :class:`_Job`, or None.  Written by the worker
-        #: thread, read racily by the watchdog — attribute reads are
-        #: atomic under the GIL, and the worst stale read cancels a token
-        #: whose job already finished, which is harmless.
-        self.current = None
 
     def session_for(self, catalog=None):
         """The worker-private Session for *catalog* (LRU, builds on miss)."""
@@ -340,17 +307,15 @@ class WorkerPool:
 
     def __init__(self, factory, workers=1, queue_depth=DEFAULT_QUEUE_DEPTH,
                  *, session_limit=DEFAULT_SESSION_LIMIT, metrics=None,
-                 adopt=None, hard_timeout_ms=None, shed_threshold_ms=None,
+                 adopt=None, shed_threshold_ms=None,
                  poison_threshold=DEFAULT_POISON_THRESHOLD,
-                 quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S,
-                 watchdog_interval_s=WATCHDOG_INTERVAL_S):
+                 quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.factory = factory
         self.queue_depth = max(1, queue_depth)
         self.queue = queue.Queue(maxsize=self.queue_depth)
         self.metrics = metrics
-        self.hard_timeout_ms = hard_timeout_ms
         self.shed_threshold_ms = shed_threshold_ms
         self._lock = threading.Lock()
         self._draining = False
@@ -359,7 +324,6 @@ class WorkerPool:
         self.jobs_completed = 0
         self.sessions_evicted = 0
         self.workers_respawned = 0
-        self.watchdog_cancels = 0
         self.shed_total = 0
         #: Rolling EWMA of per-job service seconds (under ``_lock``).
         self.service_ewma_s = 0.0
@@ -378,7 +342,6 @@ class WorkerPool:
             self.workers[0].sessions.adopt(factory.default, adopt)
         self._histogram = None
         self._respawn_counter = None
-        self._watchdog_counter = None
         self._shed_counter = None
         self._quarantine_counter = None
         self._ewma_gauge = None
@@ -396,11 +359,6 @@ class WorkerPool:
                 "Pool workers respawned after a crash.",
             )
             self._respawn_counter.inc(0)
-            self._watchdog_counter = metrics.counter(
-                "arc_watchdog_cancels_total",
-                "In-flight jobs cancelled by the hard-cap watchdog.",
-            )
-            self._watchdog_counter.inc(0)
             self._shed_counter = metrics.counter(
                 "arc_shed_total",
                 "Requests refused because the estimated queue wait "
@@ -426,38 +384,24 @@ class WorkerPool:
         ]
         for thread in self._threads:
             thread.start()
-        self._watchdog_stop = threading.Event()
-        self._watchdog_thread = threading.Thread(
-            target=self._watchdog, args=(watchdog_interval_s,),
-            name="repro-serve-watchdog", daemon=True,
-        )
-        self._watchdog_thread.start()
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, fn, *, timeout_ms=None, fingerprint=None, cancel=None):
+    def submit(self, fn, *, timeout_ms=None, fingerprint=None):
         """Enqueue ``fn(worker)``; a :class:`Future` for its result.
 
-        Never blocks.  Raises :class:`AdmissionError` with status 429
-        when the queue is at capacity, status 503 once draining began.
-        The drain check and the enqueue share one lock, so no job can
-        slip in behind a stop sentinel.
+        Never blocks.  Raises :class:`AdmissionError` with status 503 once
+        draining began, and with status 429 when :meth:`_admit_locked`
+        refuses the job.  The drain check and the enqueue share one lock,
+        so no job can slip in behind a stop sentinel.
 
-        *timeout_ms* is the request's soft deadline, used twice: to size
-        the job's hard wall cap (×:data:`HARD_TIMEOUT_FACTOR` unless the
-        pool has an explicit ``hard_timeout_ms``) and for deadline-aware
-        shedding — if the EWMA-estimated queue wait already exceeds the
-        budget, the request is refused now (429 with the estimate as
-        ``Retry-After``) instead of timing out after queueing.
-        *fingerprint* (see :func:`~repro.serve.supervise.poison_fingerprint`)
-        enables poison quarantine; a quarantined fingerprint raises
-        :class:`~repro.errors.PoisonQuery`.  *cancel* lets the caller
-        share the job's :class:`~repro.util.deadline.CancelToken`.
+        *timeout_ms* is the job's admission budget (the request's soft
+        deadline).  *fingerprint* (see
+        :func:`~repro.serve.supervise.poison_fingerprint`) enables poison
+        quarantine; a quarantined fingerprint raises
+        :class:`~repro.errors.PoisonQuery`.
         """
-        job = _Job(
-            fn, Future(), fingerprint=fingerprint, cancel=cancel,
-            hard_ms=self._hard_ms(timeout_ms),
-        )
+        job = _Job(fn, Future(), fingerprint)
         with self._lock:
             if self._draining:
                 raise AdmissionError(
@@ -473,54 +417,42 @@ class WorkerPool:
                         f"blocked for another {remaining:.0f} s",
                         retry_after_s=max(1, math.ceil(remaining)),
                     )
-            wait_s = self._estimated_wait_locked()
-            if wait_s > 0:
-                if timeout_ms is not None and wait_s * 1000.0 >= timeout_ms:
-                    self.shed_total += 1
-                    if self._shed_counter is not None:
-                        self._shed_counter.inc()
-                    raise AdmissionError(
-                        f"estimated queue wait {wait_s * 1000.0:.0f} ms "
-                        f"exceeds the request's {timeout_ms} ms budget; "
-                        "shed at admission",
-                        status=429,
-                        retry_after_s=max(1, math.ceil(wait_s)),
-                    )
-                if (timeout_ms is None and self.shed_threshold_ms is not None
-                        and wait_s * 1000.0 > self.shed_threshold_ms):
-                    self.shed_total += 1
-                    if self._shed_counter is not None:
-                        self._shed_counter.inc()
-                    raise AdmissionError(
-                        f"estimated queue wait {wait_s * 1000.0:.0f} ms "
-                        f"exceeds the shed threshold "
-                        f"({self.shed_threshold_ms} ms)",
-                        status=429,
-                        retry_after_s=max(1, math.ceil(wait_s)),
-                    )
-            try:
-                self.queue.put_nowait(job)
-            except queue.Full:
-                raise AdmissionError(
-                    f"job queue is full ({self.queue_depth} deep); "
-                    "retry shortly",
-                    status=429,
-                ) from None
+            self._admit_locked(timeout_ms)
+            # Until drain, every enqueue happens here under this lock and
+            # admission just saw room, so put_nowait cannot raise Full.
+            self.queue.put_nowait(job)
         return job.future
 
-    def _hard_ms(self, timeout_ms):
-        """The hard wall cap for a job with soft deadline *timeout_ms*."""
-        if self.hard_timeout_ms is not None:
-            return self.hard_timeout_ms
-        if timeout_ms is not None:
-            return timeout_ms * HARD_TIMEOUT_FACTOR
-        return DEFAULT_HARD_TIMEOUT_MS
+    def _admit_locked(self, timeout_ms):
+        """The one admission decision (caller holds ``_lock``).
 
-    def _estimated_wait_locked(self):
-        """Estimated queue wait in seconds (caller holds ``_lock``)."""
-        if self.service_ewma_s <= 0:
-            return 0.0
-        return self.queue.qsize() * self.service_ewma_s / len(self.workers)
+        The budget is *timeout_ms*, else ``shed_threshold_ms``.  If the
+        estimated queue wait (queued jobs × service-time EWMA / workers)
+        would already spend it, the job is shed: 429 with the estimate
+        as ``Retry-After``, instead of timing out after queueing.  A full
+        queue refuses with 429 regardless of budget.
+        """
+        depth = self.queue.qsize()
+        budget_ms = (
+            timeout_ms if timeout_ms is not None else self.shed_threshold_ms
+        )
+        wait_s = depth * self.service_ewma_s / len(self.workers)
+        if budget_ms is not None and wait_s * 1000.0 >= budget_ms:
+            self.shed_total += 1
+            if self._shed_counter is not None:
+                self._shed_counter.inc()
+            raise AdmissionError(
+                f"estimated queue wait {wait_s * 1000.0:.0f} ms exceeds "
+                f"the {budget_ms} ms budget; shed at admission",
+                status=429,
+                retry_after_s=max(1, math.ceil(wait_s)),
+            )
+        if depth >= self.queue_depth:
+            raise AdmissionError(
+                f"job queue is full ({self.queue_depth} deep); "
+                "retry shortly",
+                status=429,
+            )
 
     # -- the worker loop ---------------------------------------------------
 
@@ -541,22 +473,16 @@ class WorkerPool:
         handled by :meth:`_on_worker_death`."""
         with self._lock:
             self.busy += 1
-        job.started = time.perf_counter()
-        if job.hard_ms is not None:
-            job.hard_deadline = job.started + job.hard_ms / 1000.0
-        worker.current = job
+        started = time.perf_counter()
         # The failpoint sits OUTSIDE the job's exception fence: an armed
         # ``pool.worker`` spec escapes to _run and kills this worker,
         # exactly like a real defect in the loop itself would.
         failpoints.hit("pool.worker")
         try:
-            try:
-                job.future.set_result(job.fn(worker))
-            except BaseException as exc:  # noqa: BLE001 - to the waiter
-                job.future.set_error(exc)
-        finally:
-            worker.current = None
-        elapsed = time.perf_counter() - job.started
+            job.future.set_result(job.fn(worker))
+        except BaseException as exc:  # noqa: BLE001 - to the waiter
+            job.future.set_error(exc)
+        elapsed = time.perf_counter() - started
         worker.handled += 1
         with self._lock:
             self.busy -= 1
@@ -583,7 +509,6 @@ class WorkerPool:
         against the job's fingerprint, and starts a replacement thread on
         the same :class:`Worker` slot with a fresh :class:`SessionLRU`.
         """
-        worker.current = None
         harvested = []
         for name, session in worker.sessions.snapshot():
             harvested.append((name, self._harvest(session)))
@@ -645,35 +570,6 @@ class WorkerPool:
         with self._lock:
             return dict(self._retired_stats), tuple(self._retired_cache)
 
-    # -- the watchdog ------------------------------------------------------
-
-    def _watchdog(self, interval_s):
-        """Cancel any in-flight job past its hard wall cap.
-
-        A cancelled token interrupts an armed SQLite connection
-        immediately and trips the cooperative Deadline check at the next
-        stride for in-process engines; the job then unwinds with
-        ``QueryTimeout`` through the normal error path — the worker
-        survives, only the runaway query dies.
-        """
-        while not self._watchdog_stop.wait(interval_s):
-            now = time.perf_counter()
-            for worker in self.workers:
-                job = worker.current  # racy read; see Worker.current
-                if job is None or job.hard_deadline is None:
-                    continue
-                if now < job.hard_deadline:
-                    continue
-                fired = job.cancel.cancel(
-                    f"query exceeded the server's hard wall cap of "
-                    f"{job.hard_ms} ms and was interrupted by the watchdog"
-                )
-                if fired:
-                    with self._lock:
-                        self.watchdog_cancels += 1
-                    if self._watchdog_counter is not None:
-                        self._watchdog_counter.inc()
-
     # -- lifecycle ---------------------------------------------------------
 
     def drain(self):
@@ -687,8 +583,6 @@ class WorkerPool:
             first = not self._draining
             self._draining = True
         if first:
-            self._watchdog_stop.set()
-            self._watchdog_thread.join()
             # Sentinels go to the queue *tail*: FIFO guarantees every
             # already-accepted job runs before its worker sees one.  A
             # worker that crashes mid-drain is respawned and its
@@ -737,7 +631,6 @@ class WorkerPool:
             completed = self.jobs_completed
             evicted = self.sessions_evicted
             respawned = self.workers_respawned
-            cancels = self.watchdog_cancels
             shed = self.shed_total
             ewma = self.service_ewma_s
             draining = self._draining
@@ -750,7 +643,6 @@ class WorkerPool:
             "jobs_completed": completed,
             "sessions_evicted": evicted,
             "workers_respawned": respawned,
-            "watchdog_cancels": cancels,
             "shed_total": shed,
             "service_ewma_ms": round(ewma * 1e3, 3),
             "per_worker": [

@@ -27,19 +27,14 @@ Two kinds of checks, tuned for hot loops:
 The clock is injectable for deterministic tests; :meth:`expired` is the
 boolean form the SQLite progress handler polls.
 
-A :class:`CancelToken` adds *external* interruption on the same rails: the
-serving watchdog flips the token from its supervisor thread, and the very
-next stride check (or SQLite progress callback) surfaces it as
-:class:`~repro.errors.QueryTimeout` — no new check sites, no polling cost
-beyond what deadlines already pay.  For queries offloaded to SQLite the
-token also holds the executing connection and calls
-``sqlite3.Connection.interrupt()``, so a runaway ``WITH RECURSIVE`` stops
-mid-VM instead of at the next Python-level checkpoint.
+A Deadline is the only cancellation path: ``repro serve`` enforces its
+hard wall cap by arming each served run with ``min(soft, hard)`` as the
+run's ``timeout_ms``, so a runaway stops at the same stride checks and
+progress callbacks as any client deadline.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from ..errors import BudgetExceeded, QueryTimeout
@@ -48,68 +43,6 @@ from ..errors import BudgetExceeded, QueryTimeout
 #: even ~1 ms/row pathological loops notice the deadline within a second;
 #: large enough that the per-row cost is a counter bump.
 STRIDE = 1024
-
-
-class CancelToken:
-    """A thread-safe one-shot cancellation flag with SQLite teeth.
-
-    The canceller (the pool watchdog) calls :meth:`cancel` from its own
-    thread; the running query observes it through the :class:`Deadline`
-    it is attached to (``expired()`` turns True, ``check()`` raises
-    :class:`~repro.errors.QueryTimeout` carrying *reason*).  While a query
-    executes on SQLite, the backend arms the executing connection on the
-    token so cancellation interrupts the VM immediately; arming after
-    cancellation interrupts on the spot, closing the race where the
-    watchdog fires between dispatch and execution.
-    """
-
-    __slots__ = ("reason", "_cancelled", "_conn", "_lock")
-
-    def __init__(self):
-        self.reason = None
-        self._cancelled = False
-        self._conn = None
-        self._lock = threading.Lock()
-
-    @property
-    def cancelled(self):
-        return self._cancelled
-
-    def cancel(self, reason="cancelled"):
-        """Flip the flag (idempotent); True only for the first caller.
-
-        Interrupts the armed SQLite connection, if any.
-        """
-        with self._lock:
-            if self._cancelled:
-                return False
-            self._cancelled = True
-            self.reason = reason
-            conn = self._conn
-        if conn is not None:
-            try:
-                conn.interrupt()
-            except Exception:  # pragma: no cover - conn may be closing
-                pass
-        return True
-
-    def arm_connection(self, conn):
-        """Point the token at the connection executing this query."""
-        with self._lock:
-            self._conn = conn
-            fire = self._cancelled
-        if fire:
-            try:
-                conn.interrupt()
-            except Exception:  # pragma: no cover - conn may be closing
-                pass
-
-    def disarm_connection(self):
-        with self._lock:
-            self._conn = None
-
-    def __repr__(self):
-        return f"CancelToken(cancelled={self._cancelled}, reason={self.reason!r})"
 
 
 class Deadline:
@@ -124,16 +57,12 @@ class Deadline:
         Maximum rows the run may produce, or None for no budget.
     clock:
         Monotonic clock (seconds); injectable for deterministic tests.
-    cancel:
-        Optional :class:`CancelToken` observed by the same checks as the
-        wall-clock deadline, so external interruption needs no new sites.
     """
 
     __slots__ = (
         "timeout_ms",
         "max_rows",
         "rows",
-        "cancel",
         "_clock",
         "_started",
         "_expires",
@@ -141,12 +70,11 @@ class Deadline:
         "_next_check",
     )
 
-    def __init__(self, timeout_ms=None, max_rows=None, *, clock=time.monotonic,
-                 cancel=None):
+    def __init__(self, timeout_ms=None, max_rows=None, *,
+                 clock=time.monotonic):
         self.timeout_ms = timeout_ms
         self.max_rows = max_rows
         self.rows = 0
-        self.cancel = cancel
         self._clock = clock
         self._started = clock()
         self._expires = (
@@ -158,9 +86,7 @@ class Deadline:
     # -- deadline ----------------------------------------------------------
 
     def expired(self):
-        """Whether the deadline passed or the run was cancelled."""
-        if self.cancel is not None and self.cancel.cancelled:
-            return True
+        """Whether the deadline passed."""
         return self._expires is not None and self._clock() > self._expires
 
     def check(self):
@@ -168,13 +94,8 @@ class Deadline:
 
         Used at naturally coarse checkpoints (one fixpoint round, one
         grouped scan) where a clock read per call is cheap relative to the
-        work between calls.  A cancelled :class:`CancelToken` raises here
-        too, carrying the canceller's reason.
+        work between calls.
         """
-        if self.cancel is not None and self.cancel.cancelled:
-            raise QueryTimeout(
-                self.cancel.reason or "query was cancelled by the server"
-            )
         if self._expires is not None and self._clock() > self._expires:
             raise QueryTimeout(
                 f"query exceeded its {self.timeout_ms} ms deadline "

@@ -1,10 +1,10 @@
-"""EvalOptions validation and the legacy-kwarg deprecation shims."""
+"""EvalOptions validation and the options-only ``evaluate`` entry point."""
 
 import warnings
 
 import pytest
 
-from repro.api import EvalOptions, reset_legacy_warnings
+from repro.api import EvalOptions
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import Database
@@ -62,17 +62,18 @@ class TestValidation:
 
 class TestOldPathFix:
     """The old kwarg pile silently ignored ``planner=False`` when a backend
-    was also selected; the Session rebase turns the contradiction into an
-    OptionsError at the old entry point too."""
+    was also selected; the contradiction is now an OptionsError, and the
+    one-shot entry point takes options only."""
 
     def test_evaluate_with_contradictory_kwargs_raises(self, db):
         with pytest.raises(OptionsError, match="both select an engine"):
             evaluate(
-                parse(QUERY), db, SQL_CONVENTIONS, planner=False, backend="sqlite"
+                parse(QUERY), db, SQL_CONVENTIONS,
+                options=EvalOptions(planner=False, backend="sqlite"),
             )
 
     def test_evaluate_rejects_options_plus_legacy_kwargs(self, db):
-        with pytest.raises(OptionsError, match="not both"):
+        with pytest.raises(TypeError, match="planner"):
             evaluate(
                 parse(QUERY), db, SQL_CONVENTIONS,
                 planner=False, options=EvalOptions(),
@@ -87,33 +88,7 @@ class TestOldPathFix:
 
 
 class TestDeprecationShims:
-    def test_each_kwarg_warns_exactly_once_per_process(self, db):
-        node = parse(QUERY)
-        reset_legacy_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                evaluate(node, db, planner=False)
-                evaluate(node, db, planner=False)  # second call: silent
-                evaluate(node, db, planner=True)  # same kwarg name: silent
-                evaluate(node, db, decorrelate=False)  # new kwarg: warns
-            deprecations = [
-                str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 2, deprecations
-            assert any("planner" in message for message in deprecations)
-            assert any("decorrelate" in message for message in deprecations)
-        finally:
-            reset_legacy_warnings()
-
-    def test_legacy_kwargs_still_work(self, db):
-        node = parse(QUERY)
-        via_kwarg = evaluate(node, db, SQL_CONVENTIONS, backend="sqlite")
-        via_options = evaluate(
-            node, db, SQL_CONVENTIONS, options=EvalOptions(backend="sqlite")
-        )
-        assert via_kwarg == via_options
+    """The legacy-kwarg shims are gone; the one-shot path warns nothing."""
 
     def test_plain_evaluate_does_not_warn(self, db):
         node = parse(QUERY)

@@ -58,6 +58,7 @@ class TestHealthz:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")
         assert excinfo.value.code == 404
+        assert json.load(excinfo.value)["error_type"] == "NotFound"
 
 
 class TestQuery:
@@ -154,20 +155,31 @@ class TestErrors:
         code, body = self._post_error(server, None, raw=b"{not json")
         assert code == 400
         assert "JSON" in body["error"]
+        assert body["error_type"] == "BadRequest"
 
     def test_missing_query_is_400(self, server):
         code, body = self._post_error(server, {"frontend": "arc"})
         assert code == 400
+        assert body["error_type"] == "BadRequest"
 
     def test_unknown_frontend_is_400(self, server):
         code, body = self._post_error(server, {"query": QUERY, "frontend": "cobol"})
         assert code == 400
         assert "frontend" in body["error"]
+        assert body["error_type"] == "BadRequest"
 
     def test_parse_error_is_400(self, server):
         code, body = self._post_error(server, {"query": "{broken"})
         assert code == 400
         assert "error" in body
+
+    def test_non_string_backend_is_400(self, server):
+        code, body = self._post_error(server, {"query": QUERY, "backend": 1})
+        assert code == 400
+        assert body == {
+            "error": "backend must be a string",
+            "error_type": "BadRequest",
+        }
 
     def test_unknown_backend_is_400(self, server):
         code, body = self._post_error(
@@ -183,6 +195,7 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
+        assert json.load(excinfo.value)["error_type"] == "NotFound"
 
     def test_error_responses_drain_the_body_on_keepalive(self, server):
         """An errored POST must still consume its request body; otherwise

@@ -23,6 +23,7 @@ import warnings
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.backends.exec import (
     BackendFallbackWarning,
     available_backends,
@@ -40,12 +41,16 @@ from repro.engine import evaluate
 from repro.errors import ArcError
 from repro.workloads import instances, paper_examples, sweeps
 
+ORACLE = EvalOptions(planner=False)
+SQLITE = EvalOptions(backend="sqlite")
+NO_DECORRELATE = EvalOptions(decorrelate=False)
+
 
 def run_sqlite(node, db, conventions):
     """Evaluate on the sqlite backend; returns (result, fell_back)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = evaluate(node, db, conventions, backend="sqlite")
+        result = evaluate(node, db, conventions, options=SQLITE)
     fell_back = any(
         issubclass(w.category, BackendFallbackWarning) for w in caught
     )
@@ -55,13 +60,13 @@ def run_sqlite(node, db, conventions):
 def assert_three_way(node, db, conventions, *, expect_native=None):
     """reference ≡ planner ≡ decorrelated ≡ sqlite (or equal errors)."""
     try:
-        reference = evaluate(node, db, conventions, planner=False)
+        reference = evaluate(node, db, conventions, options=ORACLE)
     except ArcError as exc:
         with pytest.raises(type(exc)):
-            evaluate(node, db, conventions, planner=True)
+            evaluate(node, db, conventions)
         return
-    planner = evaluate(node, db, conventions, planner=True)
-    per_row = evaluate(node, db, conventions, decorrelate=False)
+    planner = evaluate(node, db, conventions)
+    per_row = evaluate(node, db, conventions, options=NO_DECORRELATE)
     sqlite_result, fell_back = run_sqlite(node, db, conventions)
     assert planner == reference
     assert per_row == reference
@@ -240,9 +245,9 @@ def test_theta_all_probes_empty_three_way():
 def test_non_sql_conventions_fall_back_with_warning(conv_name, conventions):
     node = parse(paper_examples.ARC["eq3"])
     db = sweeps.size_sweep_database(30, seed=2)
-    reference = evaluate(node, db, conventions, planner=False)
+    reference = evaluate(node, db, conventions, options=ORACLE)
     with pytest.warns(BackendFallbackWarning, match="conventions|semantics|NULL"):
-        result = evaluate(node, db, conventions, backend="sqlite")
+        result = evaluate(node, db, conventions, options=SQLITE)
     assert result == reference
 
 
@@ -258,7 +263,7 @@ def test_fallback_paths_agree_across_paper_workloads(conventions):
     ]:
         node = parse(paper_examples.ARC[key])
         db = db_factory()
-        reference = evaluate(node, db, conventions, planner=False)
+        reference = evaluate(node, db, conventions, options=ORACLE)
         result, fell_back = run_sqlite(node, db, conventions)
         assert fell_back  # non-SQL conventions are never offloaded
         assert result == reference
@@ -382,10 +387,10 @@ def test_sqlite_tracks_relation_mutation():
     query = sweeps.grouped_aggregate_query()
     first, fell_back = run_sqlite(query, db, SQL_CONVENTIONS)
     assert not fell_back
-    assert first == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+    assert first == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
     db["R"].add((99, 7))
     second, _ = run_sqlite(query, db, SQL_CONVENTIONS)
-    assert second == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+    assert second == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
     assert first != second
 
 

@@ -15,6 +15,7 @@ import warnings
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.backends.exec import BackendFallbackWarning
 from repro.backends.sql_render import to_sql
 from repro.core.conventions import SQL_CONVENTIONS
@@ -22,6 +23,9 @@ from repro.core.parser import parse
 from repro.data import Database, generators
 from repro.engine import evaluate
 from repro.engine.fixpoint import transitive_closure_reference
+
+ORACLE = EvalOptions(planner=False)
+SQLITE = EvalOptions(backend="sqlite")
 
 LINEAR_TC = (
     "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
@@ -51,7 +55,7 @@ def run_native(node, db):
     """Evaluate on SQLite, failing the test on any planner fallback."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", BackendFallbackWarning)
-        return evaluate(node, db, SQL_CONVENTIONS, backend="sqlite")
+        return evaluate(node, db, SQL_CONVENTIONS, options=SQLITE)
 
 
 def _edges(pairs):
@@ -74,7 +78,7 @@ def test_transitive_closure_matches_fixpoint(text, db):
     # A self-recursive collection renders as WITH RECURSIVE via the backend's
     # program wrap; the fixpoint engine is the oracle.
     result = run_native(node, db)
-    oracle = evaluate(node, db, SQL_CONVENTIONS, planner=False)
+    oracle = evaluate(node, db, SQL_CONVENTIONS, options=ORACLE)
     assert result == oracle
     expected = transitive_closure_reference(
         (row["s"], row["t"]) for row in db["P"].iter_distinct()
@@ -110,14 +114,14 @@ def test_random_dags_match_fixpoint():
         db = generators.parent_edges(25, seed=seed, extra_edges=8)
         node = parse(LINEAR_TC)
         assert run_native(node, db) == evaluate(
-            node, db, SQL_CONVENTIONS, planner=False
+            node, db, SQL_CONVENTIONS, options=ORACLE
         )
 
 
 def test_same_generation_program():
     db = _edges([("r", "a"), ("r", "b"), ("a", "c"), ("b", "d")])
     node = parse(SAME_GENERATION)
-    assert run_native(node, db) == evaluate(node, db, SQL_CONVENTIONS, planner=False)
+    assert run_native(node, db) == evaluate(node, db, SQL_CONVENTIONS, options=ORACLE)
 
 
 def test_recursive_cte_feeding_a_downstream_aggregate():
@@ -127,7 +131,7 @@ def test_recursive_cte_feeding_a_downstream_aggregate():
     assert sql.startswith("with recursive")
     assert "group by" in sql
     result = run_native(node, DIAMOND)
-    assert result == evaluate(node, DIAMOND, SQL_CONVENTIONS, planner=False)
+    assert result == evaluate(node, DIAMOND, SQL_CONVENTIONS, options=ORACLE)
 
 
 def test_nonlinear_recursion_falls_back_but_agrees():
@@ -136,5 +140,5 @@ def test_nonlinear_recursion_falls_back_but_agrees():
         "∃a1 ∈ A, a2 ∈ A[A.s = a1.s ∧ a1.t = a2.s ∧ A.t = a2.t]}"
     )
     with pytest.warns(BackendFallbackWarning):
-        result = evaluate(nonlinear, CHAIN, SQL_CONVENTIONS, backend="sqlite")
-    assert result == evaluate(nonlinear, CHAIN, SQL_CONVENTIONS, planner=False)
+        result = evaluate(nonlinear, CHAIN, SQL_CONVENTIONS, options=SQLITE)
+    assert result == evaluate(nonlinear, CHAIN, SQL_CONVENTIONS, options=ORACLE)

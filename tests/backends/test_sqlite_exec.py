@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.backends.exec import (
     BackendFallbackWarning,
     BackendUnsupported,
@@ -25,6 +26,9 @@ from repro.core.parser import parse
 from repro.data import Database, NULL, Relation, Truth, csvio
 from repro.engine import evaluate
 from repro.errors import EvaluationError
+
+ORACLE = EvalOptions(planner=False)
+SQLITE = EvalOptions(backend="sqlite")
 
 IDENTITY = "{Q(A, B) | ∃r ∈ R[Q.A = r.A ∧ Q.B = r.B]}"
 ANCESTOR = (
@@ -53,8 +57,8 @@ def _mixed_db():
 class TestValueMapping:
     def test_round_trip_preserves_types_nulls_and_multiplicity(self):
         db = _mixed_db()
-        result = evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, planner=False)
+        result = evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(parse(IDENTITY), db, SQL_CONVENTIONS, options=ORACLE)
         assert result.multiplicity({"A": 1, "B": 1.5}) == 2
         assert any(r["B"] is NULL for r in result.iter_distinct())
 
@@ -89,19 +93,18 @@ class TestValueMapping:
                 query,
                 db,
                 SQL_CONVENTIONS,
-                backend="sqlite",
-                db_file=str(tmp_path / "c.db"),
+                options=EvalOptions(db_file=str(tmp_path / "c.db")),
             )
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
 
 
 class TestCatalogCache:
     def test_warm_cache_reuses_the_loaded_connection(self):
         db = _mixed_db()
         query = parse(IDENTITY)
-        evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
+        evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
         loads = sqlite_exec.stats["loads"]
-        evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
+        evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
         assert sqlite_exec.stats["loads"] == loads
         assert sqlite_exec.stats["hits"] >= 1
 
@@ -127,10 +130,11 @@ class TestDbFilePersistence:
         path = str(tmp_path / "catalog.db")
         db = _mixed_db()
         query = parse(IDENTITY)
-        first = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite", db_file=path)
+        on_disk = EvalOptions(db_file=path)
+        first = evaluate(query, db, SQL_CONVENTIONS, options=on_disk)
         loads = sqlite_exec.stats["loads"]
         # Second call (fresh connection, same file): warm start, no reload.
-        second = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite", db_file=path)
+        second = evaluate(query, db, SQL_CONVENTIONS, options=on_disk)
         assert sqlite_exec.stats["loads"] == loads
         assert first == second
         # The tables really are on disk.
@@ -139,7 +143,7 @@ class TestDbFilePersistence:
         conn.close()
         # Mutation invalidates the stored fingerprint and reloads.
         db["R"].add((8, 8))
-        evaluate(query, db, SQL_CONVENTIONS, backend="sqlite", db_file=path)
+        evaluate(query, db, SQL_CONVENTIONS, options=on_disk)
         assert sqlite_exec.stats["loads"] == loads + 1
 
 
@@ -220,8 +224,8 @@ class TestCapabilities:
         assert get_backend("sqlite").capabilities(query, SQL_CONVENTIONS, db) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendFallbackWarning)
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
 
     def test_non_equality_grouped_lateral_reported_specifically(self):
         # γ-keys + non-equality correlation: no group-by rewrite, no scalar
@@ -297,8 +301,8 @@ class TestCapabilities:
         assert get_backend("sqlite").capabilities(query, SQL_CONVENTIONS, db) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendFallbackWarning)
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
 
     def test_join_annotated_scalar_binding_reported_specifically(self):
         # The renderer never scalar-inlines a binding that is an operand of
@@ -313,8 +317,8 @@ class TestCapabilities:
         problems = get_backend("sqlite").capabilities(query, SQL_CONVENTIONS, db)
         assert any("'x'" in p and "join annotation" in p for p in problems)
         with pytest.warns(BackendFallbackWarning, match="join annotation"):
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
 
     def test_probe_honors_the_decorrelate_escape_hatch(self):
         # capabilities(decorrelate=False) must match run(decorrelate=False):
@@ -349,8 +353,8 @@ class TestCapabilities:
             "[s.A < r.A ∧ X.sm = sum(s.B)]}[Q.A = r.A ∧ Q.sm = x.sm]}"
         )
         with pytest.warns(BackendFallbackWarning, match="non-equality") as record:
-            result = evaluate(query, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(query, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(query, db, SQL_CONVENTIONS, options=ORACLE)
         fallback = [
             w.message
             for w in record
@@ -402,7 +406,7 @@ class TestDispatch:
         db = Database()
         db.create("R", ("A", "B"), [(1, 2), (1, 2)])
         with pytest.warns(BackendFallbackWarning):
-            result = evaluate(parse(IDENTITY), db, SET_CONVENTIONS, backend="sqlite")
+            result = evaluate(parse(IDENTITY), db, SET_CONVENTIONS, options=SQLITE)
         assert result == evaluate(parse(IDENTITY), db, SET_CONVENTIONS)
 
     def test_runtime_rejection_falls_back(self):
@@ -415,22 +419,21 @@ class TestDispatch:
             "∃a1 ∈ A, a2 ∈ A[A.s = a1.s ∧ a1.t = a2.s ∧ A.t = a2.t]}"
         )
         with pytest.warns(BackendFallbackWarning, match="recursive"):
-            result = evaluate(nonlinear, db, SQL_CONVENTIONS, backend="sqlite")
-        assert result == evaluate(nonlinear, db, SQL_CONVENTIONS, planner=False)
+            result = evaluate(nonlinear, db, SQL_CONVENTIONS, options=SQLITE)
+        assert result == evaluate(nonlinear, db, SQL_CONVENTIONS, options=ORACLE)
 
     def test_sentence_returns_truth(self):
         db = Database()
         db.create("R", ("A",), [(1,)])
         db.create("S", ("A",), [(1,)])
         with warnings.catch_warnings():
-            # Any fallback would fail the test (the legacy-kwarg
-            # DeprecationWarning shim is exercised elsewhere).
+            # Any fallback would fail the test.
             warnings.simplefilter("error", BackendFallbackWarning)
             result = evaluate(
                 parse("∃r ∈ R[∃s ∈ S[s.A = r.A]]"),
                 db,
                 SQL_CONVENTIONS,
-                backend="sqlite",
+                options=SQLITE,
             )
         assert result is Truth.TRUE
 

@@ -14,6 +14,7 @@ mixed-kind build fallbacks).
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.core import builder as b
 from repro.core import nodes as n
 from repro.core.conventions import (
@@ -25,6 +26,8 @@ from repro.core.parser import parse
 from repro.data import Database, NULL
 from repro.engine import Evaluator, decorrelate, evaluate
 from repro.workloads import sweeps
+
+ORACLE = EvalOptions(planner=False)
 
 
 def _db(*, null_key=False):
@@ -54,7 +57,7 @@ def probe(query_text, db=None, conventions=SQL_CONVENTIONS, **kwargs):
         # Refused shapes must still evaluate correctly via the per-row path.
         database = evaluator.database
         assert evaluate(node, database, conventions) == evaluate(
-            node, database, conventions, planner=False
+            node, database, conventions, options=ORACLE
         )
     return spec, reason
 
@@ -330,7 +333,7 @@ class TestSqlRewrite:
             rewritten, leftovers = decorrelate.rewrite_for_sql(query)
             assert leftovers == ()
             assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
-                query, db, SQL_CONVENTIONS, planner=False
+                query, db, SQL_CONVENTIONS, options=ORACLE
             )
 
     def test_unnest_moves_filters_and_substitutes_references(self):
@@ -342,7 +345,7 @@ class TestSqlRewrite:
         rewritten, leftovers = decorrelate.rewrite_for_sql(correlated)
         assert leftovers == ()
         assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
-            correlated, db, SQL_CONVENTIONS, planner=False
+            correlated, db, SQL_CONVENTIONS, options=ORACLE
         )
         # No lateral binding survives in the rewritten scope.
         for sub in rewritten.walk():
@@ -366,7 +369,7 @@ class TestSqlRewrite:
         ]
         assert len(spliced) == len(set(spliced)) == 3  # a, c, and a renamed a
         assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
-            correlated, db, SQL_CONVENTIONS, planner=False
+            correlated, db, SQL_CONVENTIONS, options=ORACLE
         )
 
     def test_gamma_empty_stays_for_the_scalar_device(self):
@@ -562,5 +565,5 @@ class TestBandSqlRewrite:
 
                 assert not free_variables(sub.source)
         assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
-            correlated, db, SQL_CONVENTIONS, planner=False
+            correlated, db, SQL_CONVENTIONS, options=ORACLE
         )

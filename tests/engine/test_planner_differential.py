@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.api import EvalOptions
 from repro.core import builder as b
 from repro.core import nodes as n
 from repro.core.conventions import (
@@ -26,6 +27,9 @@ from repro.engine import evaluate
 from repro.errors import ArcError
 from repro.workloads import instances, paper_examples, sweeps
 
+ORACLE = EvalOptions(planner=False)
+NO_DECORRELATE = EvalOptions(decorrelate=False)
+
 BAG = Conventions(semantics=Semantics.BAG)
 
 CONVENTION_SET = [
@@ -38,12 +42,12 @@ CONVENTION_SET = [
 def assert_agree(node, db, conventions):
     """Planner-on and planner-off must produce identical results or errors."""
     try:
-        with_planner = evaluate(node, db, conventions, planner=True)
+        with_planner = evaluate(node, db, conventions)
     except ArcError as exc:
         with pytest.raises(type(exc)):
-            evaluate(node, db, conventions, planner=False)
+            evaluate(node, db, conventions, options=ORACLE)
         return
-    reference = evaluate(node, db, conventions, planner=False)
+    reference = evaluate(node, db, conventions, options=ORACLE)
     assert with_planner == reference
 
 
@@ -212,15 +216,15 @@ def test_correlated_lateral_group_agrees():
 def assert_decorrelation_agrees(node, db, conventions):
     """reference ≡ decorrelated planner ≡ per-row planner (or equal errors)."""
     try:
-        reference = evaluate(node, db, conventions, planner=False)
+        reference = evaluate(node, db, conventions, options=ORACLE)
     except ArcError as exc:
         with pytest.raises(type(exc)):
             evaluate(node, db, conventions)
         with pytest.raises(type(exc)):
-            evaluate(node, db, conventions, decorrelate=False)
+            evaluate(node, db, conventions, options=NO_DECORRELATE)
         return
     assert evaluate(node, db, conventions) == reference
-    assert evaluate(node, db, conventions, decorrelate=False) == reference
+    assert evaluate(node, db, conventions, options=NO_DECORRELATE) == reference
 
 
 CORRELATED_AGGS = ["sum", "count", "avg", "min", "max"]
@@ -367,7 +371,7 @@ def test_results_track_relation_mutation():
     assert first == evaluate(query, db, SET_CONVENTIONS)  # warm cache
     db["R"].add((99, 7))
     second = evaluate(query, db, SET_CONVENTIONS)
-    assert second == evaluate(query, db, SET_CONVENTIONS, planner=False)
+    assert second == evaluate(query, db, SET_CONVENTIONS, options=ORACLE)
     assert first != second
 
     join = sweeps.join_chain_query(2)
@@ -376,6 +380,6 @@ def test_results_track_relation_mutation():
     db2["R1"].add((99, 99))
     db2["R0"].add((99, 99))  # A=99 is outside the generated domain
     assert evaluate(join, db2, SET_CONVENTIONS) == evaluate(
-        join, db2, SET_CONVENTIONS, planner=False
+        join, db2, SET_CONVENTIONS, options=ORACLE
     )
     assert first_join != evaluate(join, db2, SET_CONVENTIONS)

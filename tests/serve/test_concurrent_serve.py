@@ -289,7 +289,9 @@ class TestMultiCatalog:
                 server, {"query": SIMPLE, "catalog": "nope"}
             )
             assert status == 400
-            assert "unknown catalog" in json.loads(body)["error"]
+            payload = json.loads(body)
+            assert "unknown catalog" in payload["error"]
+            assert payload["error_type"] == "BadRequest"
         finally:
             _stop(server, thread)
 

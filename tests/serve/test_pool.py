@@ -314,32 +314,14 @@ class TestWorkerPool:
             pool.drain()
 
     def test_submit_supervision_kwargs_default_to_the_old_behavior(self):
-        """``timeout_ms`` / ``fingerprint`` / ``cancel`` are all optional;
-        a bare ``submit(fn)`` behaves exactly as before PR 10 — no
-        quarantine check, no shedding, hard cap at the pool default."""
+        """``timeout_ms`` / ``fingerprint`` are both optional; a bare
+        ``submit(fn)`` is a plain bounded-queue submit — no quarantine
+        check, no shedding."""
         pool = WorkerPool(_factory(), workers=1, queue_depth=4)
         try:
             assert pool.submit(lambda worker: "plain").wait(10) == "plain"
             assert pool.shed_total == 0
             assert len(pool.quarantine) == 0
-            # A soft deadline scales the hard cap by the backstop factor.
-            from repro.serve.pool import (
-                DEFAULT_HARD_TIMEOUT_MS,
-                HARD_TIMEOUT_FACTOR,
-            )
-
-            assert pool._hard_ms(None) == DEFAULT_HARD_TIMEOUT_MS
-            assert pool._hard_ms(250) == 250 * HARD_TIMEOUT_FACTOR
-        finally:
-            pool.drain()
-
-    def test_explicit_hard_timeout_overrides_the_factor(self):
-        pool = WorkerPool(
-            _factory(), workers=1, queue_depth=4, hard_timeout_ms=123
-        )
-        try:
-            assert pool._hard_ms(None) == 123
-            assert pool._hard_ms(5000) == 123
         finally:
             pool.drain()
 

@@ -1,6 +1,6 @@
-"""Self-healing pool acceptance tests: supervision, quarantine, watchdog.
+"""Self-healing pool acceptance tests: supervision, quarantine, hard cap.
 
-The scenarios pinned here are PR 10's acceptance criteria:
+The scenarios pinned here:
 
 * a worker killed mid-job (``pool.worker`` failpoint) is respawned, the
   caller gets a typed 500 (``WorkerCrash``), ``workers_respawned``
@@ -9,9 +9,9 @@ The scenarios pinned here are PR 10's acceptance criteria:
 * a request fingerprint that kills workers twice is quarantined: the
   third attempt answers a typed **422** (``PoisonQuery``) with
   ``Retry-After`` while unrelated queries keep succeeding;
-* an unbounded recursive query with **no client deadline** is
-  interrupted by the watchdog within 2× the hard wall cap, on all three
-  backends;
+* an unbounded recursive query with **no client deadline** answers 408
+  within 2× the hard wall cap, on all three backends, because the cap is
+  the run's Deadline;
 * a coalescing leader that dies before publishing still resolves its
   followers with a typed 500 (publish-or-fail);
 * execution counters survive a crash: the dead worker's totals move to
@@ -40,7 +40,7 @@ from repro.serve import Quarantine, SessionFactory, WorkerPool, poison_fingerpri
 from repro.util import failpoints
 
 SIMPLE = "{Q(x) | ∃p ∈ P[Q.x = p.x]}"
-#: Diverging recursion — nothing but a deadline (or the watchdog) stops it.
+#: Diverging recursion — nothing but a deadline stops it.
 RUNAWAY = "{T(x) | ∃p ∈ P[T.x = p.x] ∨ ∃t ∈ T[T.x = t.x + 1]}"
 
 
@@ -248,32 +248,6 @@ class TestPoolSupervision:
         assert pool.draining
 
 
-class TestWatchdogPoolLevel:
-    def test_deadline_less_job_is_cancelled_at_the_hard_cap(self):
-        pool = WorkerPool(
-            _factory(), workers=1, queue_depth=8, hard_timeout_ms=200,
-        )
-        try:
-            def stubborn(worker):
-                # Poll the job's cancel token like a cooperative engine.
-                job = worker.current
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    if job.cancel.cancelled:
-                        return "cancelled"
-                    time.sleep(0.005)
-                return "never cancelled"
-
-            started = time.perf_counter()
-            result = pool.submit(stubborn).wait(10)  # no timeout_ms at all
-            elapsed = time.perf_counter() - started
-            assert result == "cancelled"
-            assert elapsed < 2 * 0.2 + 1.0
-            assert pool.watchdog_cancels == 1
-        finally:
-            pool.drain()
-
-
 class TestShedding:
     def test_request_whose_budget_the_queue_would_eat_is_shed(self):
         pool = WorkerPool(_factory(), workers=1, queue_depth=8)
@@ -458,7 +432,7 @@ class TestHTTPSelfHealing:
             _stop(server, thread)
 
 
-class TestWatchdogHTTP:
+class TestHardCapHTTP:
     @pytest.mark.parametrize("backend", ["reference", "planner", "sqlite"])
     def test_runaway_query_without_deadline_is_interrupted(self, backend):
         """No client budget at all — the hard wall cap still frees the
@@ -477,14 +451,45 @@ class TestWatchdogHTTP:
             assert status == 408
             payload = json.loads(body)
             assert payload["error_type"] == "QueryTimeout"
-            assert "watchdog" in payload["error"]
+            assert f"{hard_ms} ms" in payload["error"]
             assert elapsed < 2 * hard_ms / 1000.0
             # The worker survived the interruption.
             status, _, _ = _post(server, {"query": SIMPLE})
             assert status == 200
             status, body = _get(server, "/stats")
-            assert json.loads(body)["pool"]["watchdog_cancels"] >= 1
-            assert _metric_value(server, "arc_watchdog_cancels_total") >= 1
+            assert json.loads(body)["timeouts"] >= 1
+        finally:
+            _stop(server, thread)
+
+    def test_explicit_cap_below_the_request_deadline_wins(self):
+        hard_ms = 400
+        server, thread = _serve(
+            conventions=SQL_CONVENTIONS, workers=1, hard_timeout_ms=hard_ms,
+        )
+        try:
+            started = time.perf_counter()
+            status, body, _ = _post(
+                server, {"query": RUNAWAY, "timeout_ms": 30_000}, timeout=60
+            )
+            elapsed = time.perf_counter() - started
+            assert status == 408
+            assert f"{hard_ms} ms" in json.loads(body)["error"]
+            assert elapsed < 2 * hard_ms / 1000.0
+        finally:
+            _stop(server, thread)
+
+    def test_request_deadline_applies_without_an_explicit_cap(self):
+        soft_ms = 400
+        server, thread = _serve(conventions=SQL_CONVENTIONS, workers=1)
+        try:
+            started = time.perf_counter()
+            status, body, _ = _post(
+                server, {"query": RUNAWAY, "timeout_ms": soft_ms}, timeout=60
+            )
+            elapsed = time.perf_counter() - started
+            assert status == 408
+            assert f"{soft_ms} ms" in json.loads(body)["error"]
+            assert elapsed < 2 * soft_ms / 1000.0
         finally:
             _stop(server, thread)
 

@@ -231,6 +231,17 @@ class TestServeCommand:
         assert answered["body"]["rows"] == [[2], [3]]
         assert "serving on http://127.0.0.1:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag", ["--timeout-ms", "--hard-timeout-ms", "--shed-threshold-ms"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_limits_are_refused_by_flag_name(
+        self, capsys, csv_r, flag, value
+    ):
+        code = main(["serve", "--db", csv_r, "--port", "0", flag, value])
+        assert code == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
 
 class TestPatterns:
     def test_patterns_report(self, capsys):
