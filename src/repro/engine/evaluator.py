@@ -49,11 +49,11 @@ from ..data.values import (
     t_or,
 )
 from ..errors import EvaluationError
+from ..util.deadline import STRIDE_MASK
 from . import aggregates as agg_lib
 from .externals import ExternalRegistry, standard_registry
 from .joins import ConditionAssignment, annotation_vars, enumerate_annotation
 from .planner import (
-    _DL_MASK,
     ExecutionStats,
     compile_bindings,
     compile_scope,
@@ -160,8 +160,9 @@ class Evaluator:
         self.tracer = tracer
         #: Armed :class:`~repro.util.deadline.Deadline` for the current run,
         #: or None (unbounded).  Every execution tier reads it: the
-        #: compiled-scope loops tick per row, the fixpoint checks per round,
-        #: and collection emission counts rows against the budget.
+        #: compiled-scope row loops check once per stride of rows, the
+        #: fixpoint checks per round, and collection emission counts rows
+        #: against the budget.
         self.deadline = deadline
         self._head_stack = []
 
@@ -253,7 +254,7 @@ class Evaluator:
                 # method call per row.  A budget trip may land up to a
                 # stride late — still memory-bounded by max_rows + STRIDE.
                 dl_rows = 0
-                dl_mask = _DL_MASK
+                dl_mask = STRIDE_MASK
                 for assigns, mult in self._solutions(coll.body, env, top=True):
                     missing = set(coll.head.attrs) - set(assigns)
                     if missing:
@@ -668,7 +669,7 @@ class Evaluator:
             for delta, mult in enumerate_annotation(quant.join, env, ctx, assignment):
                 if deadline is not None:
                     dl_ops += 1
-                    if not dl_ops & _DL_MASK:
+                    if not dl_ops & STRIDE_MASK:
                         deadline.check()
                 env2 = {**env, **delta}
                 if sub is not None and strict:
@@ -708,7 +709,7 @@ class Evaluator:
             for row, row_mult in self._binding_rows(binding, env2):
                 if deadline is not None:
                     dl_ops += 1
-                    if not dl_ops & _DL_MASK:
+                    if not dl_ops & STRIDE_MASK:
                         deadline.check()
                 yield from recurse(index + 1, {**env2, binding.var: row}, mult2 * row_mult)
 
@@ -792,7 +793,7 @@ class Evaluator:
         if relation is not None:
             return relation
         if name in self.database:
-            return self.database[name]
+            return self.database.get(name)
         if name in self.abstract or name in self.externals:
             raise EvaluationError(
                 f"relation {name!r} has no stored extension and must be "

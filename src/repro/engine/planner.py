@@ -55,15 +55,14 @@ from ..core import nodes as n
 from ..data.relation import Tuple
 from ..data.values import NULL, Truth, is_null
 from ..errors import EvaluationError
-from ..util.deadline import STRIDE as _DEADLINE_STRIDE
+from ..util.deadline import STRIDE_MASK
 from . import aggregates as agg_lib
 from . import decorrelate
 
-#: Power-of-two mask for the inline deadline stride check in the hot loops:
-#: ``ops & _DL_MASK == 0`` every ``STRIDE`` rows triggers one clock read.
-_DL_MASK = _DEADLINE_STRIDE - 1
-
 _MISSING = object()
+
+#: :func:`_probe_key` result when a key expression raises.
+_UNUSABLE = object()
 
 _STREAMABLE_AGGS = frozenset(["sum", "count", "avg", "min", "max"])
 
@@ -189,16 +188,8 @@ class CompiledScope:
             if truth(formula, env) is not Truth.TRUE:
                 return
         stats = ev.stats
-        # Deadline guard: each row loop below is specialized into an
-        # unarmed variant (no added per-row work at all) and an armed one
-        # carrying a closure-local stride counter — an integer bump plus a
-        # bitwise mask per row, with the clock read (a method call)
-        # amortized to once per ``STRIDE`` rows.  The duplication is
-        # deliberate: a shared loop would pay an identity test per row on
-        # both paths, which is measurable on bucket-per-frame workloads.
         deadline = ev.deadline
         dl_ops = 0
-        dl_mask = _DL_MASK
         is_set = ev.conventions.is_set
         three_valued = ev.conventions.three_valued
         steps = self.steps
@@ -232,218 +223,21 @@ class CompiledScope:
             var = step.var
             saved = frame.get(var, _MISSING)
             try:
-                if step.relation_name is None:
-                    filters = step.filters
-                    decorr = step.decorr
-                    if decorr is not None:
-                        index = fio_indexes.get(depth, _MISSING)
-                        if index is _MISSING:
-                            index = fio_indexes[depth] = decorr.materialize(ev)
-                    else:
-                        index = None
-                    if index is not None:
-                        # Decorrelated (FIO) lateral: probe the materialized
-                        # index instead of re-evaluating the inner
-                        # collection per frame.
-                        key = []
-                        usable = True
-                        for expr in decorr.outer_exprs:
-                            try:
-                                value = ev._eval_expr(expr, frame)
-                            except EvaluationError:
-                                # Key not computable: the per-frame path
-                                # below surfaces the same error row by row.
-                                usable = False
-                                break
-                            if (three_valued and is_null(value)) or value != value:
-                                # NULL under 3VL / NaN under any convention:
-                                # the correlation equality is never TRUE.
-                                key = None
-                                break
-                            key.append(value)
-                        band_value = None
-                        if usable and decorr.strategy == "band":
-                            try:
-                                band_value = ev._eval_expr(
-                                    decorr.band_outer_expr, frame
-                                )
-                            except EvaluationError:
-                                usable = False
-                        if usable:
-                            stats.index_probes += 1
-                            if index.tribucket:
-                                stats.tribucket_probes += 1
-                            if decorr.strategy == "band":
-                                # θ-band probe: bisect the sorted entries;
-                                # γ∅ scopes fold prefix-aggregate arrays at
-                                # the boundary (one row, count-bug exact).
-                                bucket = index.probe(
-                                    None if key is None else tuple(key),
-                                    band_value,
-                                    is_set,
-                                )
-                            else:
-                                bucket = (
-                                    None if key is None else index.get(tuple(key))
-                                )
-                                if bucket is None and decorr.empty_group:
-                                    # γ∅ emits one row even over an empty
-                                    # group (the count bug's asymmetry):
-                                    # every missing key maps to one shared
-                                    # frame — the domain-join compensation,
-                                    # synthesized once per index.
-                                    stats.lateral_probe_misses += 1
-                                    bucket = index.empty_group_items(
-                                        ev, step.binding.source, frame, stats
-                                    )
-                            if deadline is None:
-                                for row, row_mult in bucket or ():
-                                    stats.rows_enumerated += 1
-                                    frame[var] = row
-                                    for formula in filters:
-                                        if truth(formula, frame) is not Truth.TRUE:
-                                            break
-                                    else:
-                                        yield from run(depth + 1, mult * row_mult)
-                                return
-                            for row, row_mult in bucket or ():
-                                stats.rows_enumerated += 1
-                                dl_ops += 1
-                                if not dl_ops & dl_mask:
-                                    deadline.check()
-                                frame[var] = row
-                                for formula in filters:
-                                    if truth(formula, frame) is not Truth.TRUE:
-                                        break
-                                else:
-                                    yield from run(depth + 1, mult * row_mult)
-                            return
-                    # Per-frame (FOI) lateral: the inner collection is
-                    # re-evaluated under every outer environment.
-                    if deadline is None:
-                        for row, row_mult in ev._binding_rows(step.binding, frame):
-                            stats.rows_enumerated += 1
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(depth + 1, mult * row_mult)
-                        return
-                    for row, row_mult in ev._binding_rows(step.binding, frame):
-                        stats.rows_enumerated += 1
+                rows, filters, weighted = _step_rows(
+                    ev, step, depth, frame, fio_indexes, is_set, three_valued
+                )
+                for row, row_mult in rows:
+                    stats.rows_enumerated += 1
+                    if deadline is not None:
                         dl_ops += 1
-                        if not dl_ops & dl_mask:
+                        if not dl_ops & STRIDE_MASK:
                             deadline.check()
-                        frame[var] = row
-                        for formula in filters:
-                            if truth(formula, frame) is not Truth.TRUE:
-                                break
-                        else:
-                            yield from run(depth + 1, mult * row_mult)
-                    return
-                relation = ev._resolve_relation(step.relation_name)
-                rows_map = relation._rows
-                if not rows_map:
-                    return
-                if step.lookup_attrs is not None:
-                    key = []
-                    usable = True
-                    for expr in step.key_exprs:
-                        try:
-                            value = ev._eval_expr(expr, frame)
-                        except EvaluationError:
-                            usable = False
+                    frame[var] = row
+                    for formula in filters:
+                        if truth(formula, frame) is not Truth.TRUE:
                             break
-                        if three_valued and is_null(value):
-                            # x = NULL is never TRUE under 3VL: no rows.
-                            return
-                        if value != value:
-                            # NaN keys: x = NaN is FALSE for every x, but a
-                            # dict probe would match the identical NaN object
-                            # by identity — so short-circuit to no rows.
-                            return
-                        key.append(value)
-                    if usable:
-                        stats.index_probes += 1
-                        bucket = relation.index_on(step.lookup_attrs).get(tuple(key))
-                        if not bucket:
-                            return
-                        filters = step.filters
-                        if deadline is None:
-                            for row, row_mult in bucket:
-                                stats.rows_enumerated += 1
-                                frame[var] = row
-                                for formula in filters:
-                                    if truth(formula, frame) is not Truth.TRUE:
-                                        break
-                                else:
-                                    yield from run(
-                                        depth + 1, mult if is_set else mult * row_mult
-                                    )
-                            return
-                        for row, row_mult in bucket:
-                            stats.rows_enumerated += 1
-                            dl_ops += 1
-                            if not dl_ops & dl_mask:
-                                deadline.check()
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(
-                                    depth + 1, mult if is_set else mult * row_mult
-                                )
-                        return
-                    # Key not computable (e.g. unbound outer variable): fall
-                    # back to a scan so the equality surfaces the same error
-                    # the reference strategy would raise, row by row.
-                filters = step.scan_filters
-                if is_set:
-                    if deadline is None:
-                        for row in rows_map:
-                            stats.rows_enumerated += 1
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(depth + 1, mult)
-                        return
-                    for row in rows_map:
-                        stats.rows_enumerated += 1
-                        dl_ops += 1
-                        if not dl_ops & dl_mask:
-                            deadline.check()
-                        frame[var] = row
-                        for formula in filters:
-                            if truth(formula, frame) is not Truth.TRUE:
-                                break
-                        else:
-                            yield from run(depth + 1, mult)
-                else:
-                    if deadline is None:
-                        for row, row_mult in rows_map.items():
-                            stats.rows_enumerated += 1
-                            frame[var] = row
-                            for formula in filters:
-                                if truth(formula, frame) is not Truth.TRUE:
-                                    break
-                            else:
-                                yield from run(depth + 1, mult * row_mult)
-                        return
-                    for row, row_mult in rows_map.items():
-                        stats.rows_enumerated += 1
-                        dl_ops += 1
-                        if not dl_ops & dl_mask:
-                            deadline.check()
-                        frame[var] = row
-                        for formula in filters:
-                            if truth(formula, frame) is not Truth.TRUE:
-                                break
-                        else:
-                            yield from run(depth + 1, mult * row_mult)
+                    else:
+                        yield from run(depth + 1, mult * row_mult if weighted else mult)
             finally:
                 if saved is _MISSING:
                     frame.pop(var, None)
@@ -487,7 +281,6 @@ class CompiledScope:
         for formula in self.pre_filters:
             if truth(formula, env) is not Truth.TRUE:
                 return {}
-        three_valued = ev.conventions.three_valued
         key_attrs = spec.key_attrs
         filters = step.filters if step.lookup_attrs is not None else step.scan_filters
         ev.stats.grouped_fast_paths += 1
@@ -500,23 +293,14 @@ class CompiledScope:
         # Row source: full relation or one index bucket (correlated scopes).
         pairs = None
         if step.lookup_attrs is not None:
-            key = []
-            for expr in step.key_exprs:
-                try:
-                    value = ev._eval_expr(expr, env)
-                except EvaluationError:
-                    return None
-                if (three_valued and is_null(value)) or value != value:
-                    # NULL under 3VL, or NaN under any convention: the
-                    # equality can never be TRUE, so the scope has no rows.
-                    key = None
-                    break
-                key.append(value)
+            key = _probe_key(ev, step.key_exprs, env, ev.conventions.three_valued)
+            if key is _UNUSABLE:
+                return None
             if key is None:
                 pairs = []
             else:
                 ev.stats.index_probes += 1
-                pairs = relation.index_on(step.lookup_attrs).get(tuple(key), [])
+                pairs = relation.index_on(step.lookup_attrs).get(key, [])
         elif not filters and key_attrs is not None:
             # The grouping partition IS a hash index over the key attrs:
             # reuse (and cache) it on the relation.
@@ -572,7 +356,7 @@ class CompiledScope:
             ev.stats.rows_enumerated += 1
             if deadline is not None:
                 dl_ops += 1
-                if not dl_ops & _DL_MASK:
+                if not dl_ops & STRIDE_MASK:
                     deadline.check()
             frame[var] = row
             keep = True
@@ -654,7 +438,8 @@ class CompiledScope:
 
         Returns None when the shape is unsupported; the fully-simple shape
         (plain key/constant assignments, streamable aggregates, no HAVING)
-        runs one inlined loop per group with no interpretation overhead.
+        fills a precompiled output template per group, with no per-group
+        environment.
         """
         if not self.supports_grouped():
             return None
@@ -696,45 +481,15 @@ class CompiledScope:
         adopt = Tuple._adopt
         if spec.simple is not None and is_set and groups:
             template, simple_aggs = spec.simple
+            var = step.var
             conventions = ev.conventions
-            empty_cache = {}
             for bucket in groups.values():
-                agg_vals = []
-                for func, attr in simple_aggs:
-                    if attr is None:
-                        agg_vals.append(len(bucket))
-                        continue
-                    if func == "sum":
-                        # Optimistic: a NULL anywhere raises TypeError
-                        # (0 + NULL is undefined), falling back to the
-                        # filtered path below.
-                        try:
-                            agg_vals.append(
-                                sum([pair[0]._values[attr] for pair in bucket])
-                            )
-                            continue
-                        except TypeError:
-                            pass
-                    values = [
-                        v for pair in bucket if (v := pair[0]._values[attr]) is not NULL
-                    ]
-                    if func == "count":
-                        agg_vals.append(len(values))
-                    elif not values:
-                        value = empty_cache.get(func, _MISSING)
-                        if value is _MISSING:
-                            value = empty_cache[func] = agg_lib.aggregate(
-                                func, (), conventions
-                            )
-                        agg_vals.append(value)
-                    elif func == "sum":
-                        agg_vals.append(sum(values))
-                    elif func == "avg":
-                        agg_vals.append(sum(values) / len(values))
-                    elif func == "min":
-                        agg_vals.append(min(values))
-                    else:
-                        agg_vals.append(max(values))
+                agg_vals = [
+                    _fold_aggregate(
+                        ev, var, env, bucket, True, func, arg_kind, payload, conventions
+                    )
+                    for func, arg_kind, payload in simple_aggs
+                ]
                 rep = bucket[0][0]._values
                 assigns = {}
                 for attr, kind, payload in template:
@@ -748,15 +503,7 @@ class CompiledScope:
             if cache_relation is not None:
                 cache_relation.derived_put(spec, cache_tag, dict(out))
             return out
-        if not groups and spec.empty_group:
-            assigns = self._finalize_group(ev, env, [], is_set)
-            if assigns is not None:
-                out[adopt(assigns)] += 1
-            return out
-        for bucket in groups.values():
-            assigns = self._finalize_group(ev, env, bucket, is_set)
-            if assigns is not None:
-                out[adopt(assigns)] += 1
+        out.update(map(adopt, self._finalized_groups(ev, env, groups, is_set)))
         return out
 
     def grouped_rows(self, ev, env):
@@ -770,21 +517,118 @@ class CompiledScope:
         groups = self._grouped_buckets(ev, env)
         if groups is None:
             return None
-        spec = self.grouped
         is_set = ev.conventions.is_set
+        return (
+            (assigns, 1)
+            for assigns in self._finalized_groups(ev, env, groups, is_set)
+        )
 
-        def emit():
-            if not groups and spec.empty_group:
-                assigns = self._finalize_group(ev, env, [], is_set)
-                if assigns is not None:
-                    yield assigns, 1
-                return
-            for bucket in groups.values():
-                assigns = self._finalize_group(ev, env, bucket, is_set)
-                if assigns is not None:
-                    yield assigns, 1
+    def _finalized_groups(self, ev, env, groups, is_set):
+        """Yield the assigns of every surviving group; γ∅ over no input
+        still finalizes its one empty group."""
+        if not groups and self.grouped.empty_group:
+            groups = {(): []}
+        for bucket in groups.values():
+            assigns = self._finalize_group(ev, env, bucket, is_set)
+            if assigns is not None:
+                yield assigns
 
-        return emit()
+
+_NO_ROWS = ((), (), False)
+
+
+def _step_rows(ev, step, depth, frame, fio_indexes, is_set, three_valued):
+    """Resolve one binding step under *frame* to ``(rows, filters, weighted)``.
+
+    *rows* yields ``(row, multiplicity)`` pairs and *filters* are the row
+    formulas each candidate must satisfy.  *weighted* says whether a row's
+    multiplicity scales the combination's: set conventions ignore a stored
+    relation's multiplicities (each distinct row counts once).
+    """
+    if step.relation_name is None:
+        decorr = step.decorr
+        if decorr is not None:
+            index = fio_indexes.get(depth, _MISSING)
+            if index is _MISSING:
+                index = fio_indexes[depth] = decorr.materialize(ev)
+            if index is not None:
+                rows = _probe_fio(ev, step, index, frame, is_set, three_valued)
+                if rows is not _UNUSABLE:
+                    return rows, step.filters, True
+        # Per-frame (FOI) lateral: the inner collection is re-evaluated
+        # under every outer environment.
+        return ev._binding_rows(step.binding, frame), step.filters, True
+    relation = ev._resolve_relation(step.relation_name)
+    rows_map = relation._rows
+    if not rows_map:
+        return _NO_ROWS
+    if step.lookup_attrs is not None:
+        key = _probe_key(ev, step.key_exprs, frame, three_valued)
+        if key is None:
+            return _NO_ROWS
+        if key is not _UNUSABLE:
+            ev.stats.index_probes += 1
+            bucket = relation.index_on(step.lookup_attrs).get(key)
+            return bucket or (), step.filters, not is_set
+        # Key not computable (e.g. unbound outer variable): fall back to a
+        # scan so the equality surfaces the same error the reference
+        # strategy would raise, row by row.
+    return rows_map.items(), step.scan_filters, not is_set
+
+
+def _probe_fio(ev, step, index, frame, is_set, three_valued):
+    """Probe a decorrelated (FIO) lateral's materialized index for *frame*.
+
+    Returns the bucket of ``(row, mult)`` pairs, or :data:`_UNUSABLE` when
+    a key expression raises (the per-frame path then surfaces the same
+    error row by row).
+    """
+    decorr = step.decorr
+    key = _probe_key(ev, decorr.outer_exprs, frame, three_valued)
+    if key is _UNUSABLE:
+        return _UNUSABLE
+    band = decorr.strategy == "band"
+    if band:
+        try:
+            band_value = ev._eval_expr(decorr.band_outer_expr, frame)
+        except EvaluationError:
+            return _UNUSABLE
+    stats = ev.stats
+    stats.index_probes += 1
+    if index.tribucket:
+        stats.tribucket_probes += 1
+    if band:
+        # θ-band probe: bisect the sorted entries; γ∅ scopes fold
+        # prefix-aggregate arrays at the boundary (one row, count-bug exact).
+        return index.probe(key, band_value, is_set)
+    bucket = None if key is None else index.get(key)
+    if bucket is None and decorr.empty_group:
+        # γ∅ emits one row even over an empty group (the count bug's
+        # asymmetry): every missing key maps to one shared frame — the
+        # domain-join compensation, synthesized once per index.
+        stats.lateral_probe_misses += 1
+        bucket = index.empty_group_items(ev, step.binding.source, frame, stats)
+    return bucket or ()
+
+
+def _probe_key(ev, exprs, frame, three_valued):
+    """Evaluate an equality probe's key expressions under *frame*.
+
+    Returns the key tuple; None when the equality can never be TRUE (a NULL
+    component under 3VL, or NaN under any convention — a dict probe would
+    match the identical NaN object by identity); or :data:`_UNUSABLE` when
+    evaluating a key expression raises.
+    """
+    key = []
+    for expr in exprs:
+        try:
+            value = ev._eval_expr(expr, frame)
+        except EvaluationError:
+            return _UNUSABLE
+        if (three_valued and is_null(value)) or value != value:
+            return None
+        key.append(value)
+    return tuple(key)
 
 
 class _GroupedSpec:
@@ -817,6 +661,13 @@ def _fold_aggregate(ev, var, env, bucket, is_set, func, arg_kind, payload, conve
             return len(bucket)
         return agg_lib.count_rows(m for _, m in bucket)
     if arg_kind == "attr" and func in _STREAMABLE_AGGS and is_set:
+        if func == "sum" and bucket:
+            # Optimistic: a NULL anywhere raises TypeError (0 + NULL is
+            # undefined), falling back to the filtered path below.
+            try:
+                return sum([pair[0]._values[payload] for pair in bucket])
+            except TypeError:
+                pass
         values = [
             v for pair in bucket if (v := pair[0]._values[payload]) is not NULL
         ]
@@ -1084,10 +935,7 @@ def _compile_grouped(quant, scope_plan, compiled):
         )
     ):
         agg_index = {entry[0]: i for i, entry in enumerate(spec.agg_specs)}
-        simple_aggs = tuple(
-            (func, payload if arg_kind == "attr" else None)
-            for _, func, arg_kind, payload in spec.agg_specs
-        )
+        simple_aggs = tuple(entry[1:] for entry in spec.agg_specs)
         template = [
             (attr, "rep" if kind == "attr" else "const", payload)
             for kind, attr, payload, _ in spec.assigns

@@ -10,12 +10,12 @@ must *answer* with a typed error (:class:`~repro.errors.QueryTimeout` /
 
 Two kinds of checks, tuned for hot loops:
 
-* :meth:`tick` — called once per enumerated row in the execution loops.
-  It only bumps a counter; every :data:`STRIDE` ticks it reads the
-  monotonic clock and raises :class:`~repro.errors.QueryTimeout` past the
-  deadline.  The common case is one integer add and one compare, so the
-  guard stays well under the 5 % overhead ceiling the CI perf gate asserts
-  on the E23 width-4 sweep.
+* :meth:`check` — reads the monotonic clock and raises
+  :class:`~repro.errors.QueryTimeout` past the deadline.  Row loops keep a
+  local counter and call it once every :data:`STRIDE` rows
+  (``ops & STRIDE_MASK == 0``), so the common per-row cost is one integer
+  add and one mask, well under the 5 % overhead ceiling the CI perf gate
+  asserts on the E23 width-4 sweep.
 * :meth:`count_rows` — called where result rows are *produced* (collection
   emission loops, fused grouped outputs, SQLite fetch chunks, fixpoint
   deltas).  Exceeding ``max_rows`` raises
@@ -39,10 +39,14 @@ import time
 
 from ..errors import BudgetExceeded, QueryTimeout
 
-#: Ticks between monotonic-clock reads in the hot loops.  Small enough that
+#: Rows between monotonic-clock reads in the hot loops.  Small enough that
 #: even ~1 ms/row pathological loops notice the deadline within a second;
 #: large enough that the per-row cost is a counter bump.
 STRIDE = 1024
+
+#: Power-of-two mask for the inline stride check: ``not ops & STRIDE_MASK``
+#: holds once every :data:`STRIDE` rows.
+STRIDE_MASK = STRIDE - 1
 
 
 class Deadline:
@@ -66,8 +70,6 @@ class Deadline:
         "_clock",
         "_started",
         "_expires",
-        "_ops",
-        "_next_check",
     )
 
     def __init__(self, timeout_ms=None, max_rows=None, *,
@@ -80,8 +82,6 @@ class Deadline:
         self._expires = (
             None if timeout_ms is None else self._started + timeout_ms / 1000.0
         )
-        self._ops = 0
-        self._next_check = STRIDE
 
     # -- deadline ----------------------------------------------------------
 
@@ -92,26 +92,14 @@ class Deadline:
     def check(self):
         """Raise :class:`QueryTimeout` when past the deadline (direct read).
 
-        Used at naturally coarse checkpoints (one fixpoint round, one
-        grouped scan) where a clock read per call is cheap relative to the
-        work between calls.
+        Called at naturally coarse checkpoints (one fixpoint round, one
+        grouped scan) and once per :data:`STRIDE` rows in the row loops.
         """
         if self._expires is not None and self._clock() > self._expires:
             raise QueryTimeout(
                 f"query exceeded its {self.timeout_ms} ms deadline "
                 f"(ran {(self._clock() - self._started) * 1000:.0f} ms)"
             )
-
-    def tick(self):
-        """Stride-counted per-row check for hot loops.
-
-        Call once per enumerated row; reads the clock only every
-        :data:`STRIDE` calls.
-        """
-        self._ops += 1
-        if self._ops >= self._next_check:
-            self._next_check = self._ops + STRIDE
-            self.check()
 
     # -- budget ------------------------------------------------------------
 

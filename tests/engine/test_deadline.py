@@ -15,6 +15,8 @@ import pytest
 import repro
 from repro.api import EvalOptions, Session
 from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
+from repro.core.parser import parse
+from repro.engine import Evaluator
 from repro.errors import BudgetExceeded, OptionsError, QueryTimeout
 from repro.util.deadline import STRIDE, Deadline
 
@@ -54,24 +56,6 @@ class TestDeadlineUnit:
         deadline.check()
         assert not deadline.expired()
 
-    def test_tick_reads_the_clock_once_per_stride(self):
-        clock = FakeClock()
-        deadline = Deadline(timeout_ms=100, clock=clock)
-        reads_after_init = clock.reads
-        for _ in range(STRIDE - 1):
-            deadline.tick()
-        assert clock.reads == reads_after_init  # counter bumps only
-        deadline.tick()  # the STRIDE-th tick reads the clock
-        assert clock.reads == reads_after_init + 1
-
-    def test_tick_raises_on_the_stride_boundary_after_expiry(self):
-        clock = FakeClock()
-        deadline = Deadline(timeout_ms=100, clock=clock)
-        clock.now = 1.0  # long past the deadline
-        with pytest.raises(QueryTimeout):
-            for _ in range(STRIDE + 1):
-                deadline.tick()
-
     def test_count_rows_enforces_the_budget(self):
         deadline = Deadline(max_rows=5)
         deadline.count_rows(5)
@@ -83,6 +67,87 @@ class TestDeadlineUnit:
         deadline = Deadline(timeout_ms=10_000)
         deadline.count_rows(1_000_000)
         assert deadline.rows == 1_000_000
+
+
+#: One case per planner step kind, each enumerating more than STRIDE rows
+#: in that step's row loop (inner materializations stay under STRIDE, so
+#: the stride check that fires is the step's own):
+#: (query, conventions, decorrelate, predicate pinning the step kind).
+_LATERAL = (
+    "{{Q(A, B) | ∃r ∈ R, z ∈ {{Z(B) | ∃s ∈ S[Z.B = s.B ∧ s.A {op} r.A]}}"
+    "[Q.A = r.A ∧ Q.B = z.B]}}"
+)
+_STEP_KINDS = {
+    "fio-eq-probe": (
+        _LATERAL.format(op="="), SET_CONVENTIONS, True,
+        lambda s: s.laterals_decorrelated and not s.band_index_builds
+        and not s.lateral_reevals,
+    ),
+    "fio-band-probe": (
+        _LATERAL.format(op="<="), SET_CONVENTIONS, True,
+        lambda s: s.band_index_builds == 1 and not s.lateral_reevals,
+    ),
+    "per-frame-lateral": (
+        _LATERAL.format(op="="), SET_CONVENTIONS, False,
+        lambda s: s.lateral_reevals == 2,
+    ),
+    "index-probe": (
+        "{Q(A, B) | ∃r ∈ R, s ∈ S[r.A = s.A ∧ Q.A = r.A ∧ Q.B = s.B]}",
+        SET_CONVENTIONS, True,
+        lambda s: s.index_probes == 2,
+    ),
+    "set-scan": (
+        "{Q(A, B) | ∃r ∈ R, s ∈ S[Q.A = r.B ∧ Q.B = s.B]}", SET_CONVENTIONS,
+        True, lambda s: not s.index_probes,
+    ),
+    "bag-scan": (
+        "{Q(A, B) | ∃r ∈ R, s ∈ S[Q.A = r.B ∧ Q.B = s.B]}", SQL_CONVENTIONS,
+        True, lambda s: not s.index_probes,
+    ),
+}
+
+
+def _step_kind_evaluator(case, deadline=None):
+    """A fresh catalog, parse and evaluator for one step-kind case, so no
+    plan or index cache is shared between runs."""
+    query, conventions, decorrelate, _ = _STEP_KINDS[case]
+    inner_rows = STRIDE // 2 + 88  # two outer frames enumerate > STRIDE
+    db = repro.Database()
+    db.create("R", ("A", "B"), [(1, 10), (1, 20)])
+    db.create("S", ("A", "B"), [(1, b) for b in range(inner_rows)])
+    evaluator = Evaluator(
+        db, conventions, decorrelate=decorrelate, deadline=deadline
+    )
+    return evaluator, parse(query)
+
+
+class TestPerRowChecks:
+    """The stride check inside the planner's row loop, per step kind."""
+
+    @pytest.mark.parametrize("case", list(_STEP_KINDS))
+    def test_expired_clock_raises_from_the_row_loop(self, case):
+        clock = FakeClock()
+        deadline = Deadline(timeout_ms=100, clock=clock)
+        clock.now = 1.0  # long past the deadline
+        evaluator, query = _step_kind_evaluator(case, deadline)
+        with pytest.raises(QueryTimeout):
+            evaluator.evaluate(query)
+        # Raised by a per-row stride check, not a coarse checkpoint.
+        assert evaluator.stats.rows_enumerated >= STRIDE
+
+    @pytest.mark.parametrize("case", list(_STEP_KINDS))
+    def test_live_clock_changes_neither_answer_nor_stats(self, case):
+        unarmed, query = _step_kind_evaluator(case)
+        expected = unarmed.evaluate(query)
+        assert _STEP_KINDS[case][3](unarmed.stats)
+        assert unarmed.stats.rows_enumerated > STRIDE
+        clock = FakeClock()
+        armed, query = _step_kind_evaluator(
+            case, Deadline(timeout_ms=100, clock=clock)
+        )
+        assert armed.evaluate(query) == expected
+        assert armed.stats.as_dict() == unarmed.stats.as_dict()
+        assert clock.reads > 1  # the stride check did read the clock
 
 
 class TestOptionsValidation:
