@@ -36,7 +36,7 @@ from repro.workloads import sweeps
 
 import _common
 
-ORACLE = EvalOptions(planner=False)
+ORACLE = EvalOptions(backend="reference")
 
 ANCESTOR = (
     "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "

@@ -3,13 +3,13 @@
 Historically every entry point took ``evaluate(node, database, conventions,
 externals, *, planner, decorrelate, backend, db_file)`` and each layer
 re-interpreted the loose kwargs — which is how ``planner=False`` came to be
-silently ignored whenever ``backend=`` was also given (each kwarg selects an
-engine, and the backend dispatch simply never looked at ``planner``).
+silently ignored whenever ``backend=`` was also given.
 
-:class:`EvalOptions` is the replacement: an immutable, validated bundle that
-**raises** :class:`~repro.errors.OptionsError` on contradictory combinations
-instead of picking a winner silently.  :class:`~repro.api.Session` carries
-one, and the one-shot ``evaluate(..., options=...)`` takes one.
+:class:`EvalOptions` is the replacement: an immutable, validated bundle in
+which ``backend`` is the one engine selector, and which **raises**
+:class:`~repro.errors.OptionsError` on contradictory combinations instead
+of picking a winner silently.  :class:`~repro.api.Session` carries one, and
+the one-shot ``evaluate(..., options=...)`` takes one.
 """
 
 from __future__ import annotations
@@ -60,27 +60,21 @@ class EvalOptions:
 
     Parameters
     ----------
-    planner:
-        ``True`` (default) runs the hash-indexed execution layer; ``False``
-        runs the paper's reference nested-loop strategy (the semantic
-        oracle).  Contradictory with ``backend`` — use
-        ``backend="reference"`` to select the oracle through the registry.
     decorrelate:
         ``False`` disables the FOI → FIO lateral decorrelation pass
         (correlated scopes re-evaluate per outer row).
     backend:
-        A registered executable backend name (``"reference"``,
-        ``"planner"``, ``"sqlite"``), or None for the in-process engine
-        selected by ``planner``.
+        The registered executable backend that runs every query:
+        ``"planner"`` (the hash-indexed execution layer), ``"reference"``
+        (the paper's nested-loop strategy, the semantic oracle) or
+        ``"sqlite"``.  None resolves once, at construction: ``"sqlite"``
+        when ``db_file`` is set, else ``"planner"``.  When the backend
+        cannot honor a query, dispatch falls back to the planner and
+        reports why (``Prepared.run_info()["fallback_reasons"]``).
     db_file:
         Path persisting the SQLite catalog on disk (implies
         ``backend="sqlite"``; any other backend would silently ignore it,
         so the combination raises).
-    fallback:
-        Whether backend dispatch may substitute the planner (with a
-        :class:`~repro.backends.exec.BackendFallbackWarning`) when the
-        requested backend cannot honor the query.  ``False`` raises
-        :class:`~repro.backends.exec.BackendUnsupported` instead.
     timeout_ms:
         Wall-clock deadline per run, in milliseconds.  Exceeding it raises
         :class:`~repro.errors.QueryTimeout` from whichever execution tier
@@ -93,41 +87,31 @@ class EvalOptions:
         None (default) = unbounded.
     """
 
-    planner: bool = True
     decorrelate: bool = True
     backend: str | None = None
     db_file: str | None = None
-    fallback: bool = True
     timeout_ms: int | float | None = None
     max_rows: int | None = None
 
     def __post_init__(self):
         validate_budget(self.timeout_ms, self.max_rows)
-        if self.backend is not None and not self.planner:
-            raise OptionsError(
-                f"planner=False and backend={self.backend!r} both select an "
-                "engine; use backend='reference' for the nested-loop oracle "
-                "instead of combining them"
+        if self.backend is None:
+            # A persistent catalog implies the SQLite engine (mirrors the
+            # CLI's --db-file behavior).
+            object.__setattr__(
+                self, "backend", "planner" if self.db_file is None else "sqlite"
             )
-        if self.db_file is not None:
-            if self.backend is None:
-                # A persistent catalog implies the SQLite engine (mirrors
-                # the CLI's --db-file behavior).
-                object.__setattr__(self, "backend", "sqlite")
-            elif self.backend != "sqlite":
-                raise OptionsError(
-                    f"db_file persists a SQLite catalog; backend "
-                    f"{self.backend!r} would silently ignore it"
-                )
+        elif self.db_file is not None and self.backend != "sqlite":
+            raise OptionsError(
+                f"db_file persists a SQLite catalog; backend "
+                f"{self.backend!r} would silently ignore it"
+            )
 
     def with_backend(self, backend):
         """This option set with *backend* substituted for one run.
 
         ``db_file`` only applies to the SQLite engine, so overriding to a
         different backend drops it for the run instead of raising.
-        Validation re-runs: overriding a ``planner=False`` option set with
-        a backend still raises (the contradiction the old kwarg pile
-        silently swallowed).
         """
         if backend is None or backend == self.backend:
             return self

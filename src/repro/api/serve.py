@@ -680,7 +680,7 @@ class _Handler(BaseHTTPRequestHandler):
                         server.factory.catalogs[server.factory.default].names()
                     ),
                     "catalogs": server.factory.names(),
-                    "backend": server.session.options.backend or "planner",
+                    "backend": server.session.options.backend,
                     "workers": pool["workers"],
                     "busy": pool["busy"],
                     "queue_depth": pool["queue_depth"],

@@ -164,42 +164,131 @@ class Explain:
 
 
 class SessionContext:
-    """The per-run view a :class:`~repro.backends.exec.Backend` receives.
+    """The per-run view every :class:`~repro.backends.exec.Backend` receives.
 
-    Bundles the (possibly per-run overridden) options with the session's
-    warm state, so backends stop taking loose ``db_file``/``decorrelate``
-    kwargs.  Duck-typed on purpose: the backend registry must not import
-    this package.
+    Bundles the run's (possibly per-run overridden) options and armed
+    deadline with the session's warm state: the catalog, the shared
+    execution stats and tracer, SQLite connection acquisition, and
+    memoized capability-probe verdicts.  ``Backend.run(node, context)``
+    takes everything it needs from here.  Duck-typed on purpose: the
+    backend registry must not import this package.
     """
 
-    __slots__ = ("session", "options", "deadline")
+    __slots__ = ("session", "options", "deadline", "database", "stats", "tracer")
 
     def __init__(self, session, options, deadline=None):
         self.session = session
         self.options = options
         #: Armed Deadline for this run, or None (unbounded).
         self.deadline = deadline
+        self.database = session.database
+        self.stats = session.stats
+        #: The session's tracer (or None) when the run started.
+        self.tracer = session.tracer
 
-    @property
-    def stats(self):
-        return self.session.stats
+    def evaluator(self, planner):
+        """A fresh in-process evaluator for this run, sharing session stats.
 
-    def acquire_connection(self, database):
-        """A SQLite connection for *database* honoring ``options.db_file``.
-
-        With ``db_file`` the connection is fresh and the caller closes it;
-        in-memory connections belong to the fingerprint cache and must not
-        be closed.
+        Evaluator instances are cheap and carry per-program definition
+        state (``defined``) that must not leak between queries; the warm
+        state proper lives on the AST nodes, the relations, and the
+        session — all of which the fresh instance sees.  The run's
+        deadline rides along, so a planner substituted on fallback
+        inherits the *remaining* budget of the run that failed over.
         """
-        return self.session._acquire_connection(database, self.options.db_file)
+        session = self.session
+        evaluator = Evaluator(
+            self.database,
+            session.conventions,
+            session.externals,
+            planner=planner,
+            decorrelate=self.options.decorrelate,
+            deadline=self.deadline,
+            tracer=self.tracer,
+        )
+        evaluator.stats = self.stats
+        return evaluator
 
-    def probe(self, engine, node, conventions, database, options):
-        return self.session._probe(engine, node, conventions, database, options)
+    def acquire_connection(self):
+        """A SQLite connection for the catalog honoring ``options.db_file``.
 
-    @property
-    def tracer(self):
-        """The session's tracer (or None) — backends read it duck-typed."""
-        return self.session.tracer
+        With ``db_file`` the connection is fresh and the caller closes it.
+        In-memory connections belong to the session (``private_connections``)
+        or to the process-wide fingerprint cache and must not be closed.
+        """
+        from ..backends.exec import sqlite_exec
+
+        session, database, tracer = self.session, self.database, self.tracer
+        db_file = self.options.db_file
+        if db_file is None and session.private_connections:
+            # Session-private connections: the fingerprint keys a per-
+            # *session* LRU instead of the process-wide cache, so this
+            # session's runs never share a sqlite handle with another
+            # thread.  Counters are maintained locally — the global
+            # ``sqlite_exec.stats`` delta would race across workers.
+            connections = session._connections
+            with NULL_SPAN if tracer is None else tracer.span(
+                "sqlite.connect"
+            ) as span:
+                fingerprint = sqlite_exec.catalog_fingerprint(database)
+                conn = connections.get(fingerprint)
+                if conn is not None:
+                    connections.move_to_end(fingerprint)
+                    session.catalog_hits += 1
+                    span.tag(loaded=False)
+                    return conn
+                conn = sqlite_exec.load_private_catalog(database)
+                span.tag(loaded=True)
+            session.catalog_loads += 1
+            connections[fingerprint] = conn
+            while len(connections) > _PRIVATE_CONN_LIMIT:
+                _, evicted = connections.popitem(last=False)
+                evicted.close()
+            return conn
+        before = sqlite_exec.stats["loads"]
+        with NULL_SPAN if tracer is None else tracer.span("sqlite.connect") as span:
+            conn = sqlite_exec.connect_catalog(database, db_file=db_file)
+            loaded = sqlite_exec.stats["loads"] - before
+            span.tag(loaded=bool(loaded))
+        session.catalog_loads += loaded
+        if not loaded:
+            session.catalog_hits += 1
+        return conn
+
+    def probe(self, engine, node):
+        """Capability-probe *engine* for *node*, memoized per catalog state.
+
+        The verdict is cached on every catalog relation via the shared
+        derived-result cache, keyed on (engine, conventions, decorrelate,
+        relation names), so mutating **any** relation (which can change
+        NULL-hazard and decorrelation answers) re-probes, while an
+        unchanged catalog answers from memory.
+        """
+        session, database, tracer = self.session, self.database, self.tracer
+        conventions, decorrelate = session.conventions, self.options.decorrelate
+        names = database.names()
+        relations = [database[name] for name in names]
+        tag = ("capabilities", engine.name, conventions, decorrelate, frozenset(names))
+        if relations:
+            cached = Relation.derived_get_shared(relations, node, tag)
+            if cached is not None:
+                session.probe_hits += 1
+                if tracer is not None:
+                    tracer.event(
+                        "probe.cached", engine=engine.name,
+                        problems=len(cached),
+                    )
+                return list(cached)
+        with NULL_SPAN if tracer is None else tracer.span(
+            "probe.capabilities", engine=engine.name
+        ) as span:
+            problems = engine.capabilities(
+                node, conventions, database, decorrelate=decorrelate
+            )
+            span.tag(problems=len(problems))
+        if relations:
+            Relation.derived_put_shared(relations, node, tag, tuple(problems))
+        return problems
 
 
 class Session:
@@ -299,32 +388,18 @@ class Session:
 
     def _run_prepared(self, prepared, backend=None, *, timeout_ms=None,
                       max_rows=None, reasons=None):
+        # Resolved through the package on every call, so a wrapper
+        # installed on ``repro.backends.exec.run_backend`` sees each run.
+        from ..backends.exec import run_backend
+
         options = self.options.with_backend(backend)
-        deadline = options.deadline(timeout_ms, max_rows)
+        context = SessionContext(self, options, options.deadline(timeout_ms, max_rows))
         tracer = self.tracer
         with NULL_SPAN if tracer is None else tracer.span(
-            "query",
-            backend=options.backend or "planner",
-            warm=prepared.run_count > 0,
+            "query", backend=options.backend, warm=prepared.run_count > 0,
         ):
             try:
-                if options.backend is None:
-                    result = self._evaluator(options, deadline).evaluate(
-                        prepared.node
-                    )
-                else:
-                    from ..backends.exec import run_backend
-
-                    result = run_backend(
-                        prepared.node,
-                        self.database,
-                        self.conventions,
-                        options.backend,
-                        externals=self.externals,
-                        fallback=options.fallback,
-                        context=SessionContext(self, options, deadline),
-                        reasons=reasons,
-                    )
+                result = run_backend(prepared.node, context, reasons=reasons)
             except QueryTimeout:
                 self.stats.timeouts += 1
                 raise
@@ -335,106 +410,6 @@ class Session:
         # serve's X-Arc-Warm header never marks an errored first attempt.
         prepared.run_count += 1
         return result
-
-    def _evaluator(self, options, deadline=None):
-        """A fresh in-process evaluator sharing this session's stats.
-
-        Evaluator instances are cheap and carry per-program definition
-        state (``defined``) that must not leak between queries; the warm
-        state proper lives on the AST nodes, the relations, and this
-        session — all of which the fresh instance sees.
-        """
-        evaluator = Evaluator(
-            self.database,
-            self.conventions,
-            self.externals,
-            planner=options.planner,
-            decorrelate=options.decorrelate,
-            deadline=deadline,
-            tracer=self.tracer,
-        )
-        evaluator.stats = self.stats
-        return evaluator
-
-    # -- warm state --------------------------------------------------------
-
-    def _acquire_connection(self, database, db_file=None):
-        from ..backends.exec import sqlite_exec
-
-        tracer = self.tracer
-        if db_file is None and self.private_connections:
-            # Session-private connections: the fingerprint keys a per-
-            # *session* LRU instead of the process-wide cache, so this
-            # session's runs never share a sqlite handle with another
-            # thread.  Counters are maintained locally — the global
-            # ``sqlite_exec.stats`` delta would race across workers.
-            with NULL_SPAN if tracer is None else tracer.span(
-                "sqlite.connect"
-            ) as span:
-                fingerprint = sqlite_exec.catalog_fingerprint(database)
-                conn = self._connections.get(fingerprint)
-                if conn is not None:
-                    self._connections.move_to_end(fingerprint)
-                    self.catalog_hits += 1
-                    span.tag(loaded=False)
-                    return conn
-                conn = sqlite_exec.load_private_catalog(database)
-                span.tag(loaded=True)
-            self.catalog_loads += 1
-            self._connections[fingerprint] = conn
-            while len(self._connections) > _PRIVATE_CONN_LIMIT:
-                _, evicted = self._connections.popitem(last=False)
-                evicted.close()
-            return conn
-        before = sqlite_exec.stats["loads"]
-        with NULL_SPAN if tracer is None else tracer.span("sqlite.connect") as span:
-            conn = sqlite_exec.connect_catalog(database, db_file=db_file)
-            loaded = sqlite_exec.stats["loads"] - before
-            span.tag(loaded=bool(loaded))
-        self.catalog_loads += loaded
-        if not loaded:
-            self.catalog_hits += 1
-        return conn
-
-    def _probe(self, engine, node, conventions, database, options):
-        """Capability-probe *engine* for *node*, memoized per catalog state.
-
-        The verdict is cached on every catalog relation via the shared
-        derived-result cache, so mutating **any** relation (which can
-        change NULL-hazard and decorrelation answers) re-probes, while an
-        unchanged catalog answers from memory.
-        """
-        tracer = self.tracer
-        relations = [database[name] for name in database.names()] if database else []
-        tag = (
-            "capabilities",
-            engine.name,
-            conventions,
-            tuple(
-                (key, value)
-                for key, value in sorted(options.items())
-                if isinstance(value, (str, int, float, bool, type(None)))
-            ),
-            frozenset(database.names()) if database else frozenset(),
-        )
-        if relations:
-            cached = Relation.derived_get_shared(relations, node, tag)
-            if cached is not None:
-                self.probe_hits += 1
-                if tracer is not None:
-                    tracer.event(
-                        "probe.cached", engine=engine.name,
-                        problems=len(cached),
-                    )
-                return list(cached)
-        with NULL_SPAN if tracer is None else tracer.span(
-            "probe.capabilities", engine=engine.name
-        ) as span:
-            problems = engine.capabilities(node, conventions, database, **options)
-            span.tag(problems=len(problems))
-        if relations:
-            Relation.derived_put_shared(relations, node, tag, tuple(problems))
-        return problems
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -463,6 +438,6 @@ class Session:
     def __repr__(self):
         return (
             f"Session(relations={sorted(self.database.names())}, "
-            f"backend={self.options.backend or 'planner'!r}, "
+            f"backend={self.options.backend!r}, "
             f"prepared={len(self._prepared)})"
         )

@@ -6,24 +6,27 @@ this package turns that modality into an *engine*.  A backend is anything
 that can take an ARC node plus a catalog and produce the same answer the
 reference evaluator would:
 
-* ``reference`` — the paper's nested-loop strategy (``planner=False``), the
-  semantic oracle;
+* ``reference`` — the paper's nested-loop strategy, the semantic oracle;
 * ``planner`` — the hash-indexed execution layer (the default engine);
 * ``sqlite`` — renders the node through ``to_sql`` and offloads execution
   to a SQLite connection holding the loaded catalog
   (:mod:`repro.backends.exec.sqlite_exec`).
 
-Backends advertise what they can honor through a ``capabilities`` probe;
-:func:`run_backend` dispatches to the requested backend and falls back to
-the planner — with a :class:`BackendFallbackWarning` — when the probe (or
-the engine itself, via :class:`BackendUnsupported`) reports a construct or
-convention the backend cannot evaluate faithfully.  The fallback keeps
-``evaluate(..., backend=...)`` total: every query answers, and the warning
-tells the caller which engine actually ran.
+Every run — whichever backend ``EvalOptions.backend`` names — goes through
+one call, :func:`run_backend(node, context) <run_backend>`, where
+*context* is the run's :class:`repro.api.session.SessionContext`.
+Backends advertise what they can honor through a static ``capabilities``
+probe; dispatch falls back to the planner — reporting why, through the
+caller's reasons list or a :class:`BackendFallbackWarning` — when the probe
+(or the engine itself, via :class:`BackendUnsupported`) reports a construct
+or convention the backend cannot evaluate faithfully.  The fallback keeps
+every backend total: every query answers, and the reasons say which engine
+actually ran.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import warnings
@@ -55,51 +58,29 @@ class Backend:
     Subclasses set :attr:`name`, may override :meth:`capabilities` (return a
     list of human-readable reasons the node cannot run — empty means fully
     supported), and must implement :meth:`run`.
-
-    ``run`` and ``capabilities`` receive an optional *context* — a session
-    context (see :class:`repro.api.session.SessionContext`, duck-typed so
-    this module stays import-light) bundling the run's
-    :class:`~repro.api.EvalOptions` with warm state: shared execution
-    stats, the session's SQLite connection acquisition, and memoized probe
-    verdicts.  Backends that predate the Session API keep working: loose
-    kwargs (``decorrelate``, ``db_file``) remain accepted and are filled in
-    from the context when one is present.
     """
 
     name = None
 
-    def capabilities(self, node, conventions, database=None, **options):
+    def capabilities(self, node, conventions, database=None, *, decorrelate=True):
         """Reasons this backend cannot evaluate *node*; ``[]`` = supported.
 
-        *options* receives the same keyword options as :meth:`run` (e.g.
-        ``decorrelate``), so the probe's verdict matches what the engine
-        will actually execute.
+        Static: it needs no session, so the corpus harness and tests probe
+        directly.  *decorrelate* mirrors the run's option, so the verdict
+        matches what the engine will actually execute.
         """
         return []
 
-    def run(self, node, database, conventions, *, externals=None, context=None,
-            **options):
-        """Evaluate *node*; returns a Relation (collections/programs) or Truth."""
+    def run(self, node, context):
+        """Evaluate *node*; returns a Relation (collections/programs) or Truth.
+
+        *context* is the run's session context (see
+        :class:`repro.api.session.SessionContext`, duck-typed so this module
+        stays import-light): the catalog, options, armed deadline, shared
+        stats and tracer all come from it, and ``context.evaluator(planner)``
+        builds the in-process engine over the session's conventions.
+        """
         raise NotImplementedError
-
-
-def _in_process(node, database, conventions, externals, context, *,
-                planner, decorrelate):
-    """Run the in-process engine, sharing the session's stats when given."""
-    from ...engine.evaluator import Evaluator
-
-    evaluator = Evaluator(
-        database, conventions, externals, planner=planner,
-        decorrelate=decorrelate,
-        # The context's armed Deadline (if any) rides into the engine —
-        # including a planner substituted on fallback, which inherits the
-        # *remaining* budget of the run that failed over.
-        deadline=getattr(context, "deadline", None),
-        tracer=getattr(context, "tracer", None),
-    )
-    if context is not None:
-        evaluator.stats = context.stats
-    return evaluator.evaluate(node)
 
 
 class ReferenceBackend(Backend):
@@ -107,12 +88,8 @@ class ReferenceBackend(Backend):
 
     name = "reference"
 
-    def run(self, node, database, conventions, *, externals=None, context=None,
-            **options):
-        return _in_process(
-            node, database, conventions, externals, context,
-            planner=False, decorrelate=True,
-        )
+    def run(self, node, context):
+        return context.evaluator(planner=False).evaluate(node)
 
 
 class PlannerBackend(Backend):
@@ -120,21 +97,8 @@ class PlannerBackend(Backend):
 
     name = "planner"
 
-    def run(
-        self,
-        node,
-        database,
-        conventions,
-        *,
-        externals=None,
-        context=None,
-        decorrelate=True,
-        **options,
-    ):
-        return _in_process(
-            node, database, conventions, externals, context,
-            planner=True, decorrelate=decorrelate,
-        )
+    def run(self, node, context):
+        return context.evaluator(planner=True).evaluate(node)
 
 
 _REGISTRY = {}
@@ -293,7 +257,7 @@ def available_backends():
     return sorted(_REGISTRY)
 
 
-def probe_capabilities(node, database, conventions, backends=None, **options):
+def probe_capabilities(node, database, conventions, backends=None):
     """Static capability verdicts for *node*, per backend.
 
     Returns ``{backend_name: tuple_of_reasons}`` over *backends* (default:
@@ -306,43 +270,45 @@ def probe_capabilities(node, database, conventions, backends=None, **options):
     verdicts = {}
     for name in backends if backends is not None else available_backends():
         engine = get_backend(name)
-        verdicts[name] = tuple(
-            engine.capabilities(node, conventions, database, **options)
-        )
+        verdicts[name] = tuple(engine.capabilities(node, conventions, database))
     return verdicts
 
 
 def _count_failure(breaker, context):
     """Record a runtime failure; mirror a trip into the session stats."""
-    if breaker.record_failure() and context is not None:
+    if breaker.record_failure():
         context.stats.breaker_trips += 1
 
 
-def run_backend(
-    node,
-    database,
-    conventions,
-    backend="planner",
-    *,
-    externals=None,
-    fallback=True,
-    context=None,
-    reasons=None,
-    **options,
-):
-    """Evaluate *node* on the named backend, falling back to the planner.
+def _caller_stacklevel():
+    """``warnings.warn`` stacklevel of the first frame outside ``repro``.
+
+    Counted from the function calling this helper (level 1), so a warning
+    raised deep in dispatch points at the user's call site — whichever of
+    ``Prepared.run``, ``Session.evaluate`` or ``repro.evaluate`` it came
+    through.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != "repro" and not module.startswith("repro."):
+            break
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def run_backend(node, context, *, reasons=None):
+    """Evaluate *node* on ``context.options.backend``, falling back to the planner.
 
     The fallback triggers when the backend's capability probe reports
     problems, its ``run`` raises :class:`BackendUnsupported` (e.g. SQLite
     rejecting a construct the static probe could not see), or the backend's
     circuit breaker is open after repeated runtime failures.
-    ``fallback=False`` turns all of these into a raised
-    :class:`BackendUnsupported` instead.
 
-    *context* is a session context (see :class:`Backend`): its options
-    fill in the loose kwargs, its probe memo answers repeated capability
-    checks warm, and it is threaded through to the engine (including the
-    planner substituted on fallback, so session stats see the run).
+    *context* is the run's session context (see :meth:`Backend.run`): its
+    probe memo answers repeated capability checks warm, and it is handed
+    to the engine — including the planner substituted on fallback, so
+    session stats, the deadline and the tracer see the run.
 
     *reasons* is the explicit fallback-reason channel: when a list is
     supplied, the probe findings are appended to it **instead of** emitting
@@ -350,8 +316,8 @@ def run_backend(
     offload failed over (``repro serve``) read the list rather than
     sniffing the warnings machinery.
     """
-    engine = get_backend(backend)
-    tracer = getattr(context, "tracer", None)
+    engine = get_backend(context.options.backend)
+    tracer = context.tracer
     # The planner is the fallback target, so it carries no breaker — a
     # planner outage has nowhere to fail over to.
     breaker = breaker_for(engine.name) if engine.name != PlannerBackend.name else None
@@ -370,17 +336,10 @@ def run_backend(
                     failures=breaker.failures,
                 )
         if problems is None:
-            if context is not None:
-                options.setdefault("decorrelate", context.options.decorrelate)
-                problems = context.probe(engine, node, conventions, database, options)
-            else:
-                problems = engine.capabilities(node, conventions, database, **options)
+            problems = context.probe(engine, node)
         if not problems:
             try:
-                result = engine.run(
-                    node, database, conventions, externals=externals,
-                    context=context, **options
-                )
+                result = engine.run(node, context)
             except BackendUnsupported as exc:
                 # A *runtime* refusal the static probe missed: counts toward
                 # the breaker (unlike probe refusals, which are steady-state).
@@ -404,7 +363,7 @@ def run_backend(
                 span.tag(ran=engine.name)
                 return result
         reason = "; ".join(problems)
-        if not fallback or engine.name == PlannerBackend.name:
+        if engine.name == PlannerBackend.name:
             raise BackendUnsupported(
                 f"backend {engine.name!r} cannot evaluate this query: {reason}"
             )
@@ -417,7 +376,7 @@ def run_backend(
                     f"({reason}); falling back to the planner",
                     problems,
                 ),
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
         if tracer is not None:
             tracer.event(
@@ -429,11 +388,7 @@ def run_backend(
                 backend=engine.name,
             )
         span.tag(ran=PlannerBackend.name, fallback=True)
-        options.pop("db_file", None)  # the planner has no catalog to persist
-        return get_backend(PlannerBackend.name).run(
-            node, database, conventions, externals=externals, context=context,
-            **options
-        )
+        return get_backend(PlannerBackend.name).run(node, context)
 
 
 register(ReferenceBackend())

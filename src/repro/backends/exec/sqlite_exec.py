@@ -575,9 +575,7 @@ class SqliteBackend(Backend):
 
     name = "sqlite"
 
-    def capabilities(
-        self, node, conventions, database=None, *, decorrelate=True, **options
-    ):
+    def capabilities(self, node, conventions, database=None, *, decorrelate=True):
         problems = []
         if not conventions.is_bag:
             problems.append("set semantics (SQL evaluates bags)")
@@ -641,30 +639,15 @@ class SqliteBackend(Backend):
                 problems.append(str(exc))
         return list(dict.fromkeys(problems))
 
-    def run(
-        self,
-        node,
-        database,
-        conventions,
-        *,
-        externals=None,
-        db_file=None,
-        decorrelate=True,
-        context=None,
-        **options,
-    ):
-        if context is not None:
-            db_file = context.options.db_file
-        deadline = getattr(context, "deadline", None)
-        stats_obj = context.stats if context is not None else None
-        tracer = getattr(context, "tracer", None)
+    def run(self, node, context):
+        database, deadline, tracer = context.database, context.deadline, context.tracer
+        db_file = context.options.db_file
         with NULL_SPAN if tracer is None else tracer.span("sql.compile"):
-            prepared, sql = compile_sql(node, database, decorrelate=decorrelate)
+            prepared, sql = compile_sql(
+                node, database, decorrelate=context.options.decorrelate
+            )
         try:
-            if context is not None:
-                conn = context.acquire_connection(database)
-            else:
-                conn = connect_catalog(database, db_file=db_file)
+            conn = context.acquire_connection()
         except sqlite3.Error as exc:
             # Connection/catalog-load faults are infrastructure refusals:
             # surface them typed so the registry can fall back cleanly.
@@ -686,7 +669,7 @@ class SqliteBackend(Backend):
             ) as span:
                 try:
                     cursor = execute_with_retry(
-                        conn, sql, stats_obj=stats_obj, tracer=tracer
+                        conn, sql, stats_obj=context.stats, tracer=tracer
                     )
                     if deadline is not None and deadline.max_rows is not None:
                         raw = []

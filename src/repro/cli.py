@@ -106,18 +106,20 @@ def cmd_validate(args):
 def _session_options(args):
     """Build :class:`EvalOptions` from eval/serve flags.
 
-    Validation lives in ``EvalOptions`` itself; only the planner/backend
-    contradiction is pre-checked to re-word it in terms of the CLI flags.
+    Validation lives in ``EvalOptions`` itself.  ``--no-planner`` is the
+    CLI spelling of ``--backend reference``, so giving both is refused.
     """
-    if getattr(args, "no_planner", False) and args.backend is not None:
-        raise ArcError(
-            "--no-planner and --backend both select an engine; use "
-            "--backend reference instead of combining them"
-        )
+    backend = args.backend
+    if getattr(args, "no_planner", False):
+        if backend is not None:
+            raise ArcError(
+                "--no-planner and --backend both select an engine; use "
+                "--backend reference instead of combining them"
+            )
+        backend = "reference"
     return EvalOptions(
-        planner=not getattr(args, "no_planner", False),
         decorrelate=not getattr(args, "no_decorrelate", False),
-        backend=args.backend,
+        backend=backend,
         db_file=args.db_file,  # implies backend="sqlite" when set
         timeout_ms=args.timeout_ms,
         max_rows=args.max_rows,
@@ -241,7 +243,7 @@ def cmd_serve(args):
     serve.install_sigterm_handler(server)
     print(f"serving on {server.url} (relations: "
           f"{', '.join(sorted(database.names())) or 'none'}; "
-          f"backend: {session.options.backend or 'planner'}; "
+          f"backend: {session.options.backend}; "
           f"workers: {workers}; queue: {queue_depth})", flush=True)
     try:
         server.serve_forever()

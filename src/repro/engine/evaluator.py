@@ -85,8 +85,8 @@ def evaluate(node, database, conventions=SET_CONVENTIONS, externals=None, *,
 
     This is the one-shot convenience wrapper over the Session API: it
     builds a transient :class:`repro.api.Session` from *options* (an
-    :class:`repro.api.EvalOptions`; ``EvalOptions(planner=False)`` selects
-    the paper's reference nested-loop oracle) and evaluates once.
+    :class:`repro.api.EvalOptions`; ``EvalOptions(backend="reference")``
+    selects the paper's reference nested-loop oracle) and evaluates once.
     Long-lived callers should hold a Session and
     :meth:`~repro.api.Session.prepare` their queries instead — repeated
     one-shot calls re-derive state a session keeps warm.

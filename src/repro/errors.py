@@ -64,9 +64,9 @@ class OptionsError(ArcError):
     """Contradictory or malformed evaluation options.
 
     Raised by :class:`repro.api.EvalOptions` when a combination of options
-    cannot be honored faithfully (e.g. ``planner=False`` together with
-    ``backend=...`` — each selects an engine) instead of silently ignoring
-    one of them.
+    cannot be honored faithfully (e.g. ``db_file=...`` together with
+    ``backend="planner"``, which has no SQLite catalog to persist) instead
+    of silently ignoring one of them.
     """
 
 

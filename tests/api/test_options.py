@@ -1,6 +1,7 @@
 """EvalOptions validation and the options-only ``evaluate`` entry point."""
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -25,13 +26,15 @@ QUERY = "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.B > 15]}"
 class TestValidation:
     def test_defaults(self):
         options = EvalOptions()
-        assert options.planner and options.decorrelate
-        assert options.backend is None and options.db_file is None
-        assert options.fallback
+        assert options.decorrelate
+        assert options.backend == "planner" and options.db_file is None
 
-    def test_planner_false_with_backend_raises(self):
-        with pytest.raises(OptionsError, match="both select an engine"):
-            EvalOptions(planner=False, backend="sqlite")
+    def test_backend_is_the_only_engine_selector(self):
+        assert [field.name for field in fields(EvalOptions)] == [
+            "decorrelate", "backend", "db_file", "timeout_ms", "max_rows",
+        ]
+        with pytest.raises(TypeError, match="planner"):
+            EvalOptions(planner=False)
 
     def test_db_file_implies_sqlite(self, tmp_path):
         options = EvalOptions(db_file=str(tmp_path / "cat.db"))
@@ -41,14 +44,9 @@ class TestValidation:
         with pytest.raises(OptionsError, match="silently ignore"):
             EvalOptions(backend="reference", db_file=str(tmp_path / "cat.db"))
 
-    def test_options_error_is_an_arc_error(self):
+    def test_options_error_is_an_arc_error(self, tmp_path):
         with pytest.raises(ArcError):
-            EvalOptions(planner=False, backend="planner")
-
-    def test_with_backend_revalidates(self):
-        options = EvalOptions(planner=False)
-        with pytest.raises(OptionsError):
-            options.with_backend("sqlite")
+            EvalOptions(backend="planner", db_file=str(tmp_path / "cat.db"))
 
     def test_with_backend_drops_db_file_for_other_engines(self, tmp_path):
         options = EvalOptions(db_file=str(tmp_path / "cat.db"))
@@ -62,15 +60,8 @@ class TestValidation:
 
 class TestOldPathFix:
     """The old kwarg pile silently ignored ``planner=False`` when a backend
-    was also selected; the contradiction is now an OptionsError, and the
+    was also selected; ``backend`` is now the one engine selector, and the
     one-shot entry point takes options only."""
-
-    def test_evaluate_with_contradictory_kwargs_raises(self, db):
-        with pytest.raises(OptionsError, match="both select an engine"):
-            evaluate(
-                parse(QUERY), db, SQL_CONVENTIONS,
-                options=EvalOptions(planner=False, backend="sqlite"),
-            )
 
     def test_evaluate_rejects_options_plus_legacy_kwargs(self, db):
         with pytest.raises(TypeError, match="planner"):

@@ -180,30 +180,35 @@ class TestBackendDispatch:
             result = prepared.run()
         assert result == evaluate(parse(JOIN), db, options=EvalOptions())
 
-    def test_fallback_false_raises(self, db):
-        from repro.backends.exec import BackendUnsupported
-
+    @pytest.mark.parametrize("entry", ["prepared_run", "session_evaluate", "evaluate"])
+    def test_fallback_warning_points_at_the_caller(self, db, entry):
         session = Session(
-            db, SET_CONVENTIONS,
-            options=EvalOptions(backend="sqlite", fallback=False),
+            db, SET_CONVENTIONS, options=EvalOptions(backend="sqlite")
         )
-        with pytest.raises(BackendUnsupported, match="set semantics"):
-            session.prepare(JOIN).run()
+        with pytest.warns(BackendFallbackWarning) as record:
+            if entry == "prepared_run":
+                session.prepare(JOIN).run()
+            elif entry == "session_evaluate":
+                session.evaluate(JOIN)
+            else:
+                evaluate(parse(JOIN), db, options=EvalOptions(backend="sqlite"))
+        assert record[0].filename == __file__
+
+    def test_fallback_false_raises(self, db):
+        """The refusal ``fallback=False`` used to raise is reported in
+        ``fallback_reasons``, the one fallback verdict."""
+        session = Session(
+            db, SET_CONVENTIONS, options=EvalOptions(backend="sqlite")
+        )
+        info = session.prepare(JOIN).run_info()
+        assert any("set semantics" in r for r in info["fallback_reasons"])
 
     def test_per_run_override_leaves_session_options_alone(self, db):
         session = Session(db, SQL_CONVENTIONS)
         prepared = session.prepare(JOIN)
         baseline = prepared.run()
         assert prepared.run(backend="sqlite") == baseline
-        assert session.options.backend is None
-
-    def test_contradictory_override_raises(self, db):
-        session = Session(
-            db, SQL_CONVENTIONS, options=EvalOptions(planner=False)
-        )
-        prepared = session.prepare(JOIN)
-        with pytest.raises(OptionsError, match="both select an engine"):
-            prepared.run(backend="sqlite")
+        assert session.options.backend == "planner"
 
     def test_db_file_round_trip(self, db, tmp_path):
         path = str(tmp_path / "catalog.db")

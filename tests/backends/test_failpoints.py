@@ -17,7 +17,6 @@ from repro.backends.exec import (
     breaker_for,
     breaker_states,
     reset_breakers,
-    run_backend,
 )
 from repro.backends.exec import registry as registry_mod
 from repro.backends.exec.registry import BackendUnsupported, CircuitBreaker
@@ -278,7 +277,8 @@ class TestCircuitBreakerDispatch:
         failpoints.activate("sqlite.execute", "error*1")
         session = _sqlite_session()
         prepared = session.prepare(QUERY)
-        prepared.run()  # fault → fallback → breaker opens
+        with pytest.warns(BackendFallbackWarning, match="injected"):
+            prepared.run()  # fault → fallback → breaker opens
         assert breaker.state == "open"
         clock[0] = 30.0  # cooldown elapsed → half-open trial
         info = prepared.run_info()
@@ -293,38 +293,30 @@ class TestCircuitBreakerDispatch:
         session = Session(
             db, repro.SET_CONVENTIONS, options=EvalOptions(backend="sqlite")
         )
-        for _ in range(registry_mod.BREAKER_THRESHOLD + 1):
-            session.prepare(QUERY).run()
+        with pytest.warns(BackendFallbackWarning, match="set semantics"):
+            for _ in range(registry_mod.BREAKER_THRESHOLD + 1):
+                session.prepare(QUERY).run()
         assert breaker_for("sqlite").failures == 0
         assert breaker_for("sqlite").state == "closed"
 
     def test_planner_backend_carries_no_breaker(self):
-        db = _db()
-        run_backend(
-            Session(db, SQL_CONVENTIONS).prepare(QUERY).node,
-            db, SQL_CONVENTIONS, "planner",
-        )
+        Session(_db(), SQL_CONVENTIONS).prepare(QUERY).run()
         assert "planner" not in breaker_states()
 
 
 class TestReasonsChannel:
     def test_reasons_sink_suppresses_the_warning(self):
         failpoints.activate("sql.render", "unsupported:injected refusal")
-        db = _db()
-        node = Session(db, SQL_CONVENTIONS).prepare(QUERY).node
-        reasons = []
+        prepared = _sqlite_session().prepare(QUERY)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_backend(
-                node, db, SQL_CONVENTIONS, "sqlite", reasons=reasons
-            )
-        assert [row["A"] for row in result.sorted_rows()] == [2, 3]
-        assert any("injected refusal" in r for r in reasons)
+            info = prepared.run_info()
+        assert [row["A"] for row in info["result"].sorted_rows()] == [2, 3]
+        assert any("injected refusal" in r for r in info["fallback_reasons"])
         assert not [w for w in caught if isinstance(w.message, BackendFallbackWarning)]
 
     def test_without_a_sink_the_warning_still_fires(self):
         failpoints.activate("sql.render", "unsupported")
-        db = _db()
-        node = Session(db, SQL_CONVENTIONS).prepare(QUERY).node
+        prepared = _sqlite_session().prepare(QUERY)
         with pytest.warns(BackendFallbackWarning):
-            run_backend(node, db, SQL_CONVENTIONS, "sqlite")
+            prepared.run()

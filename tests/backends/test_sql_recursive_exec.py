@@ -24,7 +24,7 @@ from repro.data import Database, generators
 from repro.engine import evaluate
 from repro.engine.fixpoint import transitive_closure_reference
 
-ORACLE = EvalOptions(planner=False)
+ORACLE = EvalOptions(backend="reference")
 SQLITE = EvalOptions(backend="sqlite")
 
 LINEAR_TC = (

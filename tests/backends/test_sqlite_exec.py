@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from repro.api import EvalOptions
+from repro.api import EvalOptions, Session
 from repro.backends.exec import (
     BackendFallbackWarning,
     BackendUnsupported,
@@ -14,7 +14,6 @@ from repro.backends.exec import (
     clear_catalog_cache,
     connect_catalog,
     get_backend,
-    run_backend,
 )
 from repro.backends.exec import sqlite_exec
 from repro.core.conventions import (
@@ -27,7 +26,7 @@ from repro.data import Database, NULL, Relation, Truth, csvio
 from repro.engine import evaluate
 from repro.errors import EvaluationError
 
-ORACLE = EvalOptions(planner=False)
+ORACLE = EvalOptions(backend="reference")
 SQLITE = EvalOptions(backend="sqlite")
 
 IDENTITY = "{Q(A, B) | ∃r ∈ R[Q.A = r.A ∧ Q.B = r.B]}"
@@ -336,15 +335,17 @@ class TestCapabilities:
             query, SQL_CONVENTIONS, db, decorrelate=False
         )
         assert any("decorrelation disabled" in p for p in problems)
-        with pytest.raises(BackendUnsupported, match="decorrelation disabled"):
-            run_backend(
-                query,
-                db,
-                SQL_CONVENTIONS,
-                "sqlite",
-                fallback=False,
-                decorrelate=False,
-            )
+        session = Session(
+            db, SQL_CONVENTIONS,
+            options=EvalOptions(backend="sqlite", decorrelate=False),
+        )
+        info = session.prepare(query).run_info()
+        assert any(
+            "decorrelation disabled" in r for r in info["fallback_reasons"]
+        )
+        assert info["result"] == evaluate(
+            query, db, SQL_CONVENTIONS, options=ORACLE
+        )
 
     def test_fallback_warning_carries_the_specific_reasons(self):
         db = self._rs_db()
@@ -395,12 +396,14 @@ class TestDispatch:
         assert {"reference", "planner", "sqlite"} <= set(available_backends())
 
     def test_fallback_disabled_raises(self):
+        """The refusal ``fallback=False`` used to raise is reported in
+        ``fallback_reasons``, the one fallback verdict."""
         db = Database()
         db.create("R", ("A", "B"), [(1, 2)])
-        with pytest.raises(BackendUnsupported):
-            run_backend(
-                parse(IDENTITY), db, SET_CONVENTIONS, "sqlite", fallback=False
-            )
+        info = Session(db, SET_CONVENTIONS, options=SQLITE).prepare(
+            IDENTITY
+        ).run_info()
+        assert any("set semantics" in r for r in info["fallback_reasons"])
 
     def test_fallback_warns_and_matches_planner(self):
         db = Database()

@@ -27,7 +27,7 @@ from repro.data import Database, NULL
 from repro.engine import Evaluator, decorrelate, evaluate
 from repro.workloads import sweeps
 
-ORACLE = EvalOptions(planner=False)
+ORACLE = EvalOptions(backend="reference")
 
 
 def _db(*, null_key=False):

@@ -27,7 +27,7 @@ from repro.engine import evaluate
 from repro.errors import ArcError
 from repro.workloads import instances, paper_examples, sweeps
 
-ORACLE = EvalOptions(planner=False)
+ORACLE = EvalOptions(backend="reference")
 NO_DECORRELATE = EvalOptions(decorrelate=False)
 
 BAG = Conventions(semantics=Semantics.BAG)

@@ -1,5 +1,6 @@
 """The serving observability surface: query ids, /metrics, request logs."""
 
+import contextlib
 import io
 import json
 import re
@@ -16,16 +17,21 @@ from repro.core.conventions import SQL_CONVENTIONS
 QUERY = "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.B > 15]}"
 
 
-def _make(**serve_kwargs):
+def _make(options=EvalOptions(backend="planner"), **serve_kwargs):
     db = repro.Database()
     db.create("R", ("A", "B"), [(1, 10), (2, 20), (3, 30)])
-    session = Session(db, SQL_CONVENTIONS, options=EvalOptions(backend="planner"))
+    session = Session(db, SQL_CONVENTIONS, options=options)
     return make_server(session, **serve_kwargs)
 
 
 @pytest.fixture
 def server():
-    srv = _make()
+    with _serving(_make()) as srv:
+        yield srv
+
+
+@contextlib.contextmanager
+def _serving(srv):
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -42,14 +48,10 @@ def logged_server():
     srv = _make(log_json=True)
     buffer = io.StringIO()
     configure_request_logging(stream=buffer)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield srv, buffer
+        with _serving(srv):
+            yield srv, buffer
     finally:
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
         configure_request_logging()  # drop the buffer handler
 
 
@@ -131,6 +133,15 @@ class TestMetricsEndpoint:
         assert 'arc_stats_total{counter="rows_enumerated"}' in text
         assert re.search(r"^arc_requests_total \d+$", text, re.MULTILINE)
         assert re.search(r"^arc_uptime_seconds \d", text, re.MULTILINE)
+
+    def test_session_without_a_backend_feeds_the_backend_histogram(self):
+        # EvalOptions() resolves to the planner and dispatches like any
+        # named backend, so its queries reach arc_backend_seconds too.
+        with _serving(_make(options=EvalOptions())) as srv:
+            _post(srv, {"query": QUERY})
+            _post(srv, {"query": QUERY})
+            _, text, _ = _get(srv, "/metrics")
+        assert 'arc_backend_seconds_count{backend="planner"} 2' in text
 
     def test_histogram_buckets_are_monotone(self, server):
         _post(server, {"query": QUERY})

@@ -175,6 +175,23 @@ class TestEval:
         assert code == 2
         assert "--no-planner" in capsys.readouterr().err
 
+    def test_no_planner_explain_labels_the_reference_engine(self, capsys, csv_r):
+        code = main(
+            [
+                "eval",
+                "--db",
+                csv_r,
+                "--no-planner",
+                "--explain",
+                "{Q(A) | ∃r ∈ R[Q.A = r.A]}",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        (query,) = [line for line in lines if line.startswith("query ")]
+        assert "backend=reference" in query
+        assert not any("planner" in line for line in lines), lines
+
 
 class TestServeCommand:
     def test_parser_wires_serve(self):
