@@ -3,7 +3,7 @@
 A JSON endpoint backed by the :mod:`repro.serve` concurrency subsystem: a
 threaded front end (one handler thread per connection) dispatching to a
 fixed **worker pool** where each worker owns its own warm
-:class:`~repro.api.Session` — per-worker prepared-query LRUs, private
+:class:`~repro.api.Session` — per-worker prepared-query LRUs, per-thread
 SQLite connections, capability-probe memos — so repeated requests hit
 every cache while distinct requests execute in parallel.
 
@@ -375,11 +375,6 @@ class QueryServer(ThreadingHTTPServer):
             if session.tracer.metrics is None:
                 session.tracer.metrics = MetricsRegistry()
             self.metrics = session.tracer.metrics
-        if workers > 1:
-            # Multi-worker servers isolate the adopted session's SQLite
-            # connections from the process-wide cache, so worker 0 never
-            # shares a handle with code outside the pool.
-            session.private_connections = True
         self.factory = SessionFactory.from_session(
             session, metrics=self.metrics, catalogs=catalogs
         )

@@ -4,8 +4,8 @@ A :class:`Session` is the warm-state owner real engines put behind a
 connection handle: it pins the parsed ASTs of prepared queries (keeping
 their per-node compiled-plan caches alive), accumulates one
 :class:`~repro.engine.planner.ExecutionStats` across runs, reuses the
-SQLite catalog connection through the fingerprint cache, and memoizes
-backend capability-probe verdicts per catalog state.  The one-shot
+SQLite catalog connection through the thread's fingerprint cache, and
+memoizes backend capability-probe verdicts per catalog state.  The one-shot
 ``repro.evaluate(...)`` is a thin wrapper constructing a transient Session;
 ``repro serve`` holds one Session per catalog so repeated requests hit all
 of these caches.
@@ -19,14 +19,16 @@ scope plans               weak per-AST-node cache (planner)        AST garbage-c
 relation hash indexes     ``Relation._indexes``                    ``Relation.add``
 decorrelation indexes     shared derived cache on inner relations  any inner mutation
 probe verdicts            shared derived cache on all relations    any catalog mutation
-SQLite connection         fingerprint-keyed connection cache       any catalog mutation
+SQLite connection         the thread's fingerprint-keyed LRU       any catalog mutation
 parsed queries            the Session's prepared-query LRU         eviction only
 ========================  =======================================  =====================
 
 A Session (and everything it hands out) is **not thread-safe**; callers
 serialize access.  ``repro serve`` gives each pool worker its *own*
-Session (built with ``private_connections=True`` so SQLite runs use a
-connection no other thread touches) and never shares one across threads.
+Session and never shares one across threads.  In-memory SQLite
+connections are not the Session's at all: each thread keeps one LRU of
+them (see :mod:`repro.backends.exec.sqlite_exec`), so two Sessions over
+equal catalogs in two threads never touch the same handle.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ from .options import EvalOptions
 
 #: Prepared queries a session retains before evicting the least recent.
 _PREPARED_LIMIT = 64
-
-#: Private in-memory SQLite connections a session retains (one per
-#: catalog fingerprint) before evicting and closing the least recent.
-_PRIVATE_CONN_LIMIT = 8
 
 
 class Prepared:
@@ -213,45 +211,20 @@ class SessionContext:
         """A SQLite connection for the catalog honoring ``options.db_file``.
 
         With ``db_file`` the connection is fresh and the caller closes it.
-        In-memory connections belong to the session (``private_connections``)
-        or to the process-wide fingerprint cache and must not be closed.
+        In-memory connections belong to the calling thread's cache and
+        must not be closed.
         """
         from ..backends.exec import sqlite_exec
 
-        session, database, tracer = self.session, self.database, self.tracer
-        db_file = self.options.db_file
-        if db_file is None and session.private_connections:
-            # Session-private connections: the fingerprint keys a per-
-            # *session* LRU instead of the process-wide cache, so this
-            # session's runs never share a sqlite handle with another
-            # thread.  Counters are maintained locally — the global
-            # ``sqlite_exec.stats`` delta would race across workers.
-            connections = session._connections
-            with NULL_SPAN if tracer is None else tracer.span(
-                "sqlite.connect"
-            ) as span:
-                fingerprint = sqlite_exec.catalog_fingerprint(database)
-                conn = connections.get(fingerprint)
-                if conn is not None:
-                    connections.move_to_end(fingerprint)
-                    session.catalog_hits += 1
-                    span.tag(loaded=False)
-                    return conn
-                conn = sqlite_exec.load_private_catalog(database)
-                span.tag(loaded=True)
-            session.catalog_loads += 1
-            connections[fingerprint] = conn
-            while len(connections) > _PRIVATE_CONN_LIMIT:
-                _, evicted = connections.popitem(last=False)
-                evicted.close()
-            return conn
-        before = sqlite_exec.stats["loads"]
+        session, tracer = self.session, self.tracer
         with NULL_SPAN if tracer is None else tracer.span("sqlite.connect") as span:
-            conn = sqlite_exec.connect_catalog(database, db_file=db_file)
-            loaded = sqlite_exec.stats["loads"] - before
-            span.tag(loaded=bool(loaded))
-        session.catalog_loads += loaded
-        if not loaded:
+            conn, loaded = sqlite_exec.connect_catalog(
+                self.database, db_file=self.options.db_file
+            )
+            span.tag(loaded=loaded)
+        if loaded:
+            session.catalog_loads += 1
+        else:
             session.catalog_hits += 1
         return conn
 
@@ -308,7 +281,7 @@ class Session:
     """
 
     def __init__(self, database=None, conventions=SET_CONVENTIONS, *,
-                 externals=None, options=None, private_connections=False):
+                 externals=None, options=None):
         if options is None:
             options = EvalOptions()
         elif not isinstance(options, EvalOptions):
@@ -330,14 +303,7 @@ class Session:
         #: Optional :class:`~repro.obs.Tracer`; None (the default) keeps
         #: every instrumentation site on its zero-overhead branch.
         self.tracer = None
-        #: With ``private_connections`` the session's in-memory SQLite
-        #: connections are its own (built fresh, closed by :meth:`close`)
-        #: instead of borrowed from the process-wide fingerprint cache.
-        #: ``repro serve`` sets this so N pool workers execute on N
-        #: connections rather than serializing on one shared handle.
-        self.private_connections = private_connections
         self._prepared = OrderedDict()  # (text, frontend) -> Prepared
-        self._connections = OrderedDict()  # fingerprint -> private sqlite conn
 
     # -- preparing ---------------------------------------------------------
 
@@ -414,19 +380,13 @@ class Session:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self):
-        """Release the session's prepared queries and private connections.
+        """Release the session's prepared queries.
 
-        Shared in-memory SQLite connections belong to the process-wide
-        fingerprint cache (other sessions over the same catalog share
-        them) and stay open; *private* connections
-        (``private_connections=True``) are this session's own and are
-        closed here — the serve pool's session LRU relies on that when it
-        evicts.
+        In-memory SQLite connections belong to the thread that loaded them
+        (other sessions over the same catalog on that thread share them)
+        and stay open.
         """
         self._prepared.clear()
-        while self._connections:
-            _, conn = self._connections.popitem(last=False)
-            conn.close()
 
     def __enter__(self):
         return self

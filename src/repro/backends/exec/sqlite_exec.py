@@ -20,14 +20,18 @@ Catalog mapping
 
 Connection cache
 ----------------
-Loaded catalogs are cached per *fingerprint* — a deterministic digest of
-every relation's schema and rows — so repeated CLI/service calls against an
-unchanged catalog reuse the in-memory connection instead of reloading.
-Mutating a relation changes its fingerprint (the per-relation digest rides
-the same derived-result cache that ``Relation.add`` invalidates), which
-naturally turns the next call into a cold load.  With ``db_file`` the
-catalog persists on disk: the fingerprint is stored in a meta table and the
-tables are reloaded only when it changes, so separate processes start warm.
+An in-memory connection belongs to the thread that loaded it: each thread
+keeps one LRU of loaded catalogs keyed by *fingerprint* — a deterministic
+digest of every relation's schema and rows — so repeated calls against an
+unchanged catalog reuse the connection instead of reloading.  Connections
+keep sqlite3's default ``check_same_thread=True``, so no handle (and no
+per-run progress handler installed on it) is ever shared between threads;
+the serve pool's workers each execute on their own.  Mutating a relation
+changes its fingerprint (the per-relation digest rides the same
+derived-result cache that ``Relation.add`` invalidates), which naturally
+turns the next call into a cold load.  With ``db_file`` the catalog
+persists on disk: the fingerprint is stored in a meta table and the tables
+are reloaded only when it changes, so separate processes start warm.
 
 Capability probe
 ----------------
@@ -104,17 +108,14 @@ _RETRY_BASE_S = 0.01
 #: milliseconds; large enough to stay invisible on the warm serve path.
 _PROGRESS_STRIDE = 4096
 
-#: In-memory connections keyed by catalog fingerprint (LRU, bounded).
-_connections = OrderedDict()
+class _ThreadCache(threading.local):
+    """The calling thread's fingerprint → in-memory connection LRU."""
 
-#: Guards ``_connections`` and ``stats``: the serve pool's workers (and
-#: its control thread) may connect concurrently, and an unguarded
-#: get/insert/evict on the OrderedDict would corrupt it.
-_cache_lock = threading.Lock()
+    def __init__(self):
+        self.connections = OrderedDict()
 
-#: Observability counters for tests and benchmarks (guarded by
-#: ``_cache_lock`` — bare ``+=`` would lose increments under the pool).
-stats = {"loads": 0, "hits": 0}
+
+_thread = _ThreadCache()
 
 
 class _FingerprintOwner:
@@ -266,83 +267,38 @@ def _load_catalog(conn, database):
                 f"insert into {_quote(name)} values ({placeholders})", rows
             )
     conn.commit()
-    with _cache_lock:
-        stats["loads"] += 1
-
-
-def load_private_catalog(database):
-    """A fresh, caller-owned in-memory connection holding *database*.
-
-    Bypasses the process-wide fingerprint cache entirely: the caller (a
-    :class:`~repro.api.Session` with ``private_connections=True``) owns
-    the connection and closes it.  This is what lets N serve workers
-    execute concurrently — SQLite releases the GIL inside ``step()``, but
-    only when each thread drives its own connection.
-    """
-    failpoints.hit("sqlite.connect")
-    conn = sqlite3.connect(":memory:", check_same_thread=False)
-    try:
-        _load_catalog(conn, database)
-    except BaseException:
-        conn.close()
-        raise
-    return conn
 
 
 def connect_catalog(database, *, db_file=None):
-    """A SQLite connection holding *database*, reusing warm catalogs.
+    """``(conn, loaded)``: a SQLite connection holding *database*.
 
-    In-memory connections are cached per fingerprint (LRU of
-    ``_CACHE_LIMIT``).  With *db_file* a fresh connection to the file is
-    returned — the caller closes it — and the tables are reloaded only when
-    the stored fingerprint disagrees with the catalog's.
-
-    Cache bookkeeping is lock-guarded so concurrent callers cannot corrupt
-    the LRU, but a *shared* connection handed out here may still be
-    serialized (or evicted) under another thread — threads that need an
-    exclusive handle use :func:`load_private_catalog` instead.
+    In-memory connections come from the calling thread's LRU, so *loaded*
+    is False on a warm hit; a cold load is cached only once complete, and
+    the least recent connection beyond ``_CACHE_LIMIT`` is closed.  With
+    *db_file* a fresh connection to the file is returned — the caller
+    closes it — and the tables are reloaded (``loaded=True``) only when the
+    stored fingerprint disagrees with the catalog's.
     """
     failpoints.hit("sqlite.connect")
     fingerprint = catalog_fingerprint(database)
     if db_file is None:
-        with _cache_lock:
-            conn = _connections.get(fingerprint)
-            if conn is not None:
-                _connections.move_to_end(fingerprint)
-                stats["hits"] += 1
-                return conn
-        # check_same_thread=False: the cache may be primed in one thread
-        # and consumed in another (callers serialize actual use).  The
-        # catalog loads *outside* the lock — it is the slow part — and the
-        # publish below resolves the race two concurrent loaders create.
-        conn = sqlite3.connect(":memory:", check_same_thread=False)
+        connections = _thread.connections
+        conn = connections.get(fingerprint)
+        if conn is not None:
+            connections.move_to_end(fingerprint)
+            return conn, False
+        conn = sqlite3.connect(":memory:")
         try:
             _load_catalog(conn, database)
         except BaseException:
             conn.close()
             raise
-        evicted = []
-        redundant = None
-        with _cache_lock:
-            existing = _connections.get(fingerprint)
-            if existing is not None:
-                # Another thread published the same catalog first: adopt
-                # theirs, discard ours (closing outside the lock).
-                _connections.move_to_end(fingerprint)
-                stats["hits"] += 1
-                redundant, conn = conn, existing
-            else:
-                _connections[fingerprint] = conn
-                while len(_connections) > _CACHE_LIMIT:
-                    _, victim = _connections.popitem(last=False)
-                    evicted.append(victim)
-        if redundant is not None:
-            redundant.close()
-        for victim in evicted:
-            victim.close()
-        return conn
+        connections[fingerprint] = conn
+        while len(connections) > _CACHE_LIMIT:
+            connections.popitem(last=False)[1].close()
+        return conn, True
 
-    conn = sqlite3.connect(db_file, check_same_thread=False)
+    conn = sqlite3.connect(db_file)
     try:
         stored = conn.execute(
             f"select fingerprint from {_quote(_META_TABLE)}"
@@ -350,9 +306,7 @@ def connect_catalog(database, *, db_file=None):
     except sqlite3.Error:
         stored = None
     if stored is not None and stored[0] == fingerprint:
-        with _cache_lock:
-            stats["hits"] += 1
-        return conn
+        return conn, False
     try:
         for (table,) in conn.execute(
             "select name from sqlite_master where type = 'table'"
@@ -368,18 +322,14 @@ def connect_catalog(database, *, db_file=None):
     except BaseException:
         conn.close()
         raise
-    return conn
+    return conn, True
 
 
 def clear_catalog_cache():
-    """Close and drop every cached in-memory connection (cold-start state)."""
-    with _cache_lock:
-        conns = list(_connections.values())
-        _connections.clear()
-        stats["loads"] = 0
-        stats["hits"] = 0
-    for conn in conns:
-        conn.close()
+    """Close and drop the calling thread's cached connections (cold start)."""
+    connections = _thread.connections
+    while connections:
+        connections.popitem(last=False)[1].close()
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ SQLite offload backend (:mod:`repro.backends.exec.sqlite_exec`).
 from __future__ import annotations
 
 from ..core import nodes as n
-from ..core.scopes import (  # noqa: F401  (re-exported for compatibility)
-    assignment_of,
+from ..core.scopes import (
     free_variables,
     scalar_subquery_shape,
     shadows_binding,
@@ -146,7 +145,7 @@ class _SqlRenderer:
         return separator.join(selects)
 
     def _render_quantifier_select(self, head, quant):
-        parts = self._split_scope(head, quant)
+        parts = split_scope(head, quant)
         (assignments, agg_assignments, agg_comparisons, row_formulas) = parts
 
         eliminated, substitutions = self._scalar_eliminated(quant)
@@ -249,7 +248,7 @@ class _SqlRenderer:
 
     def _render_scalar_subquery(self, source, attr):
         body = source.body
-        parts = self._split_scope(source.head, body)
+        parts = split_scope(source.head, body)
         _, agg_assignments, _, row_formulas = parts
         expr = dict(agg_assignments)[attr]
         from_sql, consumed = self._render_from(body)
@@ -265,14 +264,6 @@ class _SqlRenderer:
             sub += "\nwhere " + " and ".join(where)
         indented = "\n   ".join(sub.splitlines())
         return f"(\n   {indented})"
-
-    @staticmethod
-    def _split_scope(head, quant):
-        return split_scope(head, quant)
-
-    @staticmethod
-    def _assignment_of(predicate, head):
-        return assignment_of(predicate, head)
 
     # -- FROM / joins -----------------------------------------------------------------
 

@@ -17,8 +17,7 @@ backends' capability probes — without committing to any one of them:
 
 They lived in :mod:`repro.backends.sql_render` historically; they are in
 ``core`` because the *engine* needs them too (the decorrelation pass), and
-the engine must not depend on a rendering backend.  ``sql_render``
-re-exports them for compatibility.
+the engine must not depend on a rendering backend.
 """
 
 from __future__ import annotations

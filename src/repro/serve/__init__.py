@@ -5,7 +5,7 @@ mode into a worker-pool server:
 
 * :mod:`~repro.serve.pool` — a fixed pool of worker threads, each owning
   its own warm :class:`~repro.api.Session` state (per-worker prepared
-  LRUs, private SQLite connections, stats) built by a
+  LRUs, stats; SQLite connections are per worker thread) built by a
   :class:`~repro.serve.pool.SessionFactory`, with a bounded per-worker
   :class:`~repro.serve.pool.SessionLRU` keyed by catalog name for
   multi-catalog serving;

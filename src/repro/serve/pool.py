@@ -3,11 +3,10 @@
 A :class:`~repro.api.Session` is not thread-safe, so the pool never
 shares one: each worker thread owns a bounded :class:`SessionLRU` of
 Sessions (one per catalog it has served), built by a
-:class:`SessionFactory` from the catalog map.  Worker Sessions use
-**private** SQLite connections (``private_connections=True``) so N
-workers execute on N connections instead of serializing on the
-process-wide fingerprint cache; evicting a Session closes its
-connections.
+:class:`SessionFactory` from the catalog map.  In-memory SQLite
+connections belong to the thread that loaded them (one LRU per thread,
+see :mod:`repro.backends.exec.sqlite_exec`), so N workers execute on N
+connections and never share a handle.
 
 Jobs are plain callables ``fn(worker) -> result`` submitted through a
 **bounded** queue.  :meth:`WorkerPool.submit` never blocks: one admission
@@ -139,15 +138,15 @@ class SessionFactory:
 
     *catalogs* maps catalog name → :class:`~repro.data.database.Database`;
     *default* names the catalog requests get when they don't ask for one.
-    Sessions built here use private SQLite connections (each worker
-    executes on its own connection) and, when *metrics* is given, a
-    metrics-only tracer feeding the shared registry — per-phase latency
-    histograms aggregate across workers while span records are dropped.
+    When *metrics* is given, Sessions built here get a metrics-only tracer
+    feeding the shared registry — per-phase latency histograms aggregate
+    across workers while span records are dropped.  (Their SQLite runs use
+    the running worker thread's own connections.)
     """
 
     def __init__(self, catalogs, conventions=SET_CONVENTIONS, *,
                  externals=None, options=None, default=DEFAULT_CATALOG,
-                 metrics=None, private_connections=True):
+                 metrics=None):
         if default not in catalogs:
             raise LookupError(
                 f"default catalog {default!r} missing from "
@@ -159,7 +158,6 @@ class SessionFactory:
         self.options = options
         self.default = default
         self.metrics = metrics
-        self.private_connections = private_connections
 
     @classmethod
     def from_session(cls, session, *, metrics=None, catalogs=None,
@@ -203,7 +201,6 @@ class SessionFactory:
             self.conventions,
             externals=self.externals,
             options=self.options,
-            private_connections=self.private_connections,
         )
         if self.metrics is not None:
             from ..obs import Tracer
@@ -237,17 +234,13 @@ class SessionLRU:
             self._sessions.move_to_end(name)
             return session
         session = self.factory.build(name)
-        victims = []
         with self._lock:
             self._sessions[name] = session
             while len(self._sessions) > self.limit:
-                _, victim = self._sessions.popitem(last=False)
-                victims.append(victim)
+                # Drops only the prepared queries: the catalog's SQLite
+                # connection stays warm in this thread's LRU.
+                self._sessions.popitem(last=False)[1].close()
                 self.evicted += 1
-        # Closing outside the lock: eviction closes private SQLite
-        # connections, which must not block snapshot readers.
-        for victim in victims:
-            victim.close()
         return session
 
     def adopt(self, name, session):

@@ -108,10 +108,12 @@ class TestWarmStateReuse:
         prepared = session.prepare(JOIN)
         first = prepared.run()
         assert session.catalog_loads == 1
-        loads_after_first = sqlite_exec.stats["loads"]
         assert prepared.run() == first
-        assert sqlite_exec.stats["loads"] == loads_after_first
+        assert session.catalog_loads == 1
         assert session.catalog_hits == 1
+        # The connection stays warm in this thread's cache.
+        _, loaded = sqlite_exec.connect_catalog(db)
+        assert not loaded
 
     def test_second_run_skips_the_capability_probe(self, db):
         session = Session(

@@ -153,6 +153,25 @@ class TestChaosDifferential:
             f"fault at {site} should have produced a fallback reason"
         )
 
+    @pytest.mark.parametrize("site", ["sqlite.connect", "catalog.load"])
+    @pytest.mark.parametrize("kind", ["error", "unsupported"])
+    def test_failed_connect_caches_no_connection(self, site, kind):
+        """A connect or load fault leaves the thread's cache empty, so the
+        next fault-free run loads a complete catalog and runs natively."""
+        from repro.backends.exec import sqlite_exec
+
+        db = _db()
+        failpoints.activate(site, kind)
+        session = _sqlite_session(db)
+        assert session.prepare(QUERY).run_info()["fallback_reasons"]
+        assert not sqlite_exec._thread.connections
+        failpoints.reset()
+        reset_breakers()
+        info = session.prepare(QUERY).run_info()
+        assert info["fallback_reasons"] == []
+        assert info["result"].sorted_rows() == _oracle_rows(db)
+        assert session.catalog_loads == 1
+
     def test_boom_is_the_untyped_path_and_counts_a_failure(self):
         failpoints.activate("sqlite.execute", "boom")
         session = _sqlite_session()

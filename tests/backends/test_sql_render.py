@@ -110,7 +110,7 @@ class TestShapes:
             )
         )
         assert "lateral (" in sql
-        from repro.backends.sql_render import free_variables
+        from repro.core.scopes import free_variables
 
         inner = parse(
             "{X(sm) | ∃s ∈ S, y ∈ {Y(c) | ∃r ∈ R2, γ ∅[Y.c = count(r.A)]}, "

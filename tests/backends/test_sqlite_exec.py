@@ -100,12 +100,18 @@ class TestValueMapping:
 class TestCatalogCache:
     def test_warm_cache_reuses_the_loaded_connection(self):
         db = _mixed_db()
+        first, loaded = connect_catalog(db)
+        assert loaded
+        # An equal catalog (same fingerprint) on the same thread is a hit.
+        second, loaded = connect_catalog(_mixed_db())
+        assert second is first and not loaded
+        # Sessions and one-shot evaluate() on this thread run on it too.
         query = parse(IDENTITY)
+        session = Session(db, SQL_CONVENTIONS, options=SQLITE)
+        session.prepare(query).run()
+        assert (session.catalog_loads, session.catalog_hits) == (0, 1)
         evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
-        loads = sqlite_exec.stats["loads"]
-        evaluate(query, db, SQL_CONVENTIONS, options=SQLITE)
-        assert sqlite_exec.stats["loads"] == loads
-        assert sqlite_exec.stats["hits"] >= 1
+        assert connect_catalog(db) == (first, False)
 
     def test_equal_catalogs_share_a_fingerprint(self):
         assert catalog_fingerprint(_mixed_db()) == catalog_fingerprint(_mixed_db())
@@ -117,11 +123,17 @@ class TestCatalogCache:
         assert catalog_fingerprint(db) != before
 
     def test_cache_is_bounded(self):
+        conns = []
         for i in range(sqlite_exec._CACHE_LIMIT + 3):
             db = Database()
             db.create("R", ("A",), [(i,)])
-            connect_catalog(db)
-        assert len(sqlite_exec._connections) == sqlite_exec._CACHE_LIMIT
+            conns.append(connect_catalog(db)[0])
+        cached = sqlite_exec._thread.connections
+        assert list(cached.values()) == conns[-sqlite_exec._CACHE_LIMIT:]
+        # The evicted connections were closed.
+        for conn in conns[: -sqlite_exec._CACHE_LIMIT]:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("select 1")
 
 
 class TestDbFilePersistence:
@@ -130,20 +142,24 @@ class TestDbFilePersistence:
         db = _mixed_db()
         query = parse(IDENTITY)
         on_disk = EvalOptions(db_file=path)
-        first = evaluate(query, db, SQL_CONVENTIONS, options=on_disk)
-        loads = sqlite_exec.stats["loads"]
+        session = Session(db, SQL_CONVENTIONS, options=on_disk)
+        first = session.prepare(query).run()
+        assert session.catalog_loads == 1
         # Second call (fresh connection, same file): warm start, no reload.
-        second = evaluate(query, db, SQL_CONVENTIONS, options=on_disk)
-        assert sqlite_exec.stats["loads"] == loads
+        second = session.prepare(query).run()
+        assert (session.catalog_loads, session.catalog_hits) == (1, 1)
         assert first == second
+        conn, loaded = connect_catalog(db, db_file=path)
+        conn.close()
+        assert not loaded
         # The tables really are on disk.
         conn = sqlite3.connect(path)
         assert conn.execute("select count(*) from R").fetchone()[0] == 4
         conn.close()
         # Mutation invalidates the stored fingerprint and reloads.
         db["R"].add((8, 8))
-        evaluate(query, db, SQL_CONVENTIONS, options=on_disk)
-        assert sqlite_exec.stats["loads"] == loads + 1
+        session.prepare(query).run()
+        assert session.catalog_loads == 2
 
 
 class TestCapabilities:

@@ -2,8 +2,7 @@
 
 These moved out of ``backends/sql_render.py`` (ROADMAP decorrelation
 follow-on (e)): the engine's decorrelation pass needs them, and the engine
-must not depend on a rendering backend.  The renderer re-exports them for
-compatibility.
+must not depend on a rendering backend.
 """
 
 import subprocess
@@ -61,14 +60,6 @@ class TestSplitScope:
         assert [attr for attr, _ in agg_assignments] == ["sm"]
         assert len(agg_comparisons) == 1
         assert len(row_formulas) == 1
-
-    def test_matches_renderer_reexport(self):
-        from repro.backends import sql_render
-
-        assert sql_render.split_scope is split_scope
-        assert sql_render.free_variables is free_variables
-        assert sql_render.scalar_subquery_shape is scalar_subquery_shape
-        assert sql_render.shadows_binding is shadows_binding
 
 
 class TestScalarSubqueryShape:

@@ -1,12 +1,11 @@
 """Unit tests for the worker-pool subsystem (no HTTP involved).
 
 Covers the pieces ``repro serve`` composes: futures, the coalescer's
-single-leader guarantee, session factories and private connections, the
-per-worker session LRU (eviction closes SQLite connections), and the
-pool's admission / drain state machine.
+single-leader guarantee, session factories and per-worker SQLite
+connections, the per-worker session LRU, and the pool's admission / drain
+state machine.
 """
 
-import sqlite3
 import threading
 import time
 
@@ -116,15 +115,28 @@ class TestSessionFactory:
         factory = _factory(backend="sqlite")
         first, second = factory.build(), factory.build()
         assert first is not second
-        assert first.private_connections and second.private_connections
-        # Private connections: each session executes on its own handle.
-        first.prepare(QUERY).run()
-        second.prepare(QUERY).run()
-        conn_a = next(iter(first._connections.values()))
-        conn_b = next(iter(second._connections.values()))
-        assert conn_a is not conn_b
         first.close()
         second.close()
+        # Two workers serving the same catalog execute on two connections.
+        pool = WorkerPool(factory, workers=2)
+        try:
+            barrier = threading.Barrier(2)
+
+            def job(worker):
+                barrier.wait(10)  # both workers hold a job at once
+                session = worker.session_for()
+                session.prepare(QUERY).run()
+                conn, loaded = sqlite_exec.connect_catalog(session.database)
+                return worker.index, id(conn), session.catalog_loads, loaded
+
+            futures = [pool.submit(job), pool.submit(job)]
+            got = [future.wait(10) for future in futures]
+        finally:
+            pool.drain()
+        assert {index for index, _, _, _ in got} == {0, 1}
+        assert got[0][1] != got[1][1]
+        # Each worker loaded its own copy, then hit it.
+        assert [(loads, loaded) for _, _, loads, loaded in got] == [(1, False)] * 2
 
     def test_unknown_catalog_raises(self):
         factory = _factory()
@@ -152,23 +164,9 @@ class TestSessionFactory:
 
 
 class TestSessionClose:
-    def test_close_closes_private_connections(self):
-        session = Session(
-            _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"),
-            private_connections=True,
-        )
-        session.prepare(QUERY).run()
-        assert session.catalog_loads == 1
-        conn = next(iter(session._connections.values()))
-        session.close()
-        assert not session._connections
-        with pytest.raises(sqlite3.ProgrammingError):
-            conn.execute("select 1")
-
     def test_private_reuse_counts_hits(self):
         session = Session(
             _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"),
-            private_connections=True,
         )
         prepared = session.prepare(QUERY)
         prepared.run()
@@ -176,17 +174,13 @@ class TestSessionClose:
         assert session.catalog_loads == 1
         assert session.catalog_hits == 1
         session.close()
-
-    def test_shared_cache_untouched_by_private_sessions(self):
-        before = dict(sqlite_exec.stats)
-        session = Session(
+        # The connection is the thread's, not the session's: a new session
+        # over an equal catalog on this thread starts warm.
+        again = Session(
             _db(), SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"),
-            private_connections=True,
         )
-        session.prepare(QUERY).run()
-        session.close()
-        assert len(sqlite_exec._connections) == 0
-        assert sqlite_exec.stats["hits"] == before["hits"]
+        again.prepare(QUERY).run()
+        assert (again.catalog_loads, again.catalog_hits) == (0, 1)
 
 
 class TestWorkerPool:
@@ -282,21 +276,23 @@ class TestWorkerPool:
                 def job(worker):
                     session = worker.session_for(catalog)
                     rows = session.prepare(QUERY).run().sorted_rows()
-                    return session, next(iter(session._connections.values())), rows
+                    return session, session.catalog_loads, rows
 
                 return pool.submit(job).wait(10)
 
-            session_a, conn_a, rows_a = run_on("default")
+            session_a, loads_a, rows_a = run_on("default")
             run_on("beta")
             run_on("gamma")  # evicts "default" (limit 2)
             assert [row["x"] for row in rows_a] == [1]
+            assert loads_a == 1
             assert pool.sessions_evicted == 1
-            assert not session_a._connections
-            with pytest.raises(sqlite3.ProgrammingError):
-                conn_a.execute("select 1")
-            # Re-requesting the evicted catalog rebuilds it correctly.
-            _, _, rows_again = run_on("default")
+            assert not session_a._prepared  # the evicted Session was closed
+            # Re-requesting the evicted catalog rebuilds the Session, which
+            # answers on the worker thread's still-cached connection.
+            session_again, loads_again, rows_again = run_on("default")
+            assert session_again is not session_a
             assert [row["x"] for row in rows_again] == [1]
+            assert loads_again == 0
             assert pool.sessions_evicted == 2
         finally:
             pool.drain()

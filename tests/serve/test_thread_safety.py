@@ -1,9 +1,11 @@
 """Concurrent hammer tests for state the worker pool shares.
 
 The thread-safety audit for concurrent serving: every shared structure —
-metrics counters/histograms, registry get-or-create, circuit breakers,
-the SQLite fingerprint-cache — is hit from many threads at once and must
-come out exact (no lost increments) and uncorrupted.  Relation warm
+metrics counters/histograms, registry get-or-create, circuit breakers —
+is hit from many threads at once and must come out exact (no lost
+increments) and uncorrupted.  SQLite connections are the opposite case:
+they are *not* shared, each thread loads and keeps its own, and the tests
+below pin that ownership (and the per-run deadline it protects).  Relation warm
 caches (``index_on``, ``derived_put``) need no lock: they publish fully
 built values through single atomic dict stores, and concurrent readers
 see either nothing (rebuild) or the complete value — that CAS-safe path
@@ -11,6 +13,7 @@ is documented in ``data/relation.py`` and exercised end-to-end by the
 HTTP concurrency tests.
 """
 
+import sqlite3
 import threading
 import time
 
@@ -163,26 +166,169 @@ class TestBreakerUnderContention:
             reset_breakers()
 
 
-class TestSqliteCacheUnderContention:
-    def test_concurrent_connects_converge_on_one_cached_connection(self):
-        sqlite_exec.clear_catalog_cache()
+class TestSqliteConnectionOwnership:
+    def _db(self):
         db = repro.Database()
         db.create("P", ("x",), [(1,), (2,)])
+        return db
+
+    def test_concurrent_connects_get_one_connection_per_thread(self):
+        db = self._db()
         conns = []
         lock = threading.Lock()
 
         def connect(index):
-            conn = sqlite_exec.connect_catalog(db)
+            conn, loaded = sqlite_exec.connect_catalog(db)
+            count = conn.execute("select count(*) from P").fetchone()
             with lock:
-                conns.append(conn)
+                conns.append((conn, loaded, count))
+            sqlite_exec.clear_catalog_cache()
 
         _hammer(connect)
-        assert len({id(conn) for conn in conns}) == 1
-        assert len(sqlite_exec._connections) == 1
-        # The surviving connection works (redundant loaders were closed,
-        # the published one was not).
-        assert conns[0].execute("select count(*) from P").fetchone() == (2,)
+        # Every thread loaded (and queried) a handle of its own.
+        assert len({id(conn) for conn, _, _ in conns}) == THREADS
+        assert all(loaded and count == (2,) for _, loaded, count in conns)
+
+    def test_second_connect_on_a_thread_is_a_warm_hit(self):
         sqlite_exec.clear_catalog_cache()
+        db = self._db()
+        first, loaded_first = sqlite_exec.connect_catalog(db)
+        second, loaded_second = sqlite_exec.connect_catalog(self._db())
+        assert loaded_first and not loaded_second
+        assert second is first
+        sqlite_exec.clear_catalog_cache()
+
+    def test_cached_connection_refuses_other_threads(self):
+        sqlite_exec.clear_catalog_cache()
+        conn, _ = sqlite_exec.connect_catalog(self._db())
+        errors = []
+
+        def borrow():
+            try:
+                conn.execute("select count(*) from P")
+            except sqlite3.ProgrammingError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=borrow, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        # The owning thread still uses it.
+        assert conn.execute("select count(*) from P").fetchone() == (2,)
+        sqlite_exec.clear_catalog_cache()
+
+
+_BUDGET_MS = 300
+#: A recursive runaway, bounded so that on a build where another thread
+#: strips its deadline it still ends in seconds with bounded memory.
+_RUNAWAY = (
+    "{T(x) | ∃p ∈ P[T.x = p.x] ∨ ∃t ∈ T[T.x = t.x + 1 ∧ t.x < 1500000]}"
+)
+_QUICK = "{Q(x) | ∃p ∈ P[Q.x = p.x]}"
+
+
+def _cross_thread_outcome():
+    """Thread A runs the runaway on SQLite with a 300 ms budget while
+    thread B loops a quick query on a second Session over an equal catalog.
+
+    Returns a JSON-able summary of both threads.  Run in a subprocess by
+    the test below: two threads driving one shared connection can deadlock
+    the interpreter (one thread holds the GIL waiting for SQLite's mutex,
+    the other holds the mutex waiting for the GIL in its progress
+    handler), which no in-process timeout could escape.
+    """
+    from repro.api import EvalOptions, Session
+
+    def catalog():
+        db = repro.Database()
+        db.create("P", ("x",), [(7919,)])  # rows no other test loads
+        return db
+
+    options = EvalOptions(backend="sqlite")
+    runaway = Session(catalog(), SQL_CONVENTIONS, options=options).prepare(
+        _RUNAWAY
+    )
+    quick = Session(catalog(), SQL_CONVENTIONS, options=options).prepare(_QUICK)
+    start = threading.Barrier(2)
+    a_done = threading.Event()
+    outcome = {"a_error": None, "b_error": None, "fallbacks": [], "answers": []}
+
+    def thread_a():
+        start.wait()
+        began = time.monotonic()
+        try:
+            runaway.run(timeout_ms=_BUDGET_MS)
+        except Exception as exc:
+            outcome["a_error"] = type(exc).__name__
+        outcome["a_elapsed_ms"] = (time.monotonic() - began) * 1000
+        a_done.set()
+
+    def thread_b():
+        start.wait()
+        stop_at = time.monotonic() + 10
+        try:
+            while time.monotonic() < stop_at and (
+                not a_done.is_set() or len(outcome["answers"]) < 20
+            ):
+                info = quick.run_info(timeout_ms=5000)
+                outcome["fallbacks"].append(info["fallback_reasons"])
+                outcome["answers"].append(
+                    [row["x"] for row in info["result"]]
+                )
+        except Exception as exc:
+            outcome["b_error"] = repr(exc)
+
+    threads = [
+        threading.Thread(target=target, daemon=True)
+        for target in (thread_a, thread_b)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=15)
+    outcome["alive"] = [thread.is_alive() for thread in threads]
+    return outcome
+
+
+class TestCrossThreadDeadline:
+    """A run's deadline lives on its own thread's connection: another
+    thread's runs over an equal catalog can neither clear it nor be
+    interrupted by it."""
+
+    def test_runaway_deadline_holds_beside_a_busy_thread(self):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)
+        )))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import json; from tests.serve.test_thread_safety import "
+            "_cross_thread_outcome; print(json.dumps(_cross_thread_outcome()))"
+        )
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                cwd=root,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join([src, root])},
+                capture_output=True,
+                timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("two threads over equal catalogs deadlocked")
+        assert result.returncode == 0, result.stderr.decode()
+        outcome = json.loads(result.stdout.decode().splitlines()[-1])
+        assert outcome["alive"] == [False, False], outcome
+        assert outcome["a_error"] == "QueryTimeout", outcome
+        assert outcome["a_elapsed_ms"] < 2 * _BUDGET_MS + 500, outcome
+        assert outcome["b_error"] is None, outcome
+        assert outcome["answers"], outcome
+        assert outcome["fallbacks"] == [[]] * len(outcome["answers"]), outcome
+        assert all(answer == [7919] for answer in outcome["answers"]), outcome
 
 
 class TestFailpointsUnderContention:
