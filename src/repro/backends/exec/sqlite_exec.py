@@ -41,7 +41,7 @@ Capability probe
   ZERO empty-aggregate convention;
 * relations without a stored extension (externals, abstract definitions);
 * correlated lateral subqueries that survive the FOI → FIO decorrelation
-  pass (:func:`repro.engine.decorrelate.rewrite_for_sql` — which covers
+  lowering (:func:`repro.backends.sql_render.rewrite_for_sql` — which covers
   equality group-by joins, unnesting, and θ-band derived tables joined
   through the projected band key) *and* cannot be inlined as correlated
   scalar subqueries — each reported with the binding variable and the
@@ -69,29 +69,14 @@ import weakref
 from collections import Counter, OrderedDict
 
 from ...core import nodes as n
-from ...core.scopes import free_variables
 from ...data.relation import Relation, Tuple
 from ...data.values import NULL, Truth, is_null, sort_key
-from ...engine.decorrelate import rewrite_for_sql
 from ...errors import QueryTimeout, RewriteError
 from ...obs import NULL_SPAN
 from ...util import failpoints
-from ..sql_render import scalar_inlinable, to_sql
+from ..sql_render import lateral_bindings, rewrite_for_sql, to_sql
 from .registry import Backend, BackendUnsupported
 
-
-def _correlated_lateral_bindings(prepared):
-    """Correlated lateral bindings the renderer will emit with LATERAL."""
-    for sub in prepared.walk():
-        if not isinstance(sub, n.Quantifier):
-            continue
-        for binding in sub.bindings:
-            if (
-                isinstance(binding.source, n.Collection)
-                and free_variables(binding.source)
-                and scalar_inlinable(sub, binding) is not None
-            ):
-                yield binding
 
 _META_TABLE = "__arc_catalog__"
 _CACHE_LIMIT = 8
@@ -543,7 +528,7 @@ class SqliteBackend(Backend):
             # correlated lateral that is not scalar-inlined needs LATERAL.
             leftover_laterals = [
                 (binding.var, "decorrelation disabled (--no-decorrelate)")
-                for binding in _correlated_lateral_bindings(prepared)
+                for binding in lateral_bindings(prepared)
             ]
         defined = (
             set(prepared.definitions) if isinstance(prepared, n.Program) else set()

@@ -30,12 +30,19 @@ exactly one row per outer row, which is precisely a scalar subquery's
 contract (including ``count`` over an empty group, where the group-by
 rewrite would hit the count bug).  The device is operator-agnostic: an
 eq15-shaped θ correlation (``s.a < r.a``) renders as the same scalar
-subquery with the inequality in its WHERE clause, and the FOI → FIO pass
-(:mod:`repro.engine.decorrelate`) turns non-grouped θ laterals that
-resist unnesting into uncorrelated derived tables joined back through the
-projected band key with the original inequality.  Together these keep
-every equality-, θ-, or aggregate-correlated paper workload executable on
-engines without LATERAL.
+subquery with the inequality in its WHERE clause.
+
+**SQL-level FOI → FIO lowering** (:func:`rewrite_for_sql`, on the
+engine's correlation analysis :func:`repro.engine.decorrelate.analyze`) —
+equality-correlated scopes become plain ``group by`` derived tables joined
+on the key columns (no ``lateral`` keyword, so engines without
+``LATERAL`` — SQLite — execute them natively), non-grouped correlated
+collections are *unnested* into the outer scope
+(:func:`repro.core.rewrites.unnest_lateral`), and non-grouped θ-correlated
+collections that resist unnesting become uncorrelated derived tables
+joined through the *inequality* key.  γ∅ aggregate-only scopes — any
+correlation operator — are left to the scalar-subquery device.
+:func:`lateral_bindings` names what stays lateral when the lowering is off.
 
 The produced text parses back through :mod:`repro.frontends.sql` for the
 non-recursive fragment, enabling round-trip testing, and executes on the
@@ -44,14 +51,21 @@ SQLite offload backend (:mod:`repro.backends.exec.sqlite_exec`).
 
 from __future__ import annotations
 
+import weakref
+
 from ..core import nodes as n
+from ..core.rewrites import unnest_lateral
 from ..core.scopes import (
     free_variables,
+    orient_aggregate,
     scalar_subquery_shape,
     shadows_binding,
     split_scope,
+    substitute,
 )
 from ..data.values import is_null
+from ..engine.decorrelate import analyze
+from ..engine.joins import ConditionAssignment, annotation_vars
 from ..errors import RewriteError
 
 
@@ -71,21 +85,135 @@ def scalar_inlinable(quant, binding):
     """Why the renderer will NOT inline *binding* as scalar subqueries.
 
     Returns None when it will.  This is the renderer's own decision
-    procedure, shared with the SQLite capability probe
-    (:mod:`repro.engine.decorrelate`) so the probe never promises native
-    execution for a shape the renderer still emits as LATERAL.
+    procedure, shared with the SQL lowering below, so the SQLite capability
+    probe never promises native execution for a shape the renderer still
+    emits as LATERAL.
     """
     reason = scalar_subquery_shape(binding.source)
     if reason is not None:
         return reason
     if shadows_binding(quant, binding):
         return f"the variable {binding.var!r} is rebound in the scope"
-    if quant.join is not None:
-        from ..engine.joins import annotation_vars
-
-        if binding.var in annotation_vars(quant.join):
-            return "the binding is an operand of a join annotation"
+    if quant.join is not None and binding.var in annotation_vars(quant.join):
+        return "the binding is an operand of a join annotation"
     return None
+
+
+def _correlated(binding):
+    source = binding.source
+    return isinstance(source, n.Collection) and free_variables(source)
+
+
+def lateral_bindings(node):
+    """Correlated bindings of *node* that render with ``LATERAL`` when the
+    lowering is off (:func:`rewrite_for_sql` reports them when it is on)."""
+    for sub in node.walk():
+        if isinstance(sub, n.Quantifier):
+            for binding in sub.bindings:
+                if (
+                    _correlated(binding)
+                    and scalar_inlinable(sub, binding) is not None
+                ):
+                    yield binding
+
+
+# ---------------------------------------------------------------------------
+# FOI → FIO lowering (bag semantics; used by the SQLite backend)
+# ---------------------------------------------------------------------------
+
+_SQL_REWRITES = weakref.WeakKeyDictionary()
+
+
+def rewrite_for_sql(node):
+    """Decorrelate *node* for SQL rendering; ``(rewritten, leftovers)``.
+
+    Sound under bag semantics, the only conventions the SQLite backend
+    accepts.  γ∅ scopes are never group-by-rewritten (the count bug: an
+    empty group must still emit a row).  *leftovers* lists ``(var,
+    reason)`` for bindings that remain correlated and will need the
+    ``lateral`` keyword — the backend's capability probe turns each into a
+    specific fallback message.
+    """
+    cached = _SQL_REWRITES.get(node)
+    if cached is None:
+        leftovers = []
+        rewritten = n.transform(node, lambda sub: _fix_quantifier(sub, leftovers))
+        cached = (rewritten, tuple(leftovers))
+        _SQL_REWRITES[node] = cached
+    return cached
+
+
+def _fio_join_conjuncts(spec, var):
+    """Key-join conjuncts tying the FIO derived table back to the outer row."""
+    extra = [
+        n.Comparison(n.Attr(var, ck), "=", n.clone(outer))
+        for ck, outer in zip(spec.key_attrs, spec.outer_exprs)
+    ]
+    if spec.strategy == "band":
+        extra.append(
+            n.Comparison(
+                n.Attr(var, spec.band_attr),
+                spec.band_op,
+                n.clone(spec.band_outer_expr),
+            )
+        )
+    return extra
+
+
+def _fix_quantifier(node, leftovers):
+    if not isinstance(node, n.Quantifier):
+        return node
+    extra = []  # join conjuncts added by FIO rewrites
+    substitutions = {}  # (var, attr) -> replacement expr, from unnesting
+    spliced = False
+    out = []
+    for binding in node.bindings:
+        if not _correlated(binding):
+            out.append(binding)
+            continue
+        spec = analyze(binding.source)
+        fio = spec.reason is None and not spec.empty_group
+        if fio and spec.strategy == "eq":
+            # FIO: uncorrelated grouped derived table + key-equality join.
+            out.append(n.Binding(binding.var, n.clone(spec.rewritten)))
+            extra.extend(_fio_join_conjuncts(spec, binding.var))
+            continue
+        unnested = unnest_lateral(node, binding)
+        if unnested is not None:
+            inner_bindings, moved, mapping = unnested
+            out.extend(inner_bindings)
+            extra.extend(moved)
+            substitutions.update(mapping)
+            spliced = True
+            continue
+        scalar_reason = scalar_inlinable(node, binding)
+        if scalar_reason is None:
+            out.append(binding)  # the renderer inlines it as scalar subqueries
+            continue
+        if fio:
+            # Band FIO: uncorrelated derived table carrying the band key,
+            # joined back through the original inequality — no LATERAL.
+            out.append(n.Binding(binding.var, n.clone(spec.rewritten)))
+            extra.extend(_fio_join_conjuncts(spec, binding.var))
+            continue
+        fio_reason = spec.reason or (
+            "γ∅ scope must emit a row even over an empty group (the count "
+            "bug forbids a group-by rewrite)"
+        )
+        leftovers.append(
+            (
+                binding.var,
+                f"cannot decorrelate ({fio_reason}) nor inline as a scalar "
+                f"subquery ({scalar_reason})",
+            )
+        )
+        out.append(binding)
+    if not extra and not spliced:
+        return node
+    body = n.make_and(n.conjuncts(node.body) + extra)
+    return substitute(
+        n.Quantifier(out, body, node.grouping, node.join), attrs=substitutions
+    )
 
 
 class _SqlRenderer:
@@ -229,13 +357,12 @@ class _SqlRenderer:
         saved = self._scalar
         try:
             for binding in quant.bindings:
-                source = binding.source
-                if not isinstance(source, n.Collection) or not free_variables(
-                    source
+                if (
+                    not _correlated(binding)
+                    or scalar_inlinable(quant, binding) is not None
                 ):
                     continue
-                if scalar_inlinable(quant, binding) is not None:
-                    continue
+                source = binding.source
                 self._scalar = {**saved, **substitutions}
                 for attr in source.head.attrs:
                     substitutions[(binding.var, attr)] = (
@@ -280,8 +407,6 @@ class _SqlRenderer:
                 self._render_binding(b) for b in quant.bindings if id(b) not in skip
             ]
             return ",\n     ".join(items), consumed
-
-        from ..engine.joins import ConditionAssignment, annotation_vars
 
         row_formulas = [
             c
@@ -412,7 +537,7 @@ class _SqlRenderer:
             # γ∅ + single aggregation comparison: correlated scalar subquery
             # (Fig. 21a / Fig. 9 pattern).
             predicate = agg_comparisons[0]
-            agg_side, other_side, op = self._orient_aggregate(predicate)
+            agg_side, other_side, op = orient_aggregate(predicate)
             sub = f"select {self._render_expr(agg_side)}"
             if from_sql:
                 sub += f"\nfrom {from_sql}"
@@ -458,15 +583,6 @@ class _SqlRenderer:
             # γ∅ scalar-subquery shape: a bare comparison.
             return f"select not ({text})" if negated else f"select {text}"
         raise RewriteError("sentence body must be a (negated) quantifier")
-
-    @staticmethod
-    def _orient_aggregate(predicate):
-        """Return (aggregate-side, other-side, op-with-other-on-left)."""
-        flip = {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        left_has = any(isinstance(x, n.AggCall) for x in predicate.left.walk())
-        if left_has:
-            return predicate.left, predicate.right, flip[predicate.op]
-        return predicate.right, predicate.left, predicate.op
 
     # -- expressions ----------------------------------------------------------------------
 

@@ -5,7 +5,12 @@ discusses, together with its applicability conditions:
 
 * :func:`unnest` — merge a nested quantifier into its parent scope.  Valid
   under set semantics; **refused under bag semantics** because unnesting
-  multiplies output multiplicities (Section 2.7).
+  multiplies output multiplicities (Section 2.7).  Inner variables that
+  clash with names of the parent scope are renamed; a scope whose renaming
+  a further nested scope could capture stays nested.
+* :func:`unnest_lateral` — the same unnesting applied to a non-grouped
+  lateral binding, which is sound under bag semantics too; the SQL
+  lowering (:func:`repro.backends.sql_render.rewrite_for_sql`) uses it.
 * :func:`nest_existential` — the inverse: push bindings into a nested
   existential scope (semijoin form).
 * :func:`not_in_to_not_exists` — replicate SQL's three-valued NOT IN
@@ -15,13 +20,24 @@ discusses, together with its applicability conditions:
   projected attributes (Section 2.7).
 * :func:`decorrelate_scalar` — the **correct** decorrelation of a
   correlated scalar-aggregate test (count-bug version 1) into the lateral
-  left-join + grouping form (version 3, eq. (29)).
+  left-join + grouping form (version 3, eq. (29)).  It applies when the
+  γ∅ scope holds exactly one aggregate comparison (any operator, the
+  aggregate on either side) and correlates only through equalities
+  between inner and outer expressions over **one** outer relation; each
+  equality becomes a key column of the derived table.  A θ correlation
+  or keys from two outer relations raise :class:`RewriteError`.  The
+  correlated outer attributes must be a key of that relation: eq. (29)
+  left-joins a copy of it, so duplicate outer keys multiply the inner
+  group.
 * :func:`decorrelate_scalar_naive` — the **incorrect** textbook rewrite
   (version 2, eq. (28)); kept as a counterexample generator for the count
-  bug (Section 3.2).
+  bug (Section 3.2).  Same applicability conditions.
 * :func:`inline_abstract` — replace bindings to an abstract relation by the
   substituted definition body (Section 2.13.2), the inverse of
   modularization.
+
+Fresh names (derived tables, copies of the outer relation, renamed inner
+variables) never clash with a name the query already uses.
 """
 
 from __future__ import annotations
@@ -31,6 +47,15 @@ from itertools import count as _counter
 from ..errors import RewriteError
 from . import nodes as n
 from .conventions import SET_CONVENTIONS
+from .scopes import (
+    assignment_of,
+    fresh_name,
+    names_in,
+    orient_aggregate,
+    renames_apart,
+    shadows_binding,
+    substitute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +94,14 @@ def _unnest_once(formula):
                 and formula.grouping is None
                 and formula.join is None
             ):
-                merged_bindings = formula.bindings + conjunct.bindings
+                renames = renames_apart(formula, conjunct, skip=conjunct)
+                if renames is None:
+                    continue  # a nested scope could capture the rename
+                inner = substitute(conjunct, renames)
                 rest = conjuncts[:index] + conjuncts[index + 1 :]
-                merged_body = n.make_and(rest + n.conjuncts(conjunct.body))
+                merged_body = n.make_and(rest + n.conjuncts(inner.body))
                 return (
-                    n.Quantifier(merged_bindings, merged_body),
+                    n.Quantifier(formula.bindings + inner.bindings, merged_body),
                     True,
                 )
         new_body, changed = _unnest_once(formula.body)
@@ -93,6 +121,64 @@ def _unnest_once(formula):
         new_child, changed = _unnest_once(formula.child)
         return n.Not(new_child), changed
     return formula, False
+
+
+def unnest_lateral(quant, binding):
+    """Unnest the non-grouped lateral *binding* of scope *quant*.
+
+    The paper's unnesting (Section 2.7) applied to a binding instead of an
+    existential conjunct.  Returns ``(inner bindings, moved row formulas,
+    {(var, attr): expr})`` — what replaces *binding* in *quant*, and the
+    head assignments that replace its ``var.attr`` references — or None
+    when the shape is unsafe.  Sound under bag semantics, unlike
+    :func:`unnest`: a non-grouped collection emits one head tuple per
+    satisfying inner combination, so binding the inner rows directly
+    preserves multiplicities for *any* correlation predicate.
+    """
+    source = binding.source
+    body = source.body
+    if (
+        not isinstance(body, n.Quantifier)
+        or body.grouping is not None
+        or body.join is not None
+        or not all(isinstance(b.source, n.RelationRef) for b in body.bindings)
+        or shadows_binding(quant, binding)
+    ):
+        return None
+    if quant.join is not None and any(
+        isinstance(sub, n.JoinVar) and sub.var == binding.var
+        for sub in quant.join.walk()
+    ):
+        return None
+    head = source.head
+    assignments = {}
+    row_formulas = []
+    for conjunct in n.conjuncts(body.body):
+        comparison = isinstance(conjunct, n.Comparison)
+        if comparison and conjunct.has_aggregate():
+            return None
+        target = assignment_of(conjunct, head) if comparison else None
+        if target is not None and head.name not in n.vars_used(target[1]):
+            if target[0] in assignments:
+                return None  # duplicate head assignment: keep the lateral
+            assignments[target[0]] = target[1]
+        elif head.name in n.vars_used(conjunct):
+            return None
+        else:
+            row_formulas.append(conjunct)
+    if set(head.attrs) - set(assignments):
+        return None
+    renames = renames_apart(quant, body, skip=source)
+    if renames is None:
+        return None
+    return (
+        [substitute(b, renames) for b in body.bindings],
+        [substitute(f, renames) for f in row_formulas],
+        {
+            (binding.var, attr): substitute(expr, renames)
+            for attr, expr in assignments.items()
+        },
+    )
 
 
 def nest_existential(collection, inner_vars):
@@ -174,20 +260,12 @@ def distinct_as_grouping(collection):
     if body.grouping is not None:
         return collection
     head = collection.head
-    keys = []
-    for conjunct in n.conjuncts(body.body):
-        if isinstance(conjunct, n.Comparison) and conjunct.op == "=":
-            for side, other in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if (
-                    isinstance(side, n.Attr)
-                    and side.var == head.name
-                    and side.attr in head.attrs
-                ):
-                    keys.append(n.clone(other))
-                    break
+    targets = [
+        assignment_of(c, head)
+        for c in n.conjuncts(body.body)
+        if isinstance(c, n.Comparison)
+    ]
+    keys = [n.clone(expr) for _, expr in filter(None, targets)]
     if len(keys) != len(head.attrs):
         raise RewriteError("not every head attribute has a plain assignment")
     return n.Collection(
@@ -201,181 +279,148 @@ def distinct_as_grouping(collection):
 # ---------------------------------------------------------------------------
 
 
-def _match_correlated_scalar(collection):
-    """Match the count-bug version-1 shape:
-
-    ``{Q(...) | ∃r∈R[assignments ∧ ∃s∈S, γ∅[corr ∧ outer_attr op agg(s.x)]]}``
-
-    Returns (outer quantifier, inner quantifier, aggregate predicate) or None.
-    """
-    body = collection.body
-    if not isinstance(body, n.Quantifier) or body.grouping is not None:
-        return None
-    for conjunct in n.conjuncts(body.body):
-        if (
-            isinstance(conjunct, n.Quantifier)
-            and conjunct.grouping is not None
-            and not conjunct.grouping.keys
-        ):
-            agg_predicates = [
-                c
-                for c in n.conjuncts(conjunct.body)
-                if isinstance(c, n.Comparison) and c.has_aggregate()
-            ]
-            if len(agg_predicates) == 1:
-                return body, conjunct, agg_predicates[0]
-    return None
-
-
 def decorrelate_scalar_naive(collection):
     """The **incorrect** decorrelation (count-bug version 2, eq. (28)).
 
     Replaces the correlated γ∅ test with a join against an aggregate
-    grouped on the correlation attribute.  Loses outer tuples whose group
-    is empty — on R(9,0) with S=∅ the result drops from {9} to {}.
+    grouped on the correlation key.  Loses outer tuples whose group is
+    empty — on R(9,0) with S=∅ the result drops from {9} to {}.
     """
-    match = _match_correlated_scalar(collection)
-    if match is None:
-        raise RewriteError("query does not have the correlated-scalar shape")
-    outer, inner, agg_predicate = match
-    correlation = _correlation_predicate(outer, inner)
-    inner_var = inner.bindings[0].var
-    corr_attr = _attr_of_var(correlation, inner_var)
-    outer_attr = _attr_of_var(correlation, None, exclude=inner_var)
-
-    derived_name = "X"
-    agg_expr, outer_side, op = _split_aggregate_predicate(agg_predicate)
-    derived = n.Collection(
-        n.Head(derived_name, ("key", "ct")),
-        n.Quantifier(
-            [n.clone(b) for b in inner.bindings],
-            n.make_and(
-                [
-                    n.Comparison(n.Attr(derived_name, "key"), "=", n.clone(corr_attr)),
-                    n.Comparison(n.Attr(derived_name, "ct"), "=", n.clone(agg_expr)),
-                ]
-                + [
-                    n.clone(c)
-                    for c in n.conjuncts(inner.body)
-                    if c is not correlation and not (isinstance(c, n.Comparison) and c.has_aggregate())
-                ]
-            ),
-            n.Grouping((n.clone(corr_attr),)),
-        ),
-    )
-    new_var = "x_"
-    rest = [
-        n.clone(c)
-        for c in n.conjuncts(outer.body)
-        if c is not inner
-    ]
-    new_body = n.Quantifier(
-        [n.clone(b) for b in outer.bindings] + [n.Binding(new_var, derived)],
-        n.make_and(
-            rest
-            + [
-                n.Comparison(n.clone(outer_attr), "=", n.Attr(new_var, "key")),
-                n.Comparison(n.clone(outer_side), op, n.Attr(new_var, "ct")),
-            ]
-        ),
-    )
-    return n.Collection(n.Head(collection.head.name, collection.head.attrs), new_body)
+    return _decorrelate_scalar(collection, left_join=False)
 
 
 def decorrelate_scalar(collection):
     """The **correct** decorrelation (count-bug version 3, eq. (29)):
     a derived table built by a left join of the outer relation against the
     inner one, grouped on the outer key, so empty groups survive."""
-    match = _match_correlated_scalar(collection)
-    if match is None:
-        raise RewriteError("query does not have the correlated-scalar shape")
-    outer, inner, agg_predicate = match
-    correlation = _correlation_predicate(outer, inner)
-    inner_var = inner.bindings[0].var
-    corr_attr = _attr_of_var(correlation, inner_var)
-    outer_attr = _attr_of_var(correlation, None, exclude=inner_var)
+    return _decorrelate_scalar(collection, left_join=True)
 
-    outer_binding = next(
-        b for b in outer.bindings if b.var == outer_attr.var
-    )
-    fresh_outer = f"{outer_binding.var}2"
-    derived_name = "X"
-    agg_expr, outer_side, op = _split_aggregate_predicate(agg_predicate)
-    rekeyed_corr = n.Comparison(
-        n.Attr(fresh_outer, outer_attr.attr), "=", n.clone(corr_attr)
-    )
+
+def _decorrelate_scalar(collection, *, left_join):
+    """Build version 2 or 3 from the count-bug version-1 shape
+
+    ``{Q(...) | ∃r∈R[... ∧ ∃s∈S, γ∅[keys ∧ filters ∧ r.q op agg(s.x)]]}``.
+    """
+    body = collection.body
+    inner = None
+    if isinstance(body, n.Quantifier) and body.grouping is None and body.join is None:
+        inner = next(
+            (
+                c
+                for c in n.conjuncts(body.body)
+                if isinstance(c, n.Quantifier)
+                and c.join is None
+                and c.grouping is not None
+                and not c.grouping.keys
+                and sum(
+                    isinstance(f, n.Comparison) and f.has_aggregate()
+                    for f in n.conjuncts(c.body)
+                )
+                == 1
+            ),
+            None,
+        )
+    if inner is None:
+        raise RewriteError("query does not have the correlated-scalar shape")
+    outer_vars = {b.var for b in body.bindings}
+    inner_vars = {b.var for b in inner.bindings}
+    keys = []  # (predicate, inner side, outer side)
+    filters = []
+    for conjunct in n.conjuncts(inner.body):
+        if isinstance(conjunct, n.Comparison) and conjunct.has_aggregate():
+            agg_expr, other, op = orient_aggregate(conjunct)
+        elif n.vars_used(conjunct) & outer_vars:
+            keys.append((conjunct, *_correlation_key(conjunct, inner_vars, outer_vars)))
+        else:
+            filters.append(conjunct)
+    if not keys:
+        raise RewriteError("no equality correlation predicate found")
+    sources = set().union(*(n.vars_used(outer) for _, _, outer in keys))
+    if len(sources) != 1:
+        raise RewriteError(
+            f"correlation keys come from more than one outer relation {sorted(sources)}"
+        )
+    if n.vars_used(agg_expr) & outer_vars or n.vars_used(other) & inner_vars:
+        raise RewriteError("the aggregate comparison mixes inner and outer operands")
+
+    taken = names_in(collection)
+    derived_name = fresh_name("X", taken)
+    new_var = fresh_name("x", taken)
+    columns = set()
+    key_attrs = [
+        fresh_name(outer.attr if isinstance(outer, n.Attr) else "key", columns)
+        for _, _, outer in keys
+    ]
+    ct = fresh_name("ct", columns)
+    bindings = [n.clone(b) for b in inner.bindings]
+    if left_join:
+        # eq. (29): a fresh copy of the outer relation, left-joined against
+        # the inner bindings, carries every outer key into the grouping.
+        (outer_var,) = sources
+        copy = fresh_name(outer_var, taken)
+        renames = {outer_var: copy}
+        source = next(b.source for b in body.bindings if b.var == outer_var)
+        bindings.append(n.Binding(copy, n.clone(source)))
+        group_keys = [substitute(outer, renames) for _, _, outer in keys]
+        correlations = [substitute(c, renames) for c, _, _ in keys]
+        right = [n.JoinVar(b.var) for b in inner.bindings]
+        join = n.Join(
+            "left",
+            [n.JoinVar(copy), right[0] if len(right) == 1 else n.Join("inner", right)],
+        )
+    else:
+        group_keys = [inner_side for _, inner_side, _ in keys]
+        correlations = []
+        join = None
     derived = n.Collection(
-        n.Head(derived_name, ("key", "ct")),
+        n.Head(derived_name, (*key_attrs, ct)),
         n.Quantifier(
-            [n.clone(b) for b in inner.bindings]
-            + [n.Binding(fresh_outer, n.clone(outer_binding.source))],
+            bindings,
             n.make_and(
                 [
-                    n.Comparison(
-                        n.Attr(derived_name, "key"),
-                        "=",
-                        n.Attr(fresh_outer, outer_attr.attr),
-                    ),
-                    n.Comparison(n.Attr(derived_name, "ct"), "=", n.clone(agg_expr)),
-                    rekeyed_corr,
+                    n.Comparison(n.Attr(derived_name, attr), "=", n.clone(key))
+                    for attr, key in zip(key_attrs, group_keys)
                 ]
+                + [n.Comparison(n.Attr(derived_name, ct), "=", n.clone(agg_expr))]
+                + correlations
+                + [n.clone(f) for f in filters]
+            ),
+            n.Grouping(tuple(n.clone(key) for key in group_keys)),
+            join,
+        ),
+    )
+    rest = [n.clone(c) for c in n.conjuncts(body.body) if c is not inner]
+    return n.Collection(
+        n.Head(collection.head.name, collection.head.attrs),
+        n.Quantifier(
+            [n.clone(b) for b in body.bindings] + [n.Binding(new_var, derived)],
+            n.make_and(
+                rest
                 + [
-                    n.clone(c)
-                    for c in n.conjuncts(inner.body)
-                    if c is not correlation
-                    and not (isinstance(c, n.Comparison) and c.has_aggregate())
+                    n.Comparison(n.clone(outer), "=", n.Attr(new_var, attr))
+                    for attr, (_, _, outer) in zip(key_attrs, keys)
                 ]
-            ),
-            n.Grouping((n.Attr(fresh_outer, outer_attr.attr),)),
-            n.Join(
-                "left",
-                [n.JoinVar(fresh_outer), n.JoinVar(inner_var)],
+                + [n.Comparison(n.clone(other), op, n.Attr(new_var, ct))]
             ),
         ),
     )
-    new_var = "x_"
-    rest = [n.clone(c) for c in n.conjuncts(outer.body) if c is not inner]
-    new_body = n.Quantifier(
-        [n.clone(b) for b in outer.bindings] + [n.Binding(new_var, derived)],
-        n.make_and(
-            rest
-            + [
-                n.Comparison(n.clone(outer_attr), "=", n.Attr(new_var, "key")),
-                n.Comparison(n.clone(outer_side), op, n.Attr(new_var, "ct")),
-            ]
-        ),
+
+
+def _correlation_key(predicate, inner_vars, outer_vars):
+    """``(inner side, outer side)`` of an equality correlation predicate."""
+    if isinstance(predicate, n.Comparison) and predicate.op == "=":
+        for inner_side, outer_side in (
+            (predicate.left, predicate.right),
+            (predicate.right, predicate.left),
+        ):
+            inner_used = n.vars_used(inner_side)
+            outer_used = n.vars_used(outer_side)
+            if inner_used and inner_used <= inner_vars and outer_used and outer_used <= outer_vars:
+                return inner_side, outer_side
+    raise RewriteError(
+        "only equalities between an inner and an outer expression correlate "
+        "a decorrelatable scalar test"
     )
-    return n.Collection(n.Head(collection.head.name, collection.head.attrs), new_body)
-
-
-def _correlation_predicate(outer, inner):
-    outer_vars = {b.var for b in outer.bindings}
-    inner_vars = {b.var for b in inner.bindings}
-    for conjunct in n.conjuncts(inner.body):
-        if isinstance(conjunct, n.Comparison) and not conjunct.has_aggregate():
-            used = n.vars_used(conjunct)
-            if used & outer_vars and used & inner_vars and conjunct.op == "=":
-                return conjunct
-    raise RewriteError("no equality correlation predicate found")
-
-
-def _attr_of_var(predicate, var, exclude=None):
-    for side in (predicate.left, predicate.right):
-        if isinstance(side, n.Attr):
-            if var is not None and side.var == var:
-                return side
-            if var is None and side.var != exclude:
-                return side
-    raise RewriteError("correlation predicate is not attribute-to-attribute")
-
-
-def _split_aggregate_predicate(predicate):
-    """Return (aggregate side, outer side, op oriented as outer-op-agg)."""
-    flip = {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-    left_has = any(isinstance(x, n.AggCall) for x in predicate.left.walk())
-    if left_has:
-        return predicate.left, predicate.right, predicate.op
-    return predicate.right, predicate.left, flip[predicate.op]
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +514,15 @@ def inline_abstract(program):
 def _substitute_definition(definition, substitution, counter):
     """Instantiate an abstract definition body: head attrs replaced by the
     equated expressions, range variables freshened."""
-    body = n.clone(definition.body)
     suffix = f"_i{next(counter)}"
-    bound = [
-        node.var for node in body.walk() if isinstance(node, n.Binding)
-    ]
-    renaming = {var: f"{var}{suffix}" for var in bound}
-
-    def rename(node):
-        if isinstance(node, n.Binding):
-            return n.Binding(renaming[node.var], node.source)
-        if isinstance(node, n.Attr):
-            if node.var == definition.head.name:
-                replacement = substitution.get(node.attr)
-                if replacement is None:
-                    raise RewriteError(
-                        f"no substitution for {node.var}.{node.attr}"
-                    )
-                return n.clone(replacement)
-            if node.var in renaming:
-                return n.Attr(renaming[node.var], node.attr)
-        return node
-
-    return n.transform(body, rename)
+    renames = {
+        sub.var: f"{sub.var}{suffix}"
+        for sub in definition.body.walk()
+        if isinstance(sub, n.Binding)
+    }
+    head = definition.head.name
+    return substitute(
+        definition.body,
+        renames,
+        {(head, attr): expr for attr, expr in substitution.items()},
+    )

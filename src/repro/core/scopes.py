@@ -13,7 +13,12 @@ backends' capability probes — without committing to any one of them:
   comparisons, row formulas) that both rendering and evaluation share;
 * :func:`scalar_subquery_shape` — whether a nested γ∅ collection has the
   one-row-per-outer-environment contract of a scalar subquery (the paper's
-  Fig. 5a/13a device).
+  Fig. 5a/13a device);
+* :func:`orient_aggregate` — an aggregate comparison read as
+  ``other OP aggregate`` (:data:`FLIP` turns an operator around);
+* :func:`fresh_name`, :func:`names_in`, :func:`renames_apart` and
+  :func:`substitute` — the variable hygiene every rewrite that moves a
+  scope's bindings into another scope needs (unnesting, decorrelation).
 
 They lived in :mod:`repro.backends.sql_render` historically; they are in
 ``core`` because the *engine* needs them too (the decorrelation pass), and
@@ -23,6 +28,9 @@ the engine must not depend on a rendering backend.
 from __future__ import annotations
 
 from . import nodes as n
+
+#: Operator flip: ``a OP b`` holds exactly when ``b FLIP[OP] a`` does.
+FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>", "!=": "!="}
 
 
 def free_variables(node):
@@ -168,3 +176,89 @@ def shadows_binding(quant, binding):
         return any(scan(child) for child in node.children())
 
     return any(scan(child) for child in quant.children())
+
+
+def orient_aggregate(predicate):
+    """``(aggregate side, other side, op)``: *predicate* as ``other OP agg``."""
+    if any(isinstance(sub, n.AggCall) for sub in predicate.left.walk()):
+        return predicate.left, predicate.right, FLIP[predicate.op]
+    return predicate.right, predicate.left, predicate.op
+
+
+def fresh_name(stem, taken):
+    """The first of ``stem``, ``stem2``, ``stem3``, ... not in *taken*.
+
+    The name is added to *taken*, so successive calls stay distinct.
+    """
+    name, suffix = stem, 2
+    while name in taken:
+        name, suffix = f"{stem}{suffix}", suffix + 1
+    taken.add(name)
+    return name
+
+
+def names_in(node, skip=None):
+    """Every variable name bound (bindings, collection heads) or referenced
+    (``var.attr``) in *node*, outside the *skip* subtree."""
+    names = set()
+
+    def scan(sub):
+        if sub is skip:
+            return
+        if isinstance(sub, (n.Attr, n.Binding)):
+            names.add(sub.var)
+        elif isinstance(sub, n.Collection):
+            names.add(sub.head.name)
+        for child in sub.children():
+            scan(child)
+
+    scan(node)
+    return names
+
+
+def renames_apart(outer, inner, skip=None):
+    """Fresh names for *inner*'s bindings that clash with names in *outer*.
+
+    *inner* is a quantifier scope whose bindings are about to join *outer*
+    (*skip* is the subtree of *outer* it comes from).  Returns the renaming
+    ``{var: fresh var}`` — empty when nothing clashes — or None when a
+    scope nested in *inner* could rebind a renamed variable (capture).
+    """
+    taken = names_in(outer, skip)
+    clashes = [b.var for b in inner.bindings if b.var in taken]
+    if not clashes:
+        return {}
+    if any(
+        isinstance(sub, (n.Quantifier, n.Collection))
+        for child in inner.children()
+        for sub in child.walk()
+    ):
+        return None
+    taken |= names_in(inner)
+    return {var: fresh_name(var, taken) for var in clashes}
+
+
+def substitute(node, renames=None, attrs=None):
+    """A copy of *node* with variables renamed and attributes replaced.
+
+    *renames* maps variable names to new ones (bindings, join-annotation
+    leaves and ``var.attr`` references); *attrs* maps ``(var, attr)`` to
+    an expression that replaces that reference (copied at each use).
+    """
+    renames = renames or {}
+    attrs = attrs or {}
+
+    def swap(sub):
+        if isinstance(sub, n.Attr):
+            replacement = attrs.get((sub.var, sub.attr))
+            if replacement is not None:
+                return n.clone(replacement)
+            if sub.var in renames:
+                return n.Attr(renames[sub.var], sub.attr)
+        elif isinstance(sub, n.Binding) and sub.var in renames:
+            return n.Binding(renames[sub.var], sub.source)
+        elif isinstance(sub, n.JoinVar) and sub.var in renames:
+            return n.JoinVar(renames[sub.var])
+        return sub
+
+    return n.transform(node, swap)

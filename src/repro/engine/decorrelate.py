@@ -6,7 +6,8 @@ nests a correlated collection inside the outer scope (Fig. 5b/13b), while
 **FIO** — "compute the inner aggregates first, then join" — groups the inner
 relation once and joins on the correlation key (Fig. 4a/21b).  The reference
 strategy evaluates FOI literally: the nested collection is re-evaluated per
-outer row.  This module rewrites FOI plans into FIO at two levels:
+outer row.  This module rewrites FOI plans into FIO (the SQL lowering in
+:mod:`repro.backends.sql_render` reuses its specs):
 
 * **Plan level** (:func:`plan_for` + :meth:`CorrelationSpec.materialize`) —
   a lateral binding's inner scope is rewritten into an uncorrelated
@@ -30,17 +31,6 @@ outer row.  This module rewrites FOI plans into FIO at two levels:
   survive across evaluations and are dropped the moment any inner relation
   mutates.  ``EvalOptions(decorrelate=False)`` / ``--no-decorrelate``
   disables the pass, keeping the per-row strategy as the oracle.
-
-* **SQL level** (:func:`rewrite_for_sql`) — equality-correlated scopes are
-  rewritten into plain ``group by`` derived tables joined on the key
-  columns (dropping the ``lateral`` keyword, so engines without ``LATERAL``
-  — SQLite — execute them natively), non-grouped correlated collections are
-  *unnested* into the outer scope, and non-grouped θ-correlated collections
-  that resist unnesting become uncorrelated derived tables joined through
-  the *inequality* key (the band shape's native SQL rendering).  γ∅
-  aggregate-only scopes — any correlation operator, including θ — are left
-  to the renderer's correlated-scalar-subquery device
-  (:func:`repro.core.scopes.scalar_subquery_shape`).
 
 Two further refinements close the remaining per-row tails:
 
@@ -89,9 +79,10 @@ from bisect import bisect_left, bisect_right
 
 from ..core import nodes as n
 from ..core.scopes import (
+    FLIP,
     assignment_of,
     free_variables,
-    shadows_binding,
+    fresh_name,
     split_scope,
 )
 from ..data.relation import Relation, Tuple
@@ -103,9 +94,6 @@ from . import aggregates as agg_lib
 #: θ operators a band index can probe, normalized as *inner OP outer*.
 BAND_OPS = ("<", "<=", ">", ">=")
 
-#: Orientation flip: ``outer OP inner`` rewritten as ``inner OP' outer``.
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>", "!=": "!="}
-
 #: Aggregates a prefix array can fold exactly (no ``*distinct`` variants).
 _BAND_AGGS = frozenset(["sum", "count", "avg", "min", "max"])
 
@@ -113,15 +101,6 @@ _BAND_AGGS = frozenset(["sum", "count", "avg", "min", "max"])
 #: kinds, or a build-time evaluation failure on rows the per-row strategy
 #: never reaches); cached so repeated executes do not retry the build.
 _BUILD_UNSUPPORTED = object()
-
-
-def _scalar_inlinable(quant, binding):
-    # The renderer's own inlining decision (it depends on how sql_render
-    # emits scalar subqueries); imported lazily because it is only needed
-    # on the SQL-rewrite path, which only the SQLite backend exercises.
-    from ..backends.sql_render import scalar_inlinable
-
-    return scalar_inlinable(quant, binding)
 
 
 def _expr_text(expr):
@@ -750,7 +729,7 @@ def _analyze(collection):
             orientations.append(left_inner)
             continue
         # θ candidate: normalize the operator to *inner OP outer*.
-        op = conjunct.op if left_inner else _FLIP[conjunct.op]
+        op = conjunct.op if left_inner else FLIP[conjunct.op]
         label = f"{op} on {_expr_text(pair[0])}"
         if op not in BAND_OPS:
             return CorrelationSpec(
@@ -793,16 +772,8 @@ def _analyze(collection):
 
     # Fresh key attributes (avoiding the head's own names).
     taken = set(head.attrs)
-    key_attrs = []
-    counter = 0
     wanted = len(pairs) + (1 if band is not None and not spec.empty_group else 0)
-    for _ in range(wanted):
-        while f"_ck{counter}" in taken:
-            counter += 1
-        name = f"_ck{counter}"
-        taken.add(name)
-        key_attrs.append(name)
-        counter += 1
+    key_attrs = [fresh_name(f"_ck{i}", taken) for i in range(wanted)]
     if band is not None and not spec.empty_group:
         spec.band_attr = key_attrs.pop()
     spec.key_attrs = tuple(key_attrs)
@@ -909,272 +880,3 @@ def probe_binding(evaluator, binding):
     if not isinstance(binding.source, n.Collection):
         return None, "binding ranges over a stored relation (nothing to decorrelate)"
     return plan_for(evaluator, binding.source)
-
-
-# ---------------------------------------------------------------------------
-# SQL-level rewrite (bag semantics; used by the SQLite backend)
-# ---------------------------------------------------------------------------
-
-_SQL_REWRITES = weakref.WeakKeyDictionary()
-
-
-def rewrite_for_sql(node):
-    """Decorrelate *node* for SQL rendering; ``(rewritten, leftovers)``.
-
-    Sound under bag semantics (the only conventions the SQLite backend
-    accepts): equality-correlated grouped/non-grouped laterals become plain
-    ``group by`` derived tables joined on the projected key columns,
-    non-grouped correlated collections are unnested into the outer scope,
-    and non-grouped θ-correlated collections that resist unnesting become
-    uncorrelated derived tables joined through the projected band key with
-    the original inequality (the band shape's native rendering).  γ∅ scopes
-    are never group-by-rewritten (the count bug: an empty group must still
-    emit a row); the aggregate-only ones — including θ-correlated bands —
-    render as correlated scalar subqueries instead, which SQLite executes
-    natively.
-
-    *leftovers* lists ``(var, reason)`` for bindings that remain correlated
-    and will need the ``lateral`` keyword — the backend's capability probe
-    turns each into a specific fallback message.
-    """
-    cached = _SQL_REWRITES.get(node)
-    if cached is None:
-        leftovers = []
-        rewritten = n.transform(node, lambda sub: _fix_quantifier(sub, leftovers))
-        cached = (rewritten, tuple(leftovers))
-        _SQL_REWRITES[node] = cached
-    return cached
-
-
-def _fio_join_conjuncts(spec, var):
-    """Key-join conjuncts tying the FIO derived table back to the outer row."""
-    extra = [
-        n.Comparison(n.Attr(var, ck), "=", n.clone(outer))
-        for ck, outer in zip(spec.key_attrs, spec.outer_exprs)
-    ]
-    if spec.strategy == "band":
-        extra.append(
-            n.Comparison(
-                n.Attr(var, spec.band_attr),
-                spec.band_op,
-                n.clone(spec.band_outer_expr),
-            )
-        )
-    return extra
-
-
-def _fix_quantifier(node, leftovers):
-    if not isinstance(node, n.Quantifier):
-        return node
-    bindings = list(node.bindings)
-    extra = []  # join conjuncts added by FIO rewrites
-    substitutions = {}  # (var, attr) -> replacement expr, from unnesting
-    spliced = False
-    out = []
-    for binding in bindings:
-        source = binding.source
-        if not isinstance(source, n.Collection) or not free_variables(
-            source
-        ):
-            out.append(binding)
-            continue
-        spec = analyze(source)
-        if (
-            spec.reason is None
-            and not spec.empty_group
-            and spec.strategy == "eq"
-        ):
-            # FIO: uncorrelated grouped derived table + key-equality join.
-            out.append(n.Binding(binding.var, n.clone(spec.rewritten)))
-            extra.extend(_fio_join_conjuncts(spec, binding.var))
-            continue
-        unnested = _try_unnest(node, binding)
-        if unnested is not None:
-            inner_bindings, moved, mapping = unnested
-            out.extend(inner_bindings)
-            extra.extend(moved)
-            substitutions.update(mapping)
-            spliced = True
-            continue
-        scalar_reason = _scalar_inlinable(node, binding)
-        if scalar_reason is None:
-            out.append(binding)  # the renderer inlines it as scalar subqueries
-            continue
-        if (
-            spec.reason is None
-            and not spec.empty_group
-            and spec.strategy == "band"
-        ):
-            # Band FIO: uncorrelated derived table carrying the band key,
-            # joined back through the original inequality — no LATERAL.
-            out.append(n.Binding(binding.var, n.clone(spec.rewritten)))
-            extra.extend(_fio_join_conjuncts(spec, binding.var))
-            continue
-        fio_reason = spec.reason or (
-            "γ∅ scope must emit a row even over an empty group (the count "
-            "bug forbids a group-by rewrite)"
-        )
-        leftovers.append(
-            (
-                binding.var,
-                f"cannot decorrelate ({fio_reason}) nor inline as a scalar "
-                f"subquery ({scalar_reason})",
-            )
-        )
-        out.append(binding)
-    if not extra and not spliced:
-        return node
-    body = n.make_and(n.conjuncts(node.body) + extra)
-    rebuilt = n.Quantifier(out, body, node.grouping, node.join)
-    if substitutions:
-        rebuilt = _substitute_attrs(rebuilt, substitutions)
-    return rebuilt
-
-
-def _substitute_attrs(node, mapping):
-    """Replace ``Attr(var, attr)`` references per *mapping* (cloning values)."""
-
-    def swap(sub):
-        if isinstance(sub, n.Attr):
-            replacement = mapping.get((sub.var, sub.attr))
-            if replacement is not None:
-                return n.clone(replacement)
-        return sub
-
-    return n.transform(node, swap)
-
-
-def _binder_names(node, *, skip=None):
-    """Every variable bound (bindings, collection heads) in the subtree."""
-    names = set()
-
-    def scan(sub):
-        if sub is skip:
-            return
-        if isinstance(sub, n.Binding):
-            names.add(sub.var)
-        elif isinstance(sub, n.Collection):
-            names.add(sub.head.name)
-        for child in sub.children():
-            scan(child)
-
-    scan(node)
-    return names
-
-
-def _vars_used_skipping(node, skip):
-    """Attr variable names referenced outside the *skip* subtree."""
-    names = set()
-
-    def scan(sub):
-        if sub is skip:
-            return
-        if isinstance(sub, n.Attr):
-            names.add(sub.var)
-        for child in sub.children():
-            scan(child)
-
-    scan(node)
-    return names
-
-
-def _try_unnest(quant, binding):
-    """Unnest a non-grouped correlated collection into the outer scope.
-
-    Returns ``(inner bindings, moved row formulas, substitution map)`` or
-    None when the shape is unsafe.  Sound under bag semantics: a non-grouped
-    collection emits one head tuple per satisfying inner combination, so
-    binding the inner rows directly (with the head assignments substituted
-    for ``var.attr`` references) preserves multiplicities for *any*
-    correlation predicate — this is what makes eq2's ``<``-correlated
-    lateral executable on engines without LATERAL.
-    """
-    source = binding.source
-    body = source.body
-    if not isinstance(body, n.Quantifier):
-        return None
-    if body.grouping is not None or body.join is not None:
-        return None
-    if not all(isinstance(b.source, n.RelationRef) for b in body.bindings):
-        return None
-    if quant.join is not None and any(
-        isinstance(sub, n.JoinVar) and sub.var == binding.var
-        for sub in quant.join.walk()
-    ):
-        return None
-    if shadows_binding(quant, binding):
-        return None
-    head = source.head
-    assignments = {}
-    row_formulas = []
-    for conjunct in n.conjuncts(body.body):
-        target = None
-        if isinstance(conjunct, n.Comparison) and conjunct.op == "=":
-            for side, other in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if (
-                    isinstance(side, n.Attr)
-                    and side.var == head.name
-                    and side.attr in head.attrs
-                    and head.name not in n.vars_used(other)
-                    and not any(
-                        isinstance(sub, n.AggCall) for sub in other.walk()
-                    )
-                ):
-                    target = (side.attr, other)
-                    break
-        if target is not None:
-            if target[0] in assignments:
-                return None  # duplicate head assignment: keep the lateral
-            assignments[target[0]] = target[1]
-            continue
-        if head.name in n.vars_used(conjunct) or (
-            isinstance(conjunct, n.Comparison) and conjunct.has_aggregate()
-        ):
-            return None
-        row_formulas.append(conjunct)
-    if set(head.attrs) - set(assignments):
-        return None
-
-    # Variable hygiene: inner variables colliding with names visible in the
-    # outer scope are renamed; shadowing inside nested binders would make
-    # the rename unsound, so those shapes keep the lateral.
-    outer_names = (
-        _binder_names(quant, skip=source)
-        | _vars_used_skipping(quant, source)
-        | {b.var for b in quant.bindings}
-    )
-    inner_vars = [b.var for b in body.bindings]
-    collisions = set(inner_vars) & outer_names
-    if collisions and any(
-        isinstance(sub, (n.Quantifier, n.Collection)) for sub in body.body.walk()
-    ):
-        # A nested scope could shadow a variable being renamed.
-        return None
-    renames = {}
-    if collisions:
-        taken = set(outer_names) | set(inner_vars)
-        for var in inner_vars:
-            if var in collisions:
-                counter = 0
-                while f"{var}__u{counter}" in taken:
-                    counter += 1
-                renames[var] = f"{var}__u{counter}"
-                taken.add(renames[var])
-
-    def rename(sub):
-        if isinstance(sub, n.Attr) and sub.var in renames:
-            return n.Attr(renames[sub.var], sub.attr)
-        if isinstance(sub, n.Binding) and sub.var in renames:
-            return n.Binding(renames[sub.var], sub.source)
-        return sub
-
-    inner_bindings = [n.transform(n.clone(b), rename) for b in body.bindings]
-    moved = [n.transform(n.clone(f), rename) for f in row_formulas]
-    mapping = {
-        (binding.var, attr): n.transform(n.clone(expr), rename)
-        for attr, expr in assignments.items()
-    }
-    return inner_bindings, moved, mapping

@@ -29,6 +29,7 @@ from __future__ import annotations
 from itertools import count as _counter
 
 from ...core import nodes as n
+from ...core.scopes import FLIP
 from ...errors import ParseError
 from . import ast
 from .parser import parse_sql
@@ -504,7 +505,7 @@ class SqlTranslator:
         if left_scalar or right_scalar:
             sub = (cond.left if left_scalar else cond.right).query
             other = cond.right if left_scalar else cond.left
-            op = cond.op if not left_scalar else _flip_comparison(cond.op)
+            op = cond.op if not left_scalar else FLIP[cond.op]
             return self._translate_scalar_comparison(other, op, sub, scope)
         return n.Comparison(
             self._translate_expr(cond.left, scope),
@@ -657,10 +658,6 @@ def _contains_aggregate(expr):
     if isinstance(expr, ast.BinaryOp):
         return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
     return False
-
-
-def _flip_comparison(op):
-    return {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
 
 def _rename_head_var(formula, old, new):

@@ -9,10 +9,14 @@ from repro.core.conventions import (
     SET_CONVENTIONS,
     Semantics,
 )
+from repro.core import nodes as n
 from repro.core.parser import parse
-from repro.data import Database, NULL
+from repro.core.scopes import free_variables
+from repro.core.validator import validate
+from repro.data import Database
 from repro.engine import evaluate
 from repro.errors import RewriteError
+from repro.frontends import load_query
 from repro.workloads import instances
 
 BAG = Conventions(semantics=Semantics.BAG)
@@ -53,6 +57,35 @@ class TestUnnest:
         result = rewrites.unnest(query)
         # γ∅ scope must survive: it is not a plain existential.
         assert "γ" in __import__("repro.backends.comprehension", fromlist=["render"]).render(result)
+
+    def test_reused_alias_is_renamed_not_captured(self):
+        """SQL may reuse an alias in a subquery; unnesting must not bind it
+        twice in one scope (which would read `a.B` off the outer row)."""
+        db = Database()
+        db.create("R", ("A", "B"), [(1, 1), (2, 2)])
+        db.create("S", ("A", "B"), [(1, 1)])
+        nested = load_query(
+            "select a.A from R a where exists (select * from S a where a.B = 1)",
+            "sql",
+        )
+        flat = rewrites.unnest(nested)
+        assert len(flat.body.bindings) == 2
+        assert validate(flat).errors() == []
+        assert evaluate(flat, db).set_equal(evaluate(nested, db))
+
+    def test_capturable_rename_stays_nested(self):
+        """Renaming `a` inside a scope that nests a further (here negated,
+        so never merged) scope could be captured: that quantifier stays."""
+        db = Database()
+        db.create("R", ("A", "B"), [(1, 1), (2, 2)])
+        db.create("S", ("A", "B"), [(5, 9)])
+        db.create("T", ("B",), [(1,), (2,)])
+        nested = parse(
+            "{Q(A) | ∃a ∈ R[Q.A = a.A ∧ ∃a ∈ S[¬(∃t ∈ T[t.B = a.B])]]}"
+        )
+        flat = rewrites.unnest(nested)
+        assert [b.var for b in flat.body.bindings] == ["a"]
+        assert evaluate(flat, db).set_equal(evaluate(nested, db))
 
 
 class TestNestExistential:
@@ -155,6 +188,87 @@ class TestCountBugRewrites:
         plain = parse("{Q(A) | ∃r ∈ R[Q.A = r.A]}")
         with pytest.raises(RewriteError):
             rewrites.decorrelate_scalar(plain)
+
+
+#: R(id, q) / S(id, d) on which reading ``r.q < count(s.d)`` the wrong way
+#: round changes the answer from {1} to {2}.
+ORDER_RS = {
+    "R": (("id", "q"), [(1, 0), (2, 5)]),
+    "S": (("id", "d"), [(1, 1), (1, 2), (2, 3)]),
+}
+
+
+def _db(tables):
+    db = Database()
+    for name, (attrs, rows) in tables.items():
+        db.create(name, attrs, rows)
+    return db
+
+
+class TestScalarDecorrelationConditions:
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("aggregate_left", [False, True])
+    def test_order_comparison_keeps_its_orientation(self, op, aggregate_left):
+        test = f"count(s.d) {op} r.q" if aggregate_left else f"r.q {op} count(s.d)"
+        v1 = parse(
+            "{Q(id) | ∃r ∈ R[Q.id = r.id ∧ "
+            f"∃s ∈ S, γ ∅[r.id = s.id ∧ {test}]]}}"
+        )
+        v3 = rewrites.decorrelate_scalar(v1)
+        # Outer keys are distinct in both instances: eq. (29) left-joins a
+        # copy of R, which is only exact when the correlated key is a key.
+        for db in (instances.count_bug_populated(), _db(ORDER_RS)):
+            assert evaluate(v3, db).set_equal(evaluate(v1, db))
+
+    def test_fresh_names_avoid_names_the_query_uses(self):
+        v1 = parse(
+            "{Q(id) | ∃r ∈ R, r2 ∈ R, x ∈ R, x_ ∈ R[Q.id = r.id ∧ "
+            "r2.id = r.id ∧ x.id = r.id ∧ x_.id = r.id ∧ "
+            "∃s ∈ S, γ ∅[r.id = s.id ∧ r.q = count(s.d)]]}"
+        )
+        for rewrite in (rewrites.decorrelate_scalar, rewrites.decorrelate_scalar_naive):
+            assert validate(rewrite(v1)).errors() == []
+        db = instances.count_bug_populated()
+        assert evaluate(rewrites.decorrelate_scalar(v1), db).set_equal(
+            evaluate(v1, db)
+        )
+
+    def test_every_equality_key_becomes_a_key_column(self):
+        db = _db(
+            {
+                "R": (("id", "k", "q"), [(1, 1, 2), (1, 2, 0), (2, 1, 1), (3, 3, 0)]),
+                "S": (("id", "k", "d"), [(1, 1, 5), (1, 1, 6), (1, 2, 7), (2, 1, 8)]),
+            }
+        )
+        v1 = parse(
+            "{Q(id, k) | ∃r ∈ R[Q.id = r.id ∧ Q.k = r.k ∧ ∃s ∈ S, γ ∅"
+            "[r.id = s.id ∧ s.k = r.k ∧ r.q = count(s.d)]]}"
+        )
+        v3 = rewrites.decorrelate_scalar(v1)
+        derived = [
+            b.source for b in v3.body.bindings if isinstance(b.source, n.Collection)
+        ]
+        assert len(derived) == 1 and not free_variables(derived[0])
+        assert evaluate(v3, db).set_equal(evaluate(v1, db))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # θ correlation next to the equality key
+            "{Q(id) | ∃r ∈ R[Q.id = r.id ∧ "
+            "∃s ∈ S, γ ∅[r.id = s.id ∧ s.d < r.q ∧ r.q = count(s.d)]]}",
+            # keys from two outer relations
+            "{Q(id) | ∃r ∈ R, t ∈ R[Q.id = r.id ∧ "
+            "∃s ∈ S, γ ∅[r.id = s.id ∧ t.q = s.d ∧ r.q = count(s.d)]]}",
+        ],
+        ids=["theta", "two-outer-relations"],
+    )
+    @pytest.mark.parametrize(
+        "rewrite", [rewrites.decorrelate_scalar, rewrites.decorrelate_scalar_naive]
+    )
+    def test_unsupported_correlation_raises(self, text, rewrite):
+        with pytest.raises(RewriteError):
+            rewrite(parse(text))
 
 
 class TestInlineAbstract:

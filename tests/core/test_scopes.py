@@ -5,6 +5,8 @@ follow-on (e)): the engine's decorrelation pass needs them, and the engine
 must not depend on a rendering backend.
 """
 
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -105,3 +107,36 @@ def test_engine_import_does_not_pull_in_the_renderer():
         capture_output=True,
     )
     assert result.returncode == 0, result.stderr.decode()
+
+
+def _imported_modules(tree, package):
+    """Absolute names of every module an AST imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield node.lineno, [module] + [
+                f"{module}.{alias.name}" for alias in node.names
+            ]
+
+
+def test_core_data_and_engine_never_import_backends():
+    """The layers below the backends import nothing from ``repro.backends``
+    — absolute or relative, at module level or inside a function."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for layer in ("core", "data", "engine"):
+        for path in sorted((root / layer).rglob("*.py")):
+            package = ["repro", *path.relative_to(root).parent.parts]
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for lineno, modules in _imported_modules(tree, package):
+                if any(
+                    m == "repro.backends" or m.startswith("repro.backends.")
+                    for m in modules
+                ):
+                    offenders.append(f"{path.relative_to(root)}:{lineno}")
+    assert offenders == []

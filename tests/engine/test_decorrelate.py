@@ -15,6 +15,7 @@ mixed-kind build fallbacks).
 import pytest
 
 from repro.api import EvalOptions
+from repro.backends.sql_render import rewrite_for_sql
 from repro.core import builder as b
 from repro.core import nodes as n
 from repro.core.conventions import (
@@ -330,7 +331,7 @@ class TestSqlRewrite:
                 db = sweeps.correlated_sweep_database(15, 20, arity=arity, seed=4)
             else:
                 db = _db()
-            rewritten, leftovers = decorrelate.rewrite_for_sql(query)
+            rewritten, leftovers = rewrite_for_sql(query)
             assert leftovers == ()
             assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
                 query, db, SQL_CONVENTIONS, options=ORACLE
@@ -342,7 +343,7 @@ class TestSqlRewrite:
             "s.A < r.A ∧ s.B > 0]}[Q.A = r.A ∧ Q.B = z.B ∧ r.B >= z.B]}"
         )
         db = _db()
-        rewritten, leftovers = decorrelate.rewrite_for_sql(correlated)
+        rewritten, leftovers = rewrite_for_sql(correlated)
         assert leftovers == ()
         assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
             correlated, db, SQL_CONVENTIONS, options=ORACLE
@@ -360,7 +361,7 @@ class TestSqlRewrite:
             "[Z.v = a.B ∧ a.A < c.A]}[Q.A = a.A ∧ Q.v = z.v]}"
         )
         db = _db()
-        rewritten, leftovers = decorrelate.rewrite_for_sql(correlated)
+        rewritten, leftovers = rewrite_for_sql(correlated)
         assert leftovers == ()
         spliced = [
             sub.var
@@ -373,7 +374,7 @@ class TestSqlRewrite:
         )
 
     def test_gamma_empty_stays_for_the_scalar_device(self):
-        rewritten, leftovers = decorrelate.rewrite_for_sql(parse(EQ_LATERAL))
+        rewritten, leftovers = rewrite_for_sql(parse(EQ_LATERAL))
         assert leftovers == ()
         laterals = [
             sub
@@ -556,7 +557,7 @@ class TestBandSqlRewrite:
             "[U.B = s.B]}[Z.B = u.B ∧ u.B < r.A]}[Q.A = r.A ∧ Q.B = z.B]}"
         )
         db = _db()
-        rewritten, leftovers = decorrelate.rewrite_for_sql(correlated)
+        rewritten, leftovers = rewrite_for_sql(correlated)
         assert leftovers == ()
         # The derived table is uncorrelated (no lateral keyword needed).
         for sub in rewritten.walk():
