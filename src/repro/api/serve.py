@@ -68,7 +68,8 @@ counter, per-worker latency histograms).  Errors return 400 (bad request
 (:class:`~repro.errors.BudgetExceeded` or an oversized request body), 422
 (:class:`~repro.errors.PoisonQuery`), 429 (admission/shedding), or 500
 (including :class:`~repro.errors.WorkerCrash`), always with
-``{"error": ..., "error_type": ...}``.
+``{"error": ..., "error_type": ...}`` — the stdlib's own refusals of a
+malformed or unsupported request (400, 414, 431, 501, 505) too.
 
 Observability
 -------------
@@ -207,11 +208,12 @@ class Outcome:
 def _error_outcome(exc_or_message, status, headers=(), worker=None):
     """The ``{"error": ..., "error_type": ...}`` body every error answers
     with.  An exception names its own type; a plain message takes the
-    status phrase (``BadRequest``, ``NotFound``)."""
+    status phrase (``BadRequest``, ``NotFound``, ``RequestURITooLong``)."""
     if isinstance(exc_or_message, BaseException):
         error_type = type(exc_or_message).__name__
     else:
-        error_type = HTTPStatus(status).phrase.replace(" ", "")
+        phrase = HTTPStatus(status).phrase
+        error_type = phrase.replace(" ", "").replace("-", "")
     body = {"error": str(exc_or_message), "error_type": error_type}
     headers = tuple(headers)
     if worker is not None:
@@ -596,12 +598,14 @@ class _Handler(BaseHTTPRequestHandler):
             else round((time.perf_counter() - started) * 1e3, 3)
         )
         query_id = getattr(self, "_query_id", None)
+        # A 414 refuses the very first request line before ``path`` is set.
+        path = getattr(self, "path", None)
         if server.log_json:
             server.logger.info(json.dumps(
                 {
                     "ts": round(time.time(), 6),
                     "method": self.command,
-                    "path": self.path,
+                    "path": path,
                     "status": int(code),
                     "elapsed_ms": elapsed_ms,
                     "query_id": query_id,
@@ -609,16 +613,24 @@ class _Handler(BaseHTTPRequestHandler):
                 sort_keys=True,
             ))
         else:
-            parts = [f"{self.command} {self.path} {code}"]
+            parts = [f"{self.command} {path} {code}"]
             if elapsed_ms is not None:
                 parts.append(f"{elapsed_ms:.3f}ms")
             if query_id is not None:
                 parts.append(f"qid={query_id}")
             server.logger.info(" ".join(parts))
 
-    def _send_payload(self, status, payload, headers=()):
+    def _send_payload(self, status, payload, headers=(),
+                      content_type="application/json; charset=utf-8"):
+        """Send the status line, headers and body in one write.
+
+        ``wfile`` is unbuffered: flushing the headers, then writing the
+        body, sends two small TCP segments, and under Nagle's algorithm
+        the second waits for the client's delayed ACK — ~40 ms on every
+        keep-alive request.
+        """
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         # Every response to an identified request — success *or* error —
         # carries the query id, so client logs always correlate.
@@ -627,22 +639,28 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Arc-Query-Id", query_id)
         for name, value in headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.request_version == "HTTP/0.9":  # a bare body, no head
+            self._headers_buffer = []
+        else:
+            self._headers_buffer.append(b"\r\n")
+        if self.command != "HEAD":
+            self._headers_buffer.append(payload)
+        self.flush_headers()
 
     def _send_json(self, status, body, headers=()):
         self._send_payload(
             status, json.dumps(body, sort_keys=True).encode("utf-8"), headers
         )
 
-    def _send_text(self, status, text, content_type="text/plain; charset=utf-8"):
-        payload = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-        self.wfile.write(payload)
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own refusals (unsupported method, malformed request
+        line, oversized URI or headers) in the JSON error contract, closing
+        the connection as the stdlib does."""
+        # The request never reached a handler: nothing of an earlier
+        # request on this keep-alive connection applies to the reply.
+        self._query_id = self._request_started = None
+        self.log_error("code %d, message %s", code, message)
+        self._error(code, message or HTTPStatus(code).description, close=True)
 
     # -- GET ---------------------------------------------------------------
 
@@ -709,11 +727,12 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if self.path == "/metrics":
-            self._send_text(
-                200,
-                render_prometheus(
-                    server.metrics, extra=_prometheus_extra(server)
-                ),
+            text = render_prometheus(
+                server.metrics, extra=_prometheus_extra(server)
+            )
+            self._send_payload(
+                200, text.encode("utf-8"),
+                headers=(("Cache-Control", "no-store"),),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
             return

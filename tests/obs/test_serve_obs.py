@@ -1,9 +1,11 @@
 """The serving observability surface: query ids, /metrics, request logs."""
 
 import contextlib
+import http.client
 import io
 import json
 import re
+import socket
 import threading
 import urllib.request
 
@@ -187,6 +189,33 @@ class TestRequestLogging:
         assert post["query_id"] == headers["X-Arc-Query-Id"]
         assert get["method"] == "GET" and get["path"] == "/stats"
         assert get["query_id"] is None  # GETs run no query
+
+    def test_stdlib_refusals_log_without_a_stale_path_or_query_id(
+        self, logged_server
+    ):
+        srv, buffer = logged_server
+        host, port = srv.server_address[:2]
+        # A 414 refuses the connection's first request line before the
+        # stdlib has parsed a path.
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /" + b"a" * 66000 + b" HTTP/1.1\r\n\r\n")
+            assert sock.makefile("rb").readline().startswith(b"HTTP/1.1 414")
+        # A 501 after a POST on the same keep-alive connection.
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("POST", "/query", json.dumps({"query": QUERY}))
+            conn.getresponse().read()
+            conn.request("PUT", "/query")
+            assert conn.getresponse().status == 501
+        finally:
+            conn.close()
+        lines = [json.loads(l) for l in buffer.getvalue().splitlines() if l]
+        too_long, post, put = lines
+        assert too_long["status"] == 414 and too_long["path"] is None
+        assert too_long["query_id"] is None
+        assert post["status"] == 200 and post["query_id"]
+        assert put["status"] == 501 and put["method"] == "PUT"
+        assert put["query_id"] is None and put["elapsed_ms"] is None
 
     def test_text_mode_logs_one_line_per_request(self):
         srv = _make(log_requests=True)
