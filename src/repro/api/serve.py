@@ -664,9 +664,39 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- GET ---------------------------------------------------------------
 
+    def _read_body(self):
+        """Drain the request body before any response; None once refused.
+
+        On a keep-alive (HTTP/1.1) connection, unread body bytes would be
+        parsed as the next request line, desyncing every follow-up request
+        — so every method drains, even one that ignores its body.
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # Cannot drain an unknown length: refuse and drop the socket.
+            self._error(400, "bad Content-Length", close=True)
+            return None
+        if length < 0:
+            self._error(400, "negative Content-Length", close=True)
+            return None
+        if length > self.server.max_body_bytes:
+            # Refused *before* reading: draining an attacker-sized body
+            # would be the very resource sink the bound exists to prevent.
+            self._error(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{self.server.max_body_bytes} byte limit",
+                close=True,
+            )
+            return None
+        return self.rfile.read(length)
+
     def do_GET(self):
         self._request_started = time.perf_counter()
         self._query_id = None
+        if self._read_body() is None:
+            return
         server = self.server
         if self.path == "/healthz":
             breakers = breaker_states()
@@ -753,29 +783,9 @@ class _Handler(BaseHTTPRequestHandler):
         # A fresh id per request, assigned before any parsing: even a
         # malformed request's error response ties back to the server logs.
         self._query_id = uuid.uuid4().hex[:16]
-        # Drain the request body before any response: on a keep-alive
-        # (HTTP/1.1) connection, unread body bytes would be parsed as the
-        # next request line, desyncing every follow-up request.
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            # Cannot drain an unknown length: refuse and drop the socket.
-            self._error(400, "bad Content-Length", close=True)
+        payload = self._read_body()
+        if payload is None:
             return
-        if length < 0:
-            self._error(400, "negative Content-Length", close=True)
-            return
-        if length > self.server.max_body_bytes:
-            # Refused *before* reading: draining an attacker-sized body
-            # would be the very resource sink the bound exists to prevent.
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{self.server.max_body_bytes} byte limit",
-                close=True,
-            )
-            return
-        payload = self.rfile.read(length)
         if self.path != "/query":
             self._error(404, f"unknown path {self.path!r}")
             return

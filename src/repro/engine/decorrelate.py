@@ -1,4 +1,4 @@
-"""FOI → FIO decorrelation of lateral scopes.
+"""FOI → FIO decorrelation of lateral and boolean scopes.
 
 The paper contrasts two renderings of "aggregate per outer row"
 (Section 2.5): **FOI** — "for each outer row, compute the inner aggregate" —
@@ -25,6 +25,19 @@ outer row.  This module rewrites FOI plans into FIO (the SQL lowering in
     direction the operator selects), so the correlated aggregate is a
     bisect + O(1) array lookup instead of a per-row scan; for non-grouped
     scopes the probe yields the matching sorted slice.
+
+  A third strategy serves *boolean* quantifier scopes — the ``∃`` / ``¬∃``
+  of NOT EXISTS and NOT IN (Section 2.10, Fig. 11), which are FOI too:
+
+  - ``"exists"`` — a scope with no grouping, no join annotation and no
+    head assignments, correlated only through equalities: the inner scope
+    is enumerated **once** with the non-strict Kleene fold into an
+    :class:`ExistsIndex` holding, per correlation key, the OR of the local
+    formulas' truth; :meth:`repro.engine.evaluator.Evaluator._truth_exists`
+    probes it once per outer row.  Keys that ``=`` does not compare by
+    Python equality (NULL under 3VL, NaN) sit in a short list probed with
+    :func:`~repro.data.values.compare` itself, so the probe is exactly the
+    per-row fold under both null conventions.
 
   Indexes are cached on the inner scope's stored relations
   (:meth:`repro.data.relation.Relation.derived_put_shared`), so they
@@ -56,7 +69,9 @@ Two further refinements close the remaining per-row tails:
 Safety: the rewrite **refuses** (and evaluation falls back to the per-row
 strategy) whenever the correlation shape cannot be probed exactly —
 
-* ``<>``/``!=`` correlation predicates, or more than one order predicate;
+* ``<>``/``!=`` correlation predicates, or more than one order predicate
+  (any order predicate, for a boolean scope);
+* boolean scopes that group (∃ a group satisfying aggregate predicates);
 * θ predicates under grouping *keys* (folding an order key into GROUP BY
   would split groups) or in γ∅ scopes whose head is not pure streamable
   aggregates;
@@ -86,7 +101,7 @@ from ..core.scopes import (
     split_scope,
 )
 from ..data.relation import Relation, Tuple
-from ..data.values import is_null
+from ..data.values import Truth, compare, is_null, t_and
 from ..errors import EvaluationError
 from ..obs import NULL_SPAN
 from . import aggregates as agg_lib
@@ -125,7 +140,7 @@ class CorrelationSpec:
         # the *value* of a weak-keyed cache keyed by that node, and a strong
         # back-edge would make every entry immortal.
         "reason",  # refusal reason, or None when the rewrite applies
-        "strategy",  # "eq" (hash index) | "band" (sorted θ-band index)
+        "strategy",  # "eq" (hash index) | "band" (sorted θ-band) | "exists" (truth)
         "outer_exprs",  # per equality key: the outer-side expression (probe key)
         "key_inner_exprs",  # per equality key: the inner-side expression
         "key_attrs",  # fresh head attributes carrying the keys
@@ -136,7 +151,7 @@ class CorrelationSpec:
         "band_inner_expr",  # inner side of the θ predicate (sort key)
         "band_attr",  # fresh head attr carrying the band key in `rewritten`
         "band_aggs",  # γ∅ band: ((head attr, agg func, arg expr | None), ...)
-        "stripped",  # γ∅ band: (bindings, row formulas) for the raw row stream
+        "stripped",  # γ∅ band, exists: (bindings, local row formulas) to enumerate
         "empty_group",  # original scope was γ∅ (probe misses synthesize it)
         "grouped",  # original scope had grouping keys
         "relation_names",  # stored relations anchoring the materialized index
@@ -164,8 +179,8 @@ class CorrelationSpec:
     # -- plan-level execution --------------------------------------------------
 
     def materialize(self, evaluator):
-        """The probe index for this spec (:class:`FioIndex` or
-        :class:`BandIndex`), or None.
+        """The probe index for this spec (:class:`FioIndex`,
+        :class:`BandIndex` or :class:`ExistsIndex`), or None.
 
         Built at most once per catalog state: the index is cached on every
         stored relation the inner scope reads (any mutation drops it), and
@@ -185,7 +200,9 @@ class CorrelationSpec:
         tracer = evaluator.tracer
         index = Relation.derived_get_shared(anchors, self, tag)
         if index is not None:
-            if tracer is not None:
+            # An exists index is looked up once per outer row, not once
+            # per scope execution: its hits would flood the trace.
+            if tracer is not None and self.strategy != "exists":
                 tracer.event(
                     "decorr.index", cached=True, strategy=self.strategy
                 )
@@ -195,7 +212,7 @@ class CorrelationSpec:
         # groups no probe can reach (e.g. a NULL-keyed group under 3VL
         # whose aggregate raises), while the per-row strategy only ever
         # touches what the outer rows select — its behaviour is the oracle.
-        builder = self._build_band if self.strategy == "band" else self._build_eq
+        builder = getattr(self, f"_build_{self.strategy}")
         with NULL_SPAN if tracer is None else tracer.span(
             "decorr.index.build", strategy=self.strategy
         ) as span:
@@ -239,6 +256,40 @@ class CorrelationSpec:
             else:
                 bucket.append(entry)
         return FioIndex(buckets, unknown, three_valued and unknown > 0)
+
+    def _build_exists(self, evaluator):
+        """Truth index of a boolean scope: one Kleene fold per key.
+
+        The uncorrelated inner scope is enumerated once, non-strictly.  A
+        combination whose local formulas are FALSE contributes FALSE to
+        every probe and is dropped; the others are keyed by their inner
+        key values.  Keys whose equality follows Python equality (no NULL
+        under 3VL, no NaN) fold into ``truths``; the rest, which ``=``
+        compares as UNKNOWN or FALSE, go to a short list probed with
+        :func:`compare` itself.  2VL NaN keys equal nothing and are dropped.
+        """
+        bindings, local = self.stripped
+        three_valued = evaluator.conventions.three_valued
+        eval_expr = evaluator._eval_expr
+        key_exprs = self.key_inner_exprs
+        truths = {}
+        irregular = {}
+        for env, _, truth in evaluator._extend_with_bindings(
+            bindings, local, {}, 1, strict=False
+        ):
+            if truth is Truth.FALSE:
+                continue
+            key = tuple(eval_expr(expr, env) for expr in key_exprs)
+            target = truths
+            if any(_irregular(value, three_valued) for value in key):
+                if not three_valued:
+                    continue
+                # One entry per distinct key: every NaN compares alike.
+                key = tuple(_NAN if value != value else value for value in key)
+                target = irregular
+            if truth is Truth.TRUE or key not in target:
+                target[key] = truth
+        return ExistsIndex(truths, tuple(irregular.items()), three_valued)
 
     def _build_band(self, evaluator):
         """Sorted θ-band index (per-key prefix aggregates for γ∅ scopes)."""
@@ -388,6 +439,65 @@ class FioIndex:
             self._empty_items = items
             stats.domain_join_compensations += 1
         return items
+
+
+def _irregular(value, three_valued):
+    """True when ``=`` on *value* is not Python equality (3VL NULL, NaN)."""
+    return value != value or (three_valued and is_null(value))
+
+
+#: The NaN every irregular NaN key component is folded onto.
+_NAN = float("nan")
+
+
+class ExistsIndex:
+    """Materialized boolean-scope index: the ∃ truth per correlation key.
+
+    ``truths`` maps each regular inner key to the Kleene OR of the local
+    truth of its combinations (TRUE or UNKNOWN); ``irregular`` lists the
+    keys holding NULL (3VL) or NaN with the same fold.
+    """
+
+    __slots__ = ("truths", "irregular", "three_valued", "_projections")
+
+    def __init__(self, truths, irregular, three_valued):
+        self.truths = truths
+        self.irregular = irregular
+        self.three_valued = three_valued
+        self._projections = {}
+
+    def probe(self, key):
+        """``OR`` over inner combos ``r`` of ``AND_i r.k_i = key_i ∧ local(r)``."""
+        truth = self.truths.get(key)
+        if truth is not None:
+            # A regular key matched; irregular keys add at most UNKNOWN.
+            return truth
+        three_valued = self.three_valued
+        odd = [i for i, value in enumerate(key) if _irregular(value, three_valued)]
+        if odd and all(key[i] == key[i] for i in odd):
+            # 3VL NULL components compare UNKNOWN with every regular key;
+            # the rest of the key must still match.
+            kept = tuple(i for i in range(len(key)) if i not in odd)
+            if tuple(key[i] for i in kept) in self._projection(kept):
+                return Truth.UNKNOWN
+        # No regular key matches (NaN equals none).  An irregular key holds
+        # NULL or NaN, so it is UNKNOWN at best.
+        for inner, truth in self.irregular:
+            for left, right in zip(inner, key):
+                truth = t_and(truth, compare(left, "=", right, three_valued=True))
+                if truth is Truth.FALSE:
+                    break
+            else:
+                return Truth.UNKNOWN
+        return Truth.FALSE
+
+    def _projection(self, kept):
+        """The regular keys projected onto the positions *kept* (cached)."""
+        projection = self._projections.get(kept)
+        if projection is None:
+            projection = {tuple(key[i] for i in kept) for key in self.truths}
+            self._projections[kept] = projection
+        return projection
 
 
 class _BandGroup:
@@ -582,12 +692,16 @@ class BandIndex:
 _SPECS = weakref.WeakKeyDictionary()
 
 
-def analyze(collection):
-    """The (weakly cached) :class:`CorrelationSpec` for a nested collection."""
-    spec = _SPECS.get(collection)
+def analyze(node):
+    """The (weakly cached) :class:`CorrelationSpec` for a nested collection
+    or a boolean quantifier scope."""
+    spec = _SPECS.get(node)
     if spec is None:
-        spec = _analyze(collection)
-        _SPECS[collection] = spec
+        if isinstance(node, n.Collection):
+            spec = _analyze(node)
+        else:
+            spec = _analyze_exists(node)
+        _SPECS[node] = spec
     return spec
 
 
@@ -643,32 +757,26 @@ def _band_shape_reason(body, head, label):
     return None
 
 
-def _analyze(collection):
-    free = frozenset(free_variables(collection))
-    body = collection.body
-    if isinstance(body, n.Or):
-        return CorrelationSpec("inner body is a disjunction")
-    if not isinstance(body, n.Quantifier):
-        return CorrelationSpec(
-            f"inner body is a {type(body).__name__}, not a quantifier scope"
-        )
-    if body.join is not None:
-        return CorrelationSpec("inner scope carries a join annotation")
-    inner_vars = {b.var for b in body.bindings}
-    for binding in body.bindings:
+def _lateral_reason(quant, free):
+    """Why a binding of *quant* is itself correlated (None when none is)."""
+    for binding in quant.bindings:
         if n.vars_used(binding.source) & free:
-            return CorrelationSpec(
+            return (
                 f"nested lateral binding {binding.var!r} references the outer "
                 "correlation variables"
             )
-    if body.grouping is not None:
-        for key in body.grouping.keys:
-            if n.vars_used(key) & free:
-                return CorrelationSpec(
-                    "grouping key references outer variables"
-                )
-    head = collection.head
-    conjunct_list = n.conjuncts(body.body)
+    return None
+
+
+def _correlation(conjunct_list, free, inner_vars, head_name, theta_ops):
+    """Classify the conjuncts of a scope body that reference *free* variables.
+
+    Returns a refusal reason, or ``(correlated, pairs, orientations, band)``:
+    the positions of the ``inner = outer`` equalities, their (inner side,
+    outer side) operands, whether the inner side is the left operand, and
+    the one θ predicate (position, inner, outer, normalized op, label) when
+    *theta_ops* admits it.
+    """
     correlated = []  # conjunct positions consumed by equality pairs
     pairs = []  # (inner side, outer side) in the original tree
     orientations = []  # True when the inner side is the left operand
@@ -677,30 +785,24 @@ def _analyze(collection):
         used = n.vars_used(conjunct)
         if not used & free:
             continue
-        if head.name in used:
-            return CorrelationSpec(
-                "outer variables appear in a head assignment"
-            )
+        if head_name in used:
+            return "outer variables appear in a head assignment"
         if any(
             isinstance(sub, (n.Quantifier, n.Collection)) for sub in conjunct.walk()
         ):
-            return CorrelationSpec(
-                "outer variables are referenced inside a nested scope"
-            )
+            return "outer variables are referenced inside a nested scope"
         if not used - free:
-            return CorrelationSpec(
+            return (
                 "correlates through an outer-only predicate (γ membership "
                 "depends on the outer row beyond an equality key)"
             )
         if not isinstance(conjunct, n.Comparison):
-            return CorrelationSpec(
+            return (
                 f"correlates through a non-comparison predicate "
                 f"({type(conjunct).__name__})"
             )
         if conjunct.has_aggregate():
-            return CorrelationSpec(
-                "correlation predicate contains an aggregate"
-            )
+            return "correlation predicate contains an aggregate"
         pair = None
         left_inner = True
         for side, other, side_is_left in (
@@ -719,7 +821,7 @@ def _analyze(collection):
                 left_inner = side_is_left
                 break
         if pair is None:
-            return CorrelationSpec(
+            return (
                 "correlation equality mixes inner and outer variables in one "
                 "operand"
             )
@@ -731,27 +833,119 @@ def _analyze(collection):
         # θ candidate: normalize the operator to *inner OP outer*.
         op = conjunct.op if left_inner else FLIP[conjunct.op]
         label = f"{op} on {_expr_text(pair[0])}"
-        if op not in BAND_OPS:
-            return CorrelationSpec(
+        if op not in theta_ops:
+            if not theta_ops:
+                return (
+                    f"correlates through the non-equality predicate ({label}); "
+                    "an exists index probes equality keys only"
+                )
+            return (
                 f"correlates through the non-equality predicate ({label}); "
                 "only <, <=, >, >= are θ-band-indexable"
             )
         if band is not None:
-            return CorrelationSpec(
+            return (
                 f"correlates through two non-equality predicates "
                 f"({band[4]} and {label}); a θ-band index handles exactly one"
             )
         band = (index, pair[0], pair[1], op, label)
-    relation_names = tuple(
-        sorted(
-            {sub.name for sub in collection.walk() if isinstance(sub, n.RelationRef)}
-        )
+    return correlated, pairs, orientations, band
+
+
+def _relation_names(node):
+    """Stored relations a subtree reads, sorted (the index anchors)."""
+    return tuple(
+        sorted({sub.name for sub in node.walk() if isinstance(sub, n.RelationRef)})
     )
-    if not relation_names:
+
+
+_NO_ANCHOR = (
+    "inner scope references no stored relation to anchor the materialization"
+)
+
+
+def _analyze_exists(quant):
+    """Exists-index analysis of a boolean quantifier scope (``∃`` / ``¬∃``).
+
+    Accepted scopes have no grouping and no join annotation and correlate
+    only through ``inner = outer`` equalities; every other conjunct is
+    local to the inner scope, so one enumeration serves every outer row.
+    Head assignments and emitters are the evaluator's to exclude: they
+    depend on the enclosing head, not on this node.
+    """
+    if quant.grouping is not None:
         return CorrelationSpec(
-            "inner scope references no stored relation to anchor the "
-            "materialization"
+            "boolean scope groups its rows (∃ a group satisfying the "
+            "aggregate predicates)"
         )
+    if quant.join is not None:
+        return CorrelationSpec("inner scope carries a join annotation")
+    free = frozenset(free_variables(quant))
+    reason = _lateral_reason(quant, free)
+    if reason is not None:
+        return CorrelationSpec(reason)
+    conjunct_list = n.conjuncts(quant.body)
+    if any(isinstance(c, n.Comparison) and c.has_aggregate() for c in conjunct_list):
+        return CorrelationSpec(
+            "boolean scope has an aggregate predicate but no grouping operator"
+        )
+    found = _correlation(
+        conjunct_list, free, {b.var for b in quant.bindings}, None, ()
+    )
+    if isinstance(found, str):
+        return CorrelationSpec(found)
+    correlated, pairs, _, _ = found
+    relation_names = _relation_names(quant)
+    if not relation_names:
+        return CorrelationSpec(_NO_ANCHOR)
+    spec = CorrelationSpec()
+    spec.strategy = "exists"
+    spec.outer_exprs = tuple(outer for _, outer in pairs)
+    spec.key_inner_exprs = tuple(inner for inner, _ in pairs)
+    spec.relation_names = relation_names
+    consumed = set(correlated)
+    spec.stripped = (
+        tuple(quant.bindings),
+        tuple(c for i, c in enumerate(conjunct_list) if i not in consumed),
+    )
+    return spec
+
+
+def _analyze(collection):
+    free = frozenset(free_variables(collection))
+    body = collection.body
+    if isinstance(body, n.Or):
+        return CorrelationSpec("inner body is a disjunction")
+    if not isinstance(body, n.Quantifier):
+        return CorrelationSpec(
+            f"inner body is a {type(body).__name__}, not a quantifier scope"
+        )
+    if body.join is not None:
+        return CorrelationSpec("inner scope carries a join annotation")
+    reason = _lateral_reason(body, free)
+    if reason is not None:
+        return CorrelationSpec(reason)
+    if body.grouping is not None:
+        for key in body.grouping.keys:
+            if n.vars_used(key) & free:
+                return CorrelationSpec(
+                    "grouping key references outer variables"
+                )
+    head = collection.head
+    conjunct_list = n.conjuncts(body.body)
+    found = _correlation(
+        conjunct_list,
+        free,
+        {b.var for b in body.bindings},
+        head.name,
+        BAND_OPS,
+    )
+    if isinstance(found, str):
+        return CorrelationSpec(found)
+    correlated, pairs, orientations, band = found
+    relation_names = _relation_names(collection)
+    if not relation_names:
+        return CorrelationSpec(_NO_ANCHOR)
     if band is not None:
         shape_reason = _band_shape_reason(body, head, band[4])
         if shape_reason is not None:
@@ -856,7 +1050,8 @@ def _analyze(collection):
 def plan_for(evaluator, source):
     """Decide decorrelation of a lateral *source* under *evaluator*.
 
-    Returns ``(spec, None)`` when the FIO rewrite applies, else
+    *source* is a lateral's nested collection or a boolean quantifier
+    scope.  Returns ``(spec, None)`` when the FIO rewrite applies, else
     ``(None, reason)``.  The decision layers the evaluator-dependent checks
     (escape hatch, stored relations) on top of the cached structural
     analysis.  NULL-able correlation keys under three-valued logic no

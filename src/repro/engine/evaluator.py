@@ -51,6 +51,7 @@ from ..data.values import (
 from ..errors import EvaluationError
 from ..util.deadline import STRIDE_MASK
 from . import aggregates as agg_lib
+from . import decorrelate
 from .externals import ExternalRegistry, standard_registry
 from .joins import ConditionAssignment, annotation_vars, enumerate_annotation
 from .planner import (
@@ -861,12 +862,35 @@ class Evaluator:
             return Truth.FALSE
         if quant.grouping is not None:
             return self._truth_grouped(quant, plan, env)
+        if self.planner and env:
+            # A scope outside every other (empty env) runs once, and its
+            # early exit beats building an index.
+            truth = self._truth_exists(quant, env)
+            if truth is not None:
+                return truth
         result = Truth.FALSE
         for _, _, truth in self._combos(quant, plan, env, strict=False):
             result = t_or(result, truth)
             if result is Truth.TRUE:
                 return result
         return result
+
+    def _truth_exists(self, quant, env):
+        """∃ as one probe of the decorrelated exists index, or None when
+        the scope must run per row (refused shape, ``decorrelate=False``,
+        unindexable data, or an outer key that does not evaluate)."""
+        spec = decorrelate.plan_for(self, quant)[0]
+        if spec is None:
+            return None
+        index = spec.materialize(self)
+        if index is None:
+            return None
+        try:
+            key = tuple(self._eval_expr(expr, env) for expr in spec.outer_exprs)
+        except EvaluationError:
+            return None
+        self.stats.index_probes += 1
+        return index.probe(key)
 
     def _truth_grouped(self, quant, plan, env):
         """Boolean grouping scope: ∃ a group satisfying the aggregate

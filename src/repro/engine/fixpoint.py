@@ -23,7 +23,7 @@ inputs.
 
 from __future__ import annotations
 
-from collections import Counter
+import weakref
 
 from ..core import nodes as n
 from ..core.validator import dependency_graph, validate
@@ -35,46 +35,62 @@ from .abstract import AbstractSource
 
 def materialize_program(program, evaluator, *, seminaive=True):
     """Fill ``evaluator.defined`` / ``evaluator.abstract`` from *program*."""
-    report = validate(program, allow_abstract=True)
-    stratification_errors = [i for i in report.errors() if i.code == "stratification"]
-    if stratification_errors:
-        raise ValidationError("; ".join(str(i) for i in stratification_errors))
+    stratification_error, abstract_names, order = _analysis(program)
+    if stratification_error:
+        raise ValidationError(stratification_error)
 
-    abstract_names = _abstract_names(program)
     for name in abstract_names:
         evaluator.abstract[name] = AbstractSource(program.definitions[name], evaluator)
 
-    concrete = {
-        name: definition
+    definitions = program.definitions
+    for component, recursive in order:
+        if not recursive:
+            name = component[0]
+            evaluator.defined[name] = _evaluate_definition(definitions[name], evaluator)
+        else:
+            _solve_recursive(component, definitions, evaluator, seminaive=seminaive)
+
+
+_ANALYSES = weakref.WeakKeyDictionary()
+
+
+def _analysis(program):
+    """``(stratification error, abstract names, SCC order)`` of *program*.
+
+    The analysis depends on the AST alone, so it is computed once per
+    ``Program`` node (weakly cached) and every later run reuses it.  The
+    order lists each strongly connected component of the concrete
+    definitions, dependencies first, with whether it is recursive.
+    """
+    analysis = _ANALYSES.get(program)
+    if analysis is not None:
+        return analysis
+    report = validate(program, allow_abstract=True)
+    stratification_error = "; ".join(
+        str(i) for i in report.errors() if i.code == "stratification"
+    )
+    abstract_names = frozenset(
+        name
         for name, definition in program.definitions.items()
-        if name not in abstract_names
-    }
+        if validate(definition, allow_abstract=True).is_abstract
+    )
+    dependencies = dependency_graph(program)
     graph = {
         name: [
             target
-            for target, _ in dependency_graph(program).get(name, [])
-            if target in concrete
+            for target, _ in dependencies.get(name, [])
+            if target in program.definitions and target not in abstract_names
         ]
-        for name in concrete
+        for name in program.definitions
+        if name not in abstract_names
     }
-    for component in _topological_sccs(graph):
-        recursive = len(component) > 1 or any(
-            name in graph[name] for name in component
-        )
-        if not recursive:
-            name = component[0]
-            evaluator.defined[name] = _evaluate_definition(concrete[name], evaluator)
-        else:
-            _solve_recursive(component, concrete, evaluator, seminaive=seminaive)
-
-
-def _abstract_names(program):
-    names = set()
-    for name, definition in program.definitions.items():
-        report = validate(definition, allow_abstract=True)
-        if report.is_abstract:
-            names.add(name)
-    return names
+    order = tuple(
+        (component, len(component) > 1 or component[0] in graph[component[0]])
+        for component in _tarjan(graph)
+    )
+    analysis = (stratification_error, abstract_names, order)
+    _ANALYSES[program] = analysis
+    return analysis
 
 
 def _evaluate_definition(definition, evaluator):
@@ -304,15 +320,13 @@ def transitive_closure_reference(pairs):
     return closure
 
 
-def _topological_sccs(graph):
-    """SCCs of *graph* in dependency (topological) order."""
-    sccs = _tarjan(graph)
-    # Tarjan emits components in reverse topological order of the
-    # condensation; dependencies must be evaluated first.
-    return sccs
-
-
 def _tarjan(graph):
+    """SCCs of *graph*, dependencies first.
+
+    Tarjan emits components in reverse topological order of the
+    condensation, which for a dependency graph is exactly the evaluation
+    order.
+    """
     index_counter = [0]
     stack, on_stack = [], set()
     index, lowlink = {}, {}

@@ -31,10 +31,13 @@ under three-valued logic (where ``x = NULL`` is never TRUE) and probes the
 NULL bucket under two-valued logic (where ``NULL = NULL`` is TRUE and the
 Python-level hash/equality of the NULL marker agrees).
 
-The planner only accelerates *strict* enumeration (combinations whose row
-formulas must all be TRUE).  Non-strict boolean scopes need UNKNOWN
-propagation — dropping a row whose equality is UNKNOWN would change the
-Kleene fold — so they keep the reference strategy.
+Compiled plans serve *strict* enumeration (combinations whose row formulas
+must all be TRUE).  Non-strict boolean scopes need UNKNOWN propagation —
+dropping a row whose equality is UNKNOWN would change the Kleene fold — so
+they never run on a compiled plan.  A boolean scope correlated only through
+equalities runs instead as one probe per outer row of an exists index
+(:mod:`repro.engine.decorrelate`), built by a single non-strict
+enumeration; every other boolean scope keeps the reference strategy.
 
 One documented deviation: like every SQL optimizer, pushdown leaves the
 *evaluation order* of predicates unspecified.  A predicate whose

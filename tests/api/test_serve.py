@@ -323,6 +323,40 @@ class TestKeepAlive:
         finally:
             conn.close()
 
+    def test_get_with_a_body_keeps_the_connection_in_sync(self, server):
+        """A GET's body is drained, not parsed as the next request line."""
+        query = json.dumps({"query": QUERY}).encode("utf-8")
+        conn = _connection(server)
+        try:
+            _, response, payload = _round_trip(
+                conn, "GET", "/healthz", b'{"x": 1}'
+            )
+            assert response.status == 200, payload
+            _, response, payload = _round_trip(conn, "POST", "/query", query)
+            assert response.status == 200, payload
+            assert json.loads(payload)["rows"] == [[2], [3]]
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "length, status", [("12x", 400), ("-1", 400), (str(2 << 20), 413)]
+    )
+    def test_get_with_an_undrainable_body_is_refused_and_closed(
+        self, server, length, status
+    ):
+        conn = _connection(server)
+        try:
+            conn.putrequest("GET", "/healthz")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = response.read()
+        finally:
+            conn.close()
+        assert response.status == status, payload
+        assert response.getheader("Connection") == "close"
+        assert "error" in json.loads(payload)
+
 
 class TestStdlibErrors:
     """Refusals raised inside the stdlib keep the JSON error contract."""

@@ -207,6 +207,28 @@ class TestRunawayTimeouts:
         assert elapsed_ms < 2 * timeout_ms + 500
         assert session.stats.timeouts == 1
 
+    def test_runaway_not_exists_build_times_out(self):
+        """The exists index enumerates its inner scope once — here a
+        27-million-row cross product — under the same stride checks."""
+        db = repro.Database()
+        db.create("R", ("A",), [(i,) for i in range(10)])
+        db.create("S", ("A", "B"), [(i, i) for i in range(300)])
+        query = (
+            "{Q(A) | ∃r ∈ R[¬∃s ∈ S, t ∈ S, u ∈ S[s.A = r.A ∧ "
+            "t.B + u.B = -1] ∧ Q.A = r.A]}"
+        )
+        timeout_ms = 300
+        session = Session(
+            db, SQL_CONVENTIONS, options=EvalOptions(timeout_ms=timeout_ms)
+        )
+        start = time.monotonic()
+        with pytest.raises(QueryTimeout):
+            session.prepare(query).run()
+        elapsed_ms = (time.monotonic() - start) * 1000
+        assert elapsed_ms < 2 * timeout_ms + 500
+        assert session.stats.timeouts == 1
+        assert session.stats.decorr_index_builds == 0  # aborted, not cached
+
     def test_per_run_override_beats_the_session_default(self):
         session = Session(
             _db(), SET_CONVENTIONS, options=EvalOptions(timeout_ms=60_000)

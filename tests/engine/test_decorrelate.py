@@ -26,7 +26,7 @@ from repro.core.conventions import (
 from repro.core.parser import parse
 from repro.data import Database, NULL
 from repro.engine import Evaluator, decorrelate, evaluate
-from repro.workloads import sweeps
+from repro.workloads import paper_examples, sweeps
 
 ORACLE = EvalOptions(backend="reference")
 
@@ -568,3 +568,133 @@ class TestBandSqlRewrite:
         assert evaluate(rewritten, db, SQL_CONVENTIONS) == evaluate(
             correlated, db, SQL_CONVENTIONS, options=ORACLE
         )
+
+
+# -- boolean scopes: the exists index ------------------------------------------
+
+
+def _boolean_scopes(node):
+    """Every quantifier reached through a ``¬`` (outermost first)."""
+    return [
+        sub.child
+        for sub in node.walk()
+        if isinstance(sub, n.Not) and isinstance(sub.child, n.Quantifier)
+    ]
+
+
+def probe_exists(
+    query_text, db=None, conventions=SQL_CONVENTIONS, which=0, **kwargs
+):
+    """Decide negated scope number *which* of *query_text*; refused shapes
+    must still agree with the oracle through the per-row path."""
+    node = parse(query_text)
+    evaluator = Evaluator(db if db is not None else _db(), conventions, **kwargs)
+    evaluator.evaluate(node)  # registers abstract definitions, if any
+    spec, reason = decorrelate.plan_for(evaluator, _boolean_scopes(node)[which])
+    database = evaluator.database
+    assert evaluate(node, database, conventions) == evaluate(
+        node, database, conventions, options=ORACLE
+    )
+    return spec, reason
+
+
+NOT_EXISTS = "{Q(A) | ∃r ∈ R[¬∃s ∈ S[s.A = r.A ∧ s.B > 6] ∧ Q.A = r.A]}"
+
+
+class TestExistsAccepts:
+    def test_equality_correlation_with_a_local_filter(self):
+        spec, reason = probe_exists(NOT_EXISTS)
+        assert reason is None
+        assert spec.strategy == "exists"
+        assert [f"{e.var}.{e.attr}" for e in spec.outer_exprs] == ["r.A"]
+        assert spec.relation_names == ("S",)
+
+    def test_innermost_scope_of_the_double_negation(self, likes_db):
+        node = paper_examples.arc("eq22")
+        spec, reason = decorrelate.plan_for(
+            Evaluator(likes_db), _boolean_scopes(node)[-1]
+        )
+        assert reason is None and spec.strategy == "exists"
+        assert len(spec.outer_exprs) == 2
+
+
+class TestExistsRefuses:
+    def test_theta_correlation(self):
+        spec, reason = probe_exists(
+            "{Q(A) | ∃r ∈ R[¬∃s ∈ S[s.A < r.A] ∧ Q.A = r.A]}"
+        )
+        assert spec is None
+        assert "non-equality" in reason and "< on s.A" in reason
+        assert "equality keys only" in reason
+
+    def test_not_equal_correlation(self):
+        spec, reason = probe_exists(
+            "{Q(A) | ∃r ∈ R[¬∃s ∈ S[s.A <> r.A] ∧ Q.A = r.A]}"
+        )
+        assert spec is None
+        assert "<> on s.A" in reason
+
+    def test_outer_variable_inside_a_nested_scope(self, likes_db):
+        """eq22's double negation: ``l1`` reaches into ``∃l4`` from ``∃l3``."""
+        node = paper_examples.arc("eq22")
+        l3_scope = _boolean_scopes(node)[1]
+        assert l3_scope.bindings[0].var == "l3"
+        spec, reason = decorrelate.plan_for(Evaluator(likes_db), l3_scope)
+        assert spec is None
+        assert "nested scope" in reason
+        assert evaluate(node, likes_db) == evaluate(node, likes_db, options=ORACLE)
+
+    def test_external_inner_relation(self):
+        spec, reason = probe_exists(
+            "{Q(A) | ∃r ∈ R[¬∃f ∈ Minus[f.left = r.A ∧ f.right = 1 ∧ "
+            "f.out = 0] ∧ Q.A = r.A]}"
+        )
+        assert spec is None
+        assert "'Minus' has no stored extension" in reason
+
+    def test_abstract_inner_relation(self, likes_db):
+        spec, reason = probe_exists(
+            "Sub := {Sub(l, r) | ¬(∃l3 ∈ L[l3.d = Sub.l ∧ "
+            "¬(∃l4 ∈ L[l4.b = l3.b ∧ l4.d = Sub.r])])} ;\n"
+            "{Q(d) | ∃l1 ∈ L[Q.d = l1.d ∧ "
+            "¬(∃s1 ∈ Sub[s1.l = l1.d ∧ s1.r = 'bob'])]}",
+            likes_db,
+            SET_CONVENTIONS,
+            which=-1,
+        )
+        assert spec is None
+        assert "'Sub' has no stored extension" in reason
+
+    def test_grouped_boolean_scope(self):
+        """busy_customers.sql: ``∃o2 ∈ Orders, γ ∅[... ∧ 2 <= count(...)]``
+        is a _truth_grouped scope, decided per group, not per key."""
+        from repro.frontends import load_query
+
+        db = Database()
+        db.create("Customer", ("cid",), [(1,), (2,)])
+        db.create("Orders", ("cid", "day"), [(1, 1), (1, 2), (2, 1)])
+        node = load_query(
+            "select c.cid from Customer c where (select count(o2.day) "
+            "from Orders o2 where o2.cid = c.cid) >= 2",
+            "sql",
+        )
+        grouped = [
+            sub
+            for sub in node.walk()
+            if isinstance(sub, n.Quantifier) and sub.grouping is not None
+        ]
+        spec, reason = decorrelate.plan_for(Evaluator(db), grouped[0])
+        assert spec is None
+        assert "groups its rows" in reason
+        assert evaluate(node, db, SQL_CONVENTIONS) == evaluate(
+            node, db, SQL_CONVENTIONS, options=ORACLE
+        )
+
+    def test_escape_hatch_and_reference_backend_never_index(self):
+        spec, reason = probe_exists(NOT_EXISTS, decorrelate=False)
+        assert spec is None and "disabled" in reason
+        for kwargs in ({"decorrelate": False}, {"planner": False}):
+            evaluator = Evaluator(_db(), SQL_CONVENTIONS, **kwargs)
+            evaluator.evaluate(parse(NOT_EXISTS))
+            assert evaluator.stats.decorr_index_builds == 0
+            assert evaluator.stats.index_probes == 0

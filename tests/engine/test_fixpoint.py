@@ -186,3 +186,40 @@ class TestSeminaive:
         evaluator = Evaluator(ancestor_db)
         materialize_program(program, evaluator, seminaive=True)
         assert "ΔA" not in evaluator.defined
+
+
+class TestAnalysisCache:
+    def test_two_runs_of_one_prepared_program_analyse_it_once(self, monkeypatch):
+        """Validation, abstract-name detection and the SCC order depend on
+        the AST alone: the second run of a prepared program reuses them."""
+        from repro.api import Session
+        from repro.engine import fixpoint
+
+        calls = {"validate": 0, "dependency_graph": 0}
+
+        def counting(name):
+            original = getattr(fixpoint, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fixpoint, name, wrapper)
+
+        counting("validate")
+        counting("dependency_graph")
+        db = Database()
+        db.create("Event", ("e", "m"), [(1, 1), (2, 1)])
+        db.create("Machine", ("m",), [(1,), (2,)])
+        prepared = Session(db).prepare(
+            "Active(m) :- Event(e, m).\nQ(m) :- Machine(m), !Active(m).",
+            "datalog",
+        )
+        first = prepared.run()
+        after_first = dict(calls)
+        # One validation of the program plus one per definition, and one
+        # dependency graph.
+        assert after_first == {"validate": 3, "dependency_graph": 1}
+        assert prepared.run() == first
+        assert calls == after_first
+        assert rows_as_tuples(first) == [(2,)]

@@ -305,3 +305,33 @@ def test_tribucket_probes_count_on_nullable_keys():
     assert stats.lateral_reevals == 0, stats.as_dict()
     assert stats.tribucket_probes == len(db["R"]), stats.as_dict()
     assert result == Evaluator(db, SQL_CONVENTIONS, planner=False).evaluate(query)
+
+
+def test_correlated_not_exists_probes_once_per_outer_row():
+    """A correlated ``¬∃`` over N outer × M inner rows builds one exists
+    index (one enumeration of the inner scope) and probes it N times,
+    instead of rescanning the M inner rows for each of the N outer rows."""
+    from repro.core.conventions import SQL_CONVENTIONS
+
+    n_outer, m_inner = 300, 200
+    db = Database()
+    db.create("R", ("A", "B"), [(i, i % 7) for i in range(n_outer)])
+    db.create("S", ("A", "C"), [(2 * i, i % 3) for i in range(m_inner)])
+    query = parse("{Q(A) | ∃r ∈ R[¬∃s ∈ S[s.A = r.A ∧ s.C > 0] ∧ Q.A = r.A]}")
+    first = Evaluator(db, SQL_CONVENTIONS)
+    result = first.evaluate(query)
+    assert first.stats.decorr_index_builds == 1, first.stats.as_dict()
+    assert first.stats.index_probes == n_outer, first.stats.as_dict()
+    assert result == Evaluator(db, SQL_CONVENTIONS, planner=False).evaluate(query)
+
+    second = Evaluator(db, SQL_CONVENTIONS)
+    assert second.evaluate(query) == result
+    assert second.stats.decorr_index_builds == 0  # cached on S
+    assert second.stats.index_probes == n_outer
+
+    db["S"].add((1, 1))
+    third = Evaluator(db, SQL_CONVENTIONS)
+    changed = third.evaluate(query)
+    assert third.stats.decorr_index_builds == 1  # the mutation dropped it
+    assert len(changed) == len(result) - 1
+    assert changed == Evaluator(db, SQL_CONVENTIONS, planner=False).evaluate(query)
