@@ -10,9 +10,9 @@ barrier, and each walks its own payload, so worker-scaling runs can give
 every client a distinct query while coalescing runs give them the same
 one.
 
-Used by ``benchmarks/bench_e29_load.py`` (RPS + p50/p99 vs worker count)
-and the concurrency tests; nothing here imports the engine, so the
-generator can drive an out-of-process server.
+Used by ``bench_e29_load.py`` (RPS + p50/p99 vs worker count); nothing
+here imports the engine, so the generator can drive an out-of-process
+server.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Drives a real ``repro serve`` subprocess (its own interpreter, so the
 load generator's GIL never shades the server's) with the closed-loop
-generator from :mod:`repro.serve.loadgen` over the warm prepared E21
+generator from ``_loadgen`` over the warm prepared E21
 width-4 join-chain workload on the SQLite backend.  SQLite releases the
 GIL inside ``step()``, so a pool of worker threads genuinely overlaps
 query execution; each load client posts its own whitespace-padded query
@@ -39,9 +39,9 @@ import urllib.request
 import pytest
 
 import _common
+from _loadgen import run_load
 from repro.data import generators
 from repro.data.csvio import write_csv
-from repro.serve import run_load
 
 WIDTH = 4
 ROWS = int(os.environ.get("E29_ROWS", "1500"))

@@ -6,8 +6,7 @@ provides the corpus-side machinery such a framework needs:
 
 * :class:`QueryCorpus` — a named collection of ARC queries (from any
   frontend) with cached canonical forms and fingerprints;
-* equivalence classes by exact pattern (and by shape, ignoring relation
-  names);
+* equivalence classes by exact pattern;
 * a pattern-vocabulary histogram over the corpus;
 * pairwise intent-similarity matrices and nearest-neighbour lookup —
   the "semantic similarity search and retrieval" use case of Section 1;
@@ -31,7 +30,6 @@ class CorpusEntry:
     name: str
     query: object
     fingerprint: str
-    shape: str
     canonical: str
     patterns: frozenset
 
@@ -49,7 +47,6 @@ class QueryCorpus:
             name=name,
             query=query,
             fingerprint=fingerprint(query),
-            shape=fingerprint(query, anonymize_relations=True),
             canonical=canonical_text(query),
             patterns=frozenset(detect_patterns(query)),
         )
@@ -75,13 +72,6 @@ class QueryCorpus:
         groups = {}
         for entry in self._entries.values():
             groups.setdefault(entry.fingerprint, []).append(entry.name)
-        return sorted(sorted(group) for group in groups.values())
-
-    def shape_classes(self):
-        """Groups sharing the pattern up to relation renaming."""
-        groups = {}
-        for entry in self._entries.values():
-            groups.setdefault(entry.shape, []).append(entry.name)
         return sorted(sorted(group) for group in groups.values())
 
     # -- statistics -----------------------------------------------------------------

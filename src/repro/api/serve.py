@@ -125,7 +125,7 @@ from ..serve import (
     WorkerPool,
     poison_fingerprint,
 )
-from ..serve.pool import DEFAULT_QUEUE_DEPTH, DEFAULT_SESSION_LIMIT
+from ..serve.pool import DEFAULT_QUEUE_DEPTH
 from ..util import failpoints
 from .options import validate_budget
 
@@ -331,6 +331,23 @@ class QueryServer(ThreadingHTTPServer):
     caller holds).  Extra *catalogs* (name → Database) become selectable
     via the request ``catalog`` field; workers build Sessions for them
     lazily through a bounded per-worker LRU.
+
+    Bind with ``QueryServer((host, port), session, ...)`` (``port`` 0 =
+    ephemeral; ``server.url`` reports the bound address), then drive it:
+    ``serve_forever()`` to block, ``handle_request()`` for one request,
+    ``server_close()`` to drain the pool and release the socket.
+    ``workers`` sizes the execution pool (the default of 1 preserves
+    strictly serialized execution); ``queue_depth`` bounds admission.
+    ``log_requests`` emits one ``repro.serve`` logging line per request;
+    ``log_json`` switches those lines to structured JSON (and implies
+    ``log_requests``).
+
+    Self-healing knobs: ``hard_timeout_ms`` caps any single execution's
+    wall time (each run's Deadline is ``min(soft, hard)``; without it a
+    deadline-less run is capped at :data:`DEFAULT_HARD_TIMEOUT_MS`);
+    ``shed_threshold_ms`` sheds deadline-less requests when the estimated
+    queue wait exceeds it; ``poison_threshold`` / ``quarantine_ttl_s``
+    tune the poison-query quarantine.
     """
 
     # Handler threads are daemonic: a keep-alive connection parked in
@@ -339,9 +356,8 @@ class QueryServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, session, *, workers=1,
-                 queue_depth=DEFAULT_QUEUE_DEPTH,
-                 session_limit=DEFAULT_SESSION_LIMIT, catalogs=None,
-                 quiet=True, max_body_bytes=DEFAULT_MAX_BODY_BYTES,
+                 queue_depth=DEFAULT_QUEUE_DEPTH, catalogs=None,
+                 max_body_bytes=DEFAULT_MAX_BODY_BYTES,
                  log_requests=False, log_json=False,
                  hard_timeout_ms=None, shed_threshold_ms=None,
                  poison_threshold=DEFAULT_POISON_THRESHOLD,
@@ -355,7 +371,6 @@ class QueryServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.session = session
         self.hard_timeout_ms = hard_timeout_ms
-        self.quiet = quiet
         self.max_body_bytes = max_body_bytes
         self.started = time.monotonic()
         self.requests_served = 0
@@ -381,8 +396,7 @@ class QueryServer(ThreadingHTTPServer):
             session, metrics=self.metrics, catalogs=catalogs
         )
         self.pool = WorkerPool(
-            self.factory, workers, queue_depth,
-            session_limit=session_limit, metrics=self.metrics,
+            self.factory, workers, queue_depth, metrics=self.metrics,
             adopt=session, shed_threshold_ms=shed_threshold_ms,
             poison_threshold=poison_threshold,
             quarantine_ttl_s=quarantine_ttl_s,
@@ -578,8 +592,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if not self.server.quiet:  # pragma: no cover - debugging aid
-            super().log_message(format, *args)
+        """Silence the stdlib's stderr line; ``--log-requests`` logs instead."""
 
     def log_request(self, code="-", size="-"):
         """One structured line per request (``--log-requests``).
@@ -836,44 +849,6 @@ class _Handler(BaseHTTPRequestHandler):
         if outcome.status == 200:
             self.server.count_served()
         self._send_payload(outcome.status, outcome.payload, headers)
-
-
-def make_server(session, host="127.0.0.1", port=0, *, workers=1,
-                queue_depth=DEFAULT_QUEUE_DEPTH,
-                session_limit=DEFAULT_SESSION_LIMIT, catalogs=None,
-                quiet=True, max_body_bytes=DEFAULT_MAX_BODY_BYTES,
-                log_requests=False, log_json=False,
-                hard_timeout_ms=None, shed_threshold_ms=None,
-                poison_threshold=DEFAULT_POISON_THRESHOLD,
-                quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S):
-    """Bind a :class:`QueryServer` for *session* (``port=0`` = ephemeral).
-
-    The caller drives it: ``server.serve_forever()`` to block,
-    ``server.handle_request()`` for one request, ``server.server_close()``
-    to drain the pool and release the socket.  ``server.url`` reports the
-    bound address.  ``workers`` sizes the execution pool (worker 0 adopts
-    *session*; the default of 1 preserves strictly serialized execution);
-    ``queue_depth`` bounds admission; *catalogs* maps extra catalog names
-    to Databases for the request ``catalog`` field.  ``log_requests``
-    emits one ``repro.serve`` logging line per request; ``log_json``
-    switches those lines to structured JSON (and implies
-    ``log_requests``).
-
-    Self-healing knobs: ``hard_timeout_ms`` caps any single execution's
-    wall time (each run's Deadline is ``min(soft, hard)``; without it a
-    deadline-less run is capped at :data:`DEFAULT_HARD_TIMEOUT_MS`);
-    ``shed_threshold_ms`` sheds deadline-less requests
-    when the estimated queue wait exceeds it; ``poison_threshold`` /
-    ``quarantine_ttl_s`` tune the poison-query quarantine.
-    """
-    return QueryServer(
-        (host, port), session, workers=workers, queue_depth=queue_depth,
-        session_limit=session_limit, catalogs=catalogs, quiet=quiet,
-        max_body_bytes=max_body_bytes,
-        log_requests=log_requests, log_json=log_json,
-        hard_timeout_ms=hard_timeout_ms, shed_threshold_ms=shed_threshold_ms,
-        poison_threshold=poison_threshold, quarantine_ttl_s=quarantine_ttl_s,
-    )
 
 
 def install_sigterm_handler(server, *, signals=(signal.SIGTERM, signal.SIGINT)):

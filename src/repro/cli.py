@@ -217,14 +217,12 @@ def cmd_serve(args):
     queue_depth = (
         args.queue_depth if args.queue_depth is not None else DEFAULT_QUEUE_DEPTH
     )
-    server = serve.make_server(
+    server = serve.QueryServer(
+        (args.host, args.port),
         session,
-        args.host,
-        args.port,
         workers=workers,
         queue_depth=queue_depth,
         catalogs=_load_catalogs(args.catalog),
-        quiet=args.quiet,
         max_body_bytes=(
             args.max_body_bytes
             if args.max_body_bytes is not None
@@ -511,12 +509,6 @@ def build_parser():
         metavar="N",
         help="refuse request bodies larger than N bytes with 413 before "
         "reading them (default: 1 MiB)",
-    )
-    p_serve.add_argument(
-        "--quiet",
-        action="store_true",
-        default=True,
-        help=argparse.SUPPRESS,
     )
     p_serve.add_argument(
         "--workers",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..errors import ParseError
 from . import nodes as n
-from .lexer import tokenize
 from .parser import _Parser
 
 _BRANCH_MARKS = ("├─ ", "└─ ")
@@ -176,7 +175,7 @@ def _parse_grouping(text):
 
 
 def _parse_join(text):
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     return parser._parse_join_annotation()
 
 
@@ -185,14 +184,14 @@ def _parse_predicate(text):
         return n.BoolConst(True)
     if text == "false":
         return n.BoolConst(False)
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     predicate = parser._parse_predicate()
     parser._expect_end()
     return predicate
 
 
 def _parse_expr(text):
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     expr = parser._parse_expr()
     parser._expect_end()
     return expr

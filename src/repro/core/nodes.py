@@ -521,11 +521,6 @@ def transform(node, fn):
     return fn(rebuilt)
 
 
-def attrs_used(node):
-    """All Attr references in the subtree, as (var, attr) pairs."""
-    return [(n.var, n.attr) for n in node.walk() if isinstance(n, Attr)]
-
-
 def vars_used(node):
     """All range-variable names referenced by attributes in the subtree."""
     return {n.var for n in node.walk() if isinstance(n, Attr)}

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from ..errors import ParseError
 from . import nodes as n
-from .lexer import EOF, IDENT, KEYWORD, NUMBER, STRING, SYMBOL, literal_value, tokenize
+from .lexer import EOF, IDENT, KEYWORD, NUMBER, STRING, TokenCursor, literal_value
 
 
 def parse(text):
@@ -45,7 +45,7 @@ def parse(text):
     :class:`~repro.core.nodes.Sentence`, or
     :class:`~repro.core.nodes.Program` depending on the input shape.
     """
-    return _Parser(tokenize(text)).parse_input()
+    return _Parser(text).parse_input()
 
 
 def parse_collection(text):
@@ -72,48 +72,8 @@ def parse_program(text):
     return n.Program({}, result)
 
 
-class _Parser:
+class _Parser(TokenCursor):
     """Recursive-descent parser over a token list with save/restore."""
-
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-
-    # -- token plumbing -----------------------------------------------------
-
-    def _peek(self, offset=0):
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _next(self):
-        token = self._peek()
-        if token.type != EOF:
-            self._pos += 1
-        return token
-
-    def _expect_symbol(self, symbol):
-        token = self._next()
-        if not token.is_symbol(symbol):
-            raise ParseError(
-                f"expected {symbol!r}, got {token.value!r}", token.line, token.column
-            )
-        return token
-
-    def _expect_keyword(self, keyword):
-        token = self._next()
-        if not token.is_keyword(keyword):
-            raise ParseError(
-                f"expected {keyword!r}, got {token.value!r}", token.line, token.column
-            )
-        return token
-
-    def _expect_ident(self):
-        token = self._next()
-        if token.type != IDENT:
-            raise ParseError(
-                f"expected identifier, got {token.value!r}", token.line, token.column
-            )
-        return token.value
 
     # -- entry points --------------------------------------------------------
 
@@ -128,13 +88,6 @@ class _Parser:
         sentence = n.Sentence(self._parse_or())
         self._expect_end()
         return sentence
-
-    def _expect_end(self):
-        token = self._peek()
-        if token.type != EOF:
-            raise ParseError(
-                f"unexpected trailing input {token.value!r}", token.line, token.column
-            )
 
     def _parse_program(self):
         definitions = {}

@@ -151,13 +151,6 @@ class Relation:
                 self._derived.clear()
         return coerced
 
-    @classmethod
-    def from_counter(cls, name, schema, counter):
-        rel = cls(name, schema)
-        for row, mult in counter.items():
-            rel.add(row, mult)
-        return rel
-
     def extend_new(self, rows, multiplicity=1):
         """Bulk-insert rows while *maintaining* cached hash indexes.
 

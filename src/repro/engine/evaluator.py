@@ -192,10 +192,6 @@ class Evaluator:
             return self._truth(node.body, {})
         raise EvaluationError(f"cannot evaluate {type(node).__name__}")
 
-    def evaluate_truth(self, formula, env=None):
-        """Evaluate a bare formula as a boolean (for tests and tooling)."""
-        return self._truth(formula, dict(env or {}))
-
     # -- programs -----------------------------------------------------------
 
     def _evaluate_program(self, program):
@@ -438,33 +434,8 @@ class Evaluator:
             if fused is not None:
                 yield from fused
                 return
-        rows = list(self._combos(quant, plan, env, strict=True))
-        keys = quant.grouping.keys
-        groups = {}
-        order = []
-        if keys:
-            for env2, mult in rows:
-                key = tuple(self._eval_expr(k, env2) for k in keys)
-                hashable = tuple(
-                    ("null",) if is_null(v) else ("v", v) for v in key
-                )
-                if hashable not in groups:
-                    groups[hashable] = []
-                    order.append(hashable)
-                groups[hashable].append((env2, mult))
-        else:
-            groups["∅"] = rows  # γ∅: exactly one group, even over empty input
-            order.append("∅")
-        for key in order:
-            group_rows = groups[key]
-            agg_values = self._compute_aggregates(quant, plan, group_rows)
-            rep_env = group_rows[0][0] if group_rows else env
-            keep = Truth.TRUE
-            for predicate in plan.agg_comparisons:
-                keep = t_and(keep, self._truth(predicate, rep_env, agg_values))
-                if keep is Truth.FALSE:
-                    break
-            if keep is not Truth.TRUE:
+        for group_rows, rep_env, agg_values, having in self._groups(quant, plan, env):
+            if having is not Truth.TRUE:
                 continue
             assigns = {}
             ok = True
@@ -479,6 +450,31 @@ class Evaluator:
             for attr, expr in plan.agg_assignments:
                 assigns[attr] = self._eval_expr(expr, rep_env, agg_values)
             yield assigns, 1
+
+    def _groups(self, quant, plan, env):
+        """Partition the scope's combinations by grouping key (first-seen
+        order) and yield ``(rows, rep_env, agg_values, having)`` per group:
+        its rows, a representative env, its aggregate values, and the Kleene
+        AND of the aggregate comparisons (HAVING)."""
+        rows = list(self._combos(quant, plan, env, strict=True))
+        keys = quant.grouping.keys
+        if keys:
+            groups = {}
+            for env2, mult in rows:
+                key = tuple(self._eval_expr(k, env2) for k in keys)
+                groups.setdefault(key, []).append((env2, mult))
+            groups = groups.values()
+        else:
+            groups = (rows,)  # γ∅: exactly one group, even over empty input
+        for group_rows in groups:
+            agg_values = self._compute_aggregates(quant, plan, group_rows)
+            rep_env = group_rows[0][0] if group_rows else env
+            having = Truth.TRUE
+            for predicate in plan.agg_comparisons:
+                having = t_and(having, self._truth(predicate, rep_env, agg_values))
+                if having is Truth.FALSE:
+                    break
+            yield group_rows, rep_env, agg_values, having
 
     def _compute_aggregates(self, quant, plan, group_rows):
         """Evaluate every AggCall of the scope over the group's rows."""
@@ -895,30 +891,9 @@ class Evaluator:
     def _truth_grouped(self, quant, plan, env):
         """Boolean grouping scope: ∃ a group satisfying the aggregate
         predicates (Fig. 9 and the count bug's version 1)."""
-        rows = list(self._combos(quant, plan, env, strict=True))
-        keys = quant.grouping.keys
-        groups = {}
-        if keys:
-            for env2, mult in rows:
-                key = tuple(
-                    ("null",) if is_null(v) else ("v", v)
-                    for v in (self._eval_expr(k, env2) for k in keys)
-                )
-                groups.setdefault(key, []).append((env2, mult))
-        else:
-            groups["∅"] = rows
         result = Truth.FALSE
-        for group_rows in groups.values():
-            agg_values = self._compute_aggregates(quant, plan, group_rows)
-            rep_env = group_rows[0][0] if group_rows else env
-            group_truth = Truth.TRUE
-            for predicate in plan.agg_comparisons:
-                group_truth = t_and(
-                    group_truth, self._truth(predicate, rep_env, agg_values)
-                )
-                if group_truth is Truth.FALSE:
-                    break
-            result = t_or(result, group_truth)
+        for _, _, _, having in self._groups(quant, plan, env):
+            result = t_or(result, having)
             if result is Truth.TRUE:
                 return result
         return result

@@ -56,10 +56,6 @@ class SchemaError(ArcError):
     """A relation was used with the wrong attributes or a catalog lookup failed."""
 
 
-class ConventionError(ArcError):
-    """An operation is undefined under the active :class:`~repro.core.conventions.Conventions`."""
-
-
 class OptionsError(ArcError):
     """Contradictory or malformed evaluation options.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import count as _counter
 
 from ..core import nodes as n
-from ..core.lexer import EOF, IDENT, KEYWORD, NUMBER, STRING, SYMBOL, Token, tokenize
+from ..core.lexer import EOF, IDENT, NUMBER, STRING, TokenCursor, literal_value
 from ..errors import ParseError
 
 AGGREGATE_WORDS = {"sum", "count", "min", "max", "avg", "mean"}
@@ -97,32 +97,10 @@ def parse_rules(text):
     """Parse a Datalog program into a list of Rules."""
     # The shared lexer has no "!" token; normalize Soufflé negation first.
     text = text.replace("!", " not ")
-    tokens = tokenize(text)
-    return _RuleParser(tokens).parse_program()
+    return _RuleParser(text).parse_program()
 
 
-class _RuleParser:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self, offset=0):
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
-
-    def _next(self):
-        token = self._peek()
-        if token.type != EOF:
-            self._pos += 1
-        return token
-
-    def _expect(self, symbol):
-        token = self._next()
-        if not token.is_symbol(symbol):
-            raise ParseError(
-                f"expected {symbol!r}, got {token.value!r}", token.line, token.column
-            )
-        return token
-
+class _RuleParser(TokenCursor):
     def parse_program(self):
         rules = []
         while self._peek().type != EOF:
@@ -137,7 +115,7 @@ class _RuleParser:
             self._next()
             self._next()
             body = self._parse_body()
-        self._expect(".")
+        self._expect_symbol(".")
         return Rule(predicate, args, body)
 
     def _parse_head(self):
@@ -147,7 +125,7 @@ class _RuleParser:
                 f"expected predicate name, got {token.value!r}", token.line, token.column
             )
         predicate = token.value
-        self._expect("(")
+        self._expect_symbol("(")
         args = []
         if not self._peek().is_symbol(")"):
             while True:
@@ -156,7 +134,7 @@ class _RuleParser:
                     self._next()
                     continue
                 break
-        self._expect(")")
+        self._expect_symbol(")")
         return predicate, args
 
     def _parse_head_arg(self):
@@ -171,15 +149,10 @@ class _RuleParser:
             if token.value == "_":
                 return _Wildcard()
             return _Var(token.value)
-        if token.type == NUMBER:
-            value = float(token.value) if "." in token.value else int(token.value)
-            return _Const(value)
-        if token.type == STRING:
-            return _Const(token.value)
+        if token.type in (NUMBER, STRING):
+            return _Const(literal_value(token))
         if token.is_symbol("-") and self._peek().type == NUMBER:
-            number = self._next()
-            value = float(number.value) if "." in number.value else int(number.value)
-            return _Const(-value)
+            return _Const(-literal_value(self._next()))
         raise ParseError(
             f"expected term, got {token.value!r}", token.line, token.column
         )
@@ -200,7 +173,7 @@ class _RuleParser:
                 token.column,
             )
         predicate = token.value
-        self._expect("(")
+        self._expect_symbol("(")
         args = []
         if not self._peek().is_symbol(")"):
             while True:
@@ -209,7 +182,7 @@ class _RuleParser:
                     self._next()
                     continue
                 break
-        self._expect(")")
+        self._expect_symbol(")")
         return Atom(predicate, args)
 
     def _parse_literal(self):
@@ -255,10 +228,10 @@ class _RuleParser:
             if not isinstance(term, _Var):
                 raise ParseError("aggregate value must be a variable")
             value_var = term.name
-        self._expect(":")
-        self._expect("{")
+        self._expect_symbol(":")
+        self._expect_symbol("{")
         body = self._parse_body()
-        self._expect("}")
+        self._expect_symbol("}")
         return AggLit(target, func, value_var, body)
 
 

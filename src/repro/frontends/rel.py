@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import count as _counter
 
 from ..core import nodes as n
-from ..core.lexer import EOF, IDENT, KEYWORD, NUMBER, STRING, literal_value, tokenize
+from ..core.lexer import EOF, IDENT, NUMBER, STRING, TokenCursor, literal_value
 from ..errors import ParseError
 
 AGGREGATE_WORDS = {
@@ -67,38 +67,10 @@ class RelAgg:
 
 
 def parse_rel(text):
-    return _RelParser(tokenize(text)).parse_defs()
+    return _RelParser(text).parse_defs()
 
 
-class _RelParser:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self, offset=0):
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
-
-    def _next(self):
-        token = self._peek()
-        if token.type != EOF:
-            self._pos += 1
-        return token
-
-    def _expect_symbol(self, symbol):
-        token = self._next()
-        if not token.is_symbol(symbol):
-            raise ParseError(
-                f"expected {symbol!r}, got {token.value!r}", token.line, token.column
-            )
-
-    def _expect_ident(self):
-        token = self._next()
-        if token.type != IDENT:
-            raise ParseError(
-                f"expected identifier, got {token.value!r}", token.line, token.column
-            )
-        return token.value
-
+class _RelParser(TokenCursor):
     def parse_defs(self):
         defs = []
         while self._peek().type != EOF:

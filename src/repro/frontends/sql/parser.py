@@ -10,75 +10,50 @@ HAVING, and UNION [ALL].  This covers every SQL text in the paper
 
 from __future__ import annotations
 
+from ...core.lexer import (
+    IDENT, KEYWORD, NUMBER, STRING, Lexicon, TokenCursor, literal_value,
+)
 from ...errors import ParseError
 from . import ast
-from .lexer import EOF, IDENT, KEYWORD, NUMBER, STRING, SYMBOL, tokenize
 
 AGGREGATES = {"sum", "count", "avg", "min", "max"}
+
+#: SQL's spelling for the shared tokenizer.  Keywords are case-insensitive and
+#: identifiers keep their case; a double-quoted identifier is an IDENT (the
+#: paper's reified operator relations like ``"-"`` and ``">"``, Fig. 15b).
+SQL = Lexicon(
+    words=frozenset(
+        """select distinct from where group by having order as on join inner left
+        right full outer cross lateral union all and or not exists in is null
+        true false into like between case when then else end asc desc limit
+        with recursive""".split()
+    ),
+    unicode={},
+    multi=("<>", "!=", "<=", ">=", "||"),
+    single=frozenset("(),.*=<>+-/%;"),
+    comment="--",
+    quotes={
+        "'": (STRING, "unterminated string literal"),
+        '"': (IDENT, "unterminated quoted identifier"),
+    },
+    unexpected="unexpected character {!r} in SQL",
+    trailing="unexpected trailing SQL {!r}",
+    keyword_label=str.upper,
+    terminator=";",
+)
 
 
 def parse_sql(text):
     """Parse SQL text into a :class:`~repro.frontends.sql.ast.SelectStmt`
     or :class:`~repro.frontends.sql.ast.UnionStmt`."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     stmt = parser.parse_statement()
-    parser.expect_end()
+    parser._expect_end()
     return stmt
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self, offset=0):
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
-
-    def _next(self):
-        token = self._peek()
-        if token.type != EOF:
-            self._pos += 1
-        return token
-
-    def _accept_keyword(self, *keywords):
-        if self._peek().is_keyword(*keywords):
-            return self._next()
-        return None
-
-    def _expect_keyword(self, keyword):
-        token = self._next()
-        if not token.is_keyword(keyword):
-            raise ParseError(
-                f"expected {keyword.upper()}, got {token.value!r}",
-                token.line,
-                token.column,
-            )
-        return token
-
-    def _expect_symbol(self, symbol):
-        token = self._next()
-        if not token.is_symbol(symbol):
-            raise ParseError(
-                f"expected {symbol!r}, got {token.value!r}", token.line, token.column
-            )
-        return token
-
-    def _expect_ident(self):
-        token = self._next()
-        if token.type != IDENT:
-            raise ParseError(
-                f"expected identifier, got {token.value!r}", token.line, token.column
-            )
-        return token.value
-
-    def expect_end(self):
-        if self._peek().is_symbol(";"):
-            self._next()
-        token = self._peek()
-        if token.type != EOF:
-            raise ParseError(
-                f"unexpected trailing SQL {token.value!r}", token.line, token.column
-            )
+class _Parser(TokenCursor):
+    lexicon = SQL
 
     # -- statements ------------------------------------------------------------
 
@@ -345,23 +320,8 @@ class _Parser:
             inner = self._parse_expr()
             self._expect_symbol(")")
             return inner
-        if token.type == NUMBER:
-            self._next()
-            return ast.Literal(float(token.value) if "." in token.value else int(token.value))
-        if token.type == STRING:
-            self._next()
-            return ast.Literal(token.value)
-        if token.is_keyword("null"):
-            self._next()
-            from ...data.values import NULL
-
-            return ast.Literal(NULL)
-        if token.is_keyword("true"):
-            self._next()
-            return ast.Literal(True)
-        if token.is_keyword("false"):
-            self._next()
-            return ast.Literal(False)
+        if token.type in (NUMBER, STRING) or token.is_keyword("null", "true", "false"):
+            return ast.Literal(literal_value(self._next()))
         if token.type == IDENT:
             name = self._next().value
             if name.lower() in AGGREGATES and self._peek().is_symbol("("):

@@ -21,7 +21,7 @@ producing a strict ARC collection.
 from __future__ import annotations
 
 from ..core import nodes as n
-from ..core.lexer import EOF, IDENT, KEYWORD, NUMBER, STRING, literal_value, tokenize
+from ..core.lexer import IDENT, KEYWORD, NUMBER, STRING, TokenCursor, literal_value
 from ..errors import ParseError
 
 
@@ -59,30 +59,10 @@ class LooseExists:
 
 
 def parse_trc(text):
-    return _TrcParser(tokenize(text)).parse_query()
+    return _TrcParser(text).parse_query()
 
 
-class _TrcParser:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self, offset=0):
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
-
-    def _next(self):
-        token = self._peek()
-        if token.type != EOF:
-            self._pos += 1
-        return token
-
-    def _expect_symbol(self, symbol):
-        token = self._next()
-        if not token.is_symbol(symbol):
-            raise ParseError(
-                f"expected {symbol!r}, got {token.value!r}", token.line, token.column
-            )
-
+class _TrcParser(TokenCursor):
     def parse_query(self):
         self._expect_symbol("{")
         head_exprs = [self._parse_expr()]
@@ -94,11 +74,7 @@ class _TrcParser:
         self._expect_symbol("|")
         body = self._parse_or()
         self._expect_symbol("}")
-        token = self._peek()
-        if token.type != EOF:
-            raise ParseError(
-                f"unexpected trailing input {token.value!r}", token.line, token.column
-            )
+        self._expect_end()
         return LooseQuery(head_exprs, body)
 
     def _parse_or(self):

@@ -15,9 +15,7 @@ mode into a worker-pool server:
 * :mod:`~repro.serve.admission` — typed admission-control errors
   (bounded queue full / shed → 429 + ``Retry-After``, draining → 503);
 * :mod:`~repro.serve.supervise` — poison-query quarantine state (request
-  fingerprints, kill counts, TTL) behind the pool's self-healing;
-* :mod:`~repro.serve.loadgen` — a closed-loop HTTP load generator
-  (RPS + p50/p99 latency) used by ``benchmarks/bench_e29_load.py``.
+  fingerprints, kill counts, TTL) behind the pool's self-healing.
 
 The HTTP front end itself stays in :mod:`repro.api.serve`; this package
 holds the transport-agnostic machinery under it.  Nothing here times a
@@ -27,7 +25,6 @@ the server's hard wall cap, and the engines enforce it.
 
 from .admission import RETRY_AFTER_S, AdmissionError
 from .coalesce import Coalescer
-from .loadgen import LoadSummary, percentile, run_load
 from .pool import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_SESSION_LIMIT,
@@ -52,14 +49,11 @@ __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_SESSION_LIMIT",
     "DEFAULT_WORKERS",
-    "LoadSummary",
     "Quarantine",
     "RETRY_AFTER_S",
     "SessionFactory",
     "SessionLRU",
     "Worker",
     "WorkerPool",
-    "percentile",
     "poison_fingerprint",
-    "run_load",
 ]

@@ -120,12 +120,6 @@ def activate(site, spec):
         _ACTIVE[site] = [kind, count, message]
 
 
-def deactivate(site):
-    """Disarm *site* (a no-op when it was not armed)."""
-    with _LOCK:
-        _ACTIVE.pop(site, None)
-
-
 def reset():
     """Disarm every failpoint and clear the hit counters."""
     with _LOCK:

@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.api.serve import _Handler, make_server
+from repro.api.serve import QueryServer, _Handler
 from repro.core.conventions import SQL_CONVENTIONS
 
 QUERY = "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.B > 15]}"
@@ -24,7 +24,7 @@ def server():
     db = repro.Database()
     db.create("R", ("A", "B"), [(1, 10), (2, 20), (3, 30)])
     session = Session(db, SQL_CONVENTIONS, options=EvalOptions(backend="sqlite"))
-    srv = make_server(session)  # port 0: ephemeral
+    srv = QueryServer(("127.0.0.1", 0), session)  # port 0: ephemeral
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.api.serve import install_sigterm_handler, make_server
+from repro.api.serve import QueryServer, install_sigterm_handler
 from repro.backends.exec import breaker_for, reset_breakers, sqlite_exec
 from repro.backends.exec import registry as registry_mod
 from repro.backends.exec.registry import CircuitBreaker
@@ -47,7 +47,7 @@ def _session(conventions=SET_CONVENTIONS, **options):
 @pytest.fixture
 def served():
     session = _session()
-    server = make_server(session, max_body_bytes=4096)
+    server = QueryServer(("127.0.0.1", 0), session, max_body_bytes=4096)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -63,7 +63,7 @@ def served_sql():
     # Bag (SQL) conventions: the static sqlite probe passes, so requests
     # actually reach the engine — required to exercise runtime faults.
     session = _session(SQL_CONVENTIONS)
-    server = make_server(session)
+    server = QueryServer(("127.0.0.1", 0), session)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -298,7 +298,7 @@ class TestDrainSurfaces:
 class TestGracefulShutdown:
     def test_sigterm_drains_the_inflight_request(self):
         session = _session()
-        server = make_server(session)
+        server = QueryServer(("127.0.0.1", 0), session)
         previous = {
             signum: signal.getsignal(signum)
             for signum in (signal.SIGTERM, signal.SIGINT)
@@ -333,7 +333,7 @@ class TestGracefulShutdown:
 
     def test_handler_is_idempotent_under_signal_storms(self):
         session = _session()
-        server = make_server(session)
+        server = QueryServer(("127.0.0.1", 0), session)
         previous = {
             signum: signal.getsignal(signum)
             for signum in (signal.SIGTERM, signal.SIGINT)

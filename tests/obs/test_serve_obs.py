@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.api.serve import configure_request_logging, make_server
+from repro.api.serve import QueryServer, configure_request_logging
 from repro.core.conventions import SQL_CONVENTIONS
 
 QUERY = "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.B > 15]}"
@@ -23,7 +23,7 @@ def _make(options=EvalOptions(backend="planner"), **serve_kwargs):
     db = repro.Database()
     db.create("R", ("A", "B"), [(1, 10), (2, 20), (3, 30)])
     session = Session(db, SQL_CONVENTIONS, options=options)
-    return make_server(session, **serve_kwargs)
+    return QueryServer(("127.0.0.1", 0), session, **serve_kwargs)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.api.serve import make_server
+from repro.api.serve import QueryServer
 from repro.backends.exec import reset_breakers, sqlite_exec
 from repro.core.conventions import SET_CONVENTIONS
 
@@ -43,7 +43,7 @@ def _db(rows=((1,),)):
 
 def _serve(**kwargs):
     session = Session(_db(), SET_CONVENTIONS, options=EvalOptions())
-    server = make_server(session, **kwargs)
+    server = QueryServer(("127.0.0.1", 0), session, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -261,8 +261,8 @@ class TestAdmissionControl:
 class TestMultiCatalog:
     def test_catalog_field_selects_the_named_catalog(self):
         session = Session(_db([(1,)]), SET_CONVENTIONS, options=EvalOptions())
-        server = make_server(
-            session, workers=2, catalogs={"alt": _db([(5,), (6,)])}
+        server = QueryServer(
+            ("127.0.0.1", 0), session, workers=2, catalogs={"alt": _db([(5,), (6,)])}
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -297,7 +297,7 @@ class TestMultiCatalog:
 
     def test_healthz_lists_catalogs(self):
         session = Session(_db(), SET_CONVENTIONS, options=EvalOptions())
-        server = make_server(session, catalogs={"alt": _db([(9,)])})
+        server = QueryServer(("127.0.0.1", 0), session, catalogs={"alt": _db([(9,)])})
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

@@ -32,7 +32,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.api.serve import make_server
+from repro.api.serve import QueryServer
 from repro.backends.exec import reset_breakers, sqlite_exec
 from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
 from repro.errors import PoisonQuery, WorkerCrash
@@ -66,7 +66,7 @@ def _db(rows=((1,),)):
 
 def _serve(conventions=SET_CONVENTIONS, options=None, **kwargs):
     session = Session(_db(), conventions, options=options or EvalOptions())
-    server = make_server(session, **kwargs)
+    server = QueryServer(("127.0.0.1", 0), session, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread

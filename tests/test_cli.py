@@ -202,7 +202,6 @@ class TestServeCommand:
         )
         assert args.func is cmd_serve
         assert args.port == 0 and args.backend == "sqlite"
-        assert args.quiet  # request logging is opt-in (--log-requests)
 
     def test_serve_end_to_end(self, capsys, csv_r):
         """cmd_serve really binds a socket and answers; driven by swapping
