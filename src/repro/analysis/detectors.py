@@ -101,7 +101,7 @@ def _scan_quantifier(quant, found, head_names, negation_depth, in_nested):
     for binding in quant.bindings:
         if isinstance(binding.source, n.Collection):
             found.add("lateral")
-            if _references_outside(binding.source, _own_heads(binding.source)):
+            if _references_outside(binding.source, n.facts(binding.source).heads):
                 found.add("correlated-lateral")
             nested_heads = head_names | {binding.source.head.name}
             _scan(
@@ -143,12 +143,6 @@ def _is_correlated(quant, head_names=()):
     return False
 
 
-def _own_heads(collection):
-    return {
-        node.head.name for node in collection.walk() if isinstance(node, n.Collection)
-    }
-
-
 def _references_outside(collection, internal_names):
     bound = set(internal_names)
     for node in collection.walk():
@@ -161,8 +155,4 @@ def _references_outside(collection, internal_names):
 
 
 def _is_recursive(collection):
-    name = collection.head.name
-    return any(
-        isinstance(node, n.RelationRef) and node.name == name
-        for node in collection.walk()
-    )
+    return collection.head.name in n.facts(collection).relation_refs

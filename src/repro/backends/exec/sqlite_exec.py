@@ -345,29 +345,19 @@ def _three_valued_hazard(prepared, database):
     a NULL source: stored NULLs, NULL literals, or a non-count aggregate
     (NULL over an empty group).
     """
-    exposed = isinstance(prepared, n.Sentence) or (
+    found = n.facts(prepared)
+    exposed = found.negated_quantifier or isinstance(prepared, n.Sentence) or (
         isinstance(prepared, n.Program)
         and isinstance(prepared.resolve_main(), n.Sentence)
     )
     if not exposed:
-        exposed = any(
-            isinstance(sub, n.Not)
-            and any(isinstance(inner, n.Quantifier) for inner in sub.walk())
-            for sub in prepared.walk()
-        )
-    if not exposed:
         return None
-    if any(
-        isinstance(sub, n.Const) and is_null(sub.value) for sub in prepared.walk()
-    ):
+    if found.null_literal:
         return (
             "NULL literal under a negated/top-level quantifier "
             "(EXISTS collapses UNKNOWN)"
         )
-    if any(
-        isinstance(sub, n.AggCall) and not sub.func.startswith("count")
-        for sub in prepared.walk()
-    ):
+    if any(not agg.func.startswith("count") for agg in found.aggregates):
         return (
             "non-count aggregate under a negated/top-level quantifier "
             "(empty groups yield NULL; EXISTS collapses UNKNOWN)"
@@ -375,11 +365,7 @@ def _three_valued_hazard(prepared, database):
     if database is not None:
         nullable = sorted(
             name
-            for name in {
-                sub.name
-                for sub in prepared.walk()
-                if isinstance(sub, n.RelationRef)
-            }
+            for name in set(found.relation_refs)
             if name in database and _relation_has_null(database[name])
         )
         if nullable:
@@ -400,10 +386,7 @@ def _prepare(node, database):
     if isinstance(node, n.Collection):
         name = node.head.name
         stored = database is not None and name in database
-        if not stored and any(
-            isinstance(sub, n.RelationRef) and sub.name == name
-            for sub in node.walk()
-        ):
+        if not stored and name in n.facts(node).relation_refs:
             return n.Program({name: node}, name)
     return node
 
@@ -530,16 +513,16 @@ class SqliteBackend(Backend):
                 (binding.var, "decorrelation disabled (--no-decorrelate)")
                 for binding in lateral_bindings(prepared)
             ]
+        found = n.facts(prepared)
         defined = (
             set(prepared.definitions) if isinstance(prepared, n.Program) else set()
         )
         missing = sorted(
             {
-                sub.name
-                for sub in prepared.walk()
-                if isinstance(sub, n.RelationRef)
-                and sub.name not in defined
-                and (database is None or sub.name not in database)
+                name
+                for name in found.relation_refs
+                if name not in defined
+                and (database is None or name not in database)
             }
         )
         if missing:
@@ -547,18 +530,11 @@ class SqliteBackend(Backend):
                 f"relations {missing} have no stored extension "
                 "(external/abstract access patterns cannot be offloaded)"
             )
-        for sub in prepared.walk():
-            if isinstance(sub, n.Arith) and sub.op in ("/", "%"):
-                problems.append(
-                    f"arithmetic {sub.op!r} (SQLite integer division/modulo "
-                    "differ from the engine's semantics)"
-                )
-            elif (
-                isinstance(sub, n.Const)
-                and isinstance(sub.value, str)
-                and "'" in sub.value
-            ):
-                problems.append("string literal containing a quote")
+        for op in found.divisions:
+            problems.append(
+                f"arithmetic {op!r} (SQLite integer division/modulo "
+                "differ from the engine's semantics)"
+            )
         for var, reason in leftover_laterals:
             problems.append(
                 f"correlated lateral binding {var!r} needs LATERAL, which "

@@ -249,10 +249,7 @@ class _SqlRenderer:
 
     @staticmethod
     def _is_recursive(name, definition):
-        return any(
-            isinstance(node, n.RelationRef) and node.name == name
-            for node in definition.walk()
-        )
+        return name in n.facts(definition).relation_refs
 
     # -- collections ------------------------------------------------------------
 
@@ -601,7 +598,7 @@ class _SqlRenderer:
             if value is False:
                 return "false"
             if isinstance(value, str):
-                return f"'{value}'"
+                return "'" + value.replace("'", "''") + "'"
             return repr(value)
         if isinstance(expr, n.AggCall):
             if expr.arg is None:

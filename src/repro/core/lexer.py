@@ -54,6 +54,9 @@ class Lexicon:
     keyword_label: Callable[[str], str]
     #: One symbol accepted (and dropped) just before the end of input.
     terminator: str | None = None
+    #: Quote characters that stand for themselves when doubled inside their
+    #: own literal (SQL's ``'O''Brien'``).
+    doubled: str = ""
 
 
 ARC = Lexicon(
@@ -143,10 +146,14 @@ def tokenize(text, lexicon=ARC):
         if ch in quotes:
             kind, unterminated = quotes[ch]
             j = text.find(ch, i + 1)
+            escaped = ch in lexicon.doubled
+            while escaped and j >= 0 and text.startswith(ch, j + 1):
+                j = text.find(ch, j + 2)
             if j < 0:
                 raise ParseError(unterminated, line, start_column)
             body = text[i + 1 : j]
-            tokens.append(Token(kind, body, line, start_column))
+            value = body.replace(ch * 2, ch) if escaped else body
+            tokens.append(Token(kind, value, line, start_column))
             newlines = body.count("\n")
             if newlines:
                 line += newlines

@@ -26,7 +26,12 @@ Design notes
 from __future__ import annotations
 
 import dataclasses
+import functools
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from ..data.values import is_null
 
 
 AGGREGATE_FUNCTIONS = (
@@ -49,31 +54,37 @@ class Node:
     """Base class for every ARC AST node."""
 
     def children(self):
-        """Yield child nodes (in deterministic order)."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        """Child nodes, as a list in deterministic (field) order."""
+        out = []
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                out.append(value)
             elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+                out.extend(item for item in value if isinstance(item, Node))
+        return out
 
     def walk(self):
         """Pre-order traversal of the subtree rooted at this node."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def label(self):
         """Short label for this node (used by ALT rendering and debugging)."""
         return type(self).__name__
 
     def __repr__(self):
-        parts = []
-        for f in dataclasses.fields(self):
-            parts.append(f"{f.name}={getattr(self, f.name)!r}")
+        parts = [f"{name}={getattr(self, name)!r}" for name in _field_names(type(self))]
         return f"{type(self).__name__}({', '.join(parts)})"
+
+
+@functools.cache
+def _field_names(cls):
+    """The dataclass field names of *cls*, computed once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +193,7 @@ class Comparison(Formula):
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
     def has_aggregate(self):
-        return any(isinstance(n, AggCall) for n in self.walk())
+        return bool(facts(self).aggregates)
 
     def label(self):
         return self.op
@@ -416,10 +427,10 @@ class Program(Node):
     main: object = None
 
     def children(self):
-        for definition in self.definitions.values():
-            yield definition
+        out = list(self.definitions.values())
         if isinstance(self.main, Node):
-            yield self.main
+            out.append(self.main)
+        return out
 
     def resolve_main(self):
         """Return the main query node (dereferencing a name if needed)."""
@@ -447,8 +458,8 @@ def structurally_equal(a, b):
         return False
     if not isinstance(a, Node):
         return a == b
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
+    for name in _field_names(type(a)):
+        va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, Node) or isinstance(vb, Node):
             if not structurally_equal(va, vb):
                 return False
@@ -474,22 +485,7 @@ def structurally_equal(a, b):
 
 def clone(node):
     """Deep-copy an AST subtree (new node identities, same structure)."""
-    if not isinstance(node, Node):
-        return node
-    kwargs = {}
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, Node):
-            kwargs[f.name] = clone(value)
-        elif isinstance(value, list):
-            kwargs[f.name] = [clone(v) if isinstance(v, Node) else v for v in value]
-        elif isinstance(value, tuple):
-            kwargs[f.name] = tuple(clone(v) if isinstance(v, Node) else v for v in value)
-        elif isinstance(value, dict):
-            kwargs[f.name] = {k: clone(v) if isinstance(v, Node) else v for k, v in value.items()}
-        else:
-            kwargs[f.name] = value
-    return type(node)(**kwargs)
+    return transform(node, lambda rebuilt: rebuilt)
 
 
 def transform(node, fn):
@@ -501,24 +497,85 @@ def transform(node, fn):
     if not isinstance(node, Node):
         return node
     kwargs = {}
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
-            kwargs[f.name] = transform(value, fn)
+            kwargs[name] = transform(value, fn)
         elif isinstance(value, list):
-            kwargs[f.name] = [transform(v, fn) if isinstance(v, Node) else v for v in value]
+            kwargs[name] = [transform(v, fn) if isinstance(v, Node) else v for v in value]
         elif isinstance(value, tuple):
-            kwargs[f.name] = tuple(
+            kwargs[name] = tuple(
                 transform(v, fn) if isinstance(v, Node) else v for v in value
             )
         elif isinstance(value, dict):
-            kwargs[f.name] = {
+            kwargs[name] = {
                 k: transform(v, fn) if isinstance(v, Node) else v for k, v in value.items()
             }
         else:
-            kwargs[f.name] = value
+            kwargs[name] = value
     rebuilt = type(node)(**kwargs)
     return fn(rebuilt)
+
+
+class Facts(NamedTuple):
+    """What one pre-order walk of a subtree found (see :func:`facts`)."""
+
+    relation_refs: tuple  # RelationRef names, in pre-order
+    heads: frozenset  # head names of every Collection
+    aggregates: tuple  # AggCall nodes, in pre-order
+    null_literal: bool  # some Const is NULL
+    negated_quantifier: bool  # some Quantifier sits under a Not
+    divisions: tuple  # "/" and "%" Arith operators, in pre-order
+
+
+_FACTS = weakref.WeakKeyDictionary()
+_NO_HEADS = frozenset()
+
+
+def facts(node):
+    """The :class:`Facts` of *node*'s subtree, from one walk.
+
+    Static questions about a query (which relations it reads, whether an
+    aggregate or a NULL literal occurs, ...) all read this record, so each
+    subtree is walked once however many analyses ask.  It is weakly cached
+    per node, which treats an analysed AST as immutable — as every other
+    per-node cache of the engine does.
+    """
+    found = _FACTS.get(node)
+    if found is not None:
+        return found
+    refs, heads, aggregates, divisions = [], set(), [], []
+    null_literal = negated_quantifier = False
+    stack = [(node, False)]
+    while stack:
+        sub, negated = stack.pop()
+        if isinstance(sub, RelationRef):
+            refs.append(sub.name)
+        elif isinstance(sub, Collection):
+            heads.add(sub.head.name)
+        elif isinstance(sub, AggCall):
+            aggregates.append(sub)
+        elif isinstance(sub, Const):
+            null_literal = null_literal or is_null(sub.value)
+        elif isinstance(sub, Arith):
+            if sub.op in ("/", "%"):
+                divisions.append(sub.op)
+        elif isinstance(sub, Quantifier):
+            negated_quantifier = negated_quantifier or negated
+        elif isinstance(sub, Not):
+            negated = True
+        stack.extend((child, negated) for child in reversed(sub.children()))
+    # Tuples (and the shared empty frozenset) keep the many small records
+    # of leaf comparisons cheap to hold.
+    found = _FACTS[node] = Facts(
+        tuple(refs),
+        frozenset(heads) if heads else _NO_HEADS,
+        tuple(aggregates),
+        null_literal,
+        negated_quantifier,
+        tuple(divisions),
+    )
+    return found
 
 
 def vars_used(node):

@@ -438,12 +438,13 @@ def inline_abstract(program):
     program without abstract definitions — e.g. inlining ``Subset`` in
     query (24) reproduces the monolithic unique-set query (22).
     """
-    from .validator import validate
+    from .validator import abstract_definitions, linked_or_none
 
+    abstract_names = abstract_definitions(program, linked_or_none(program))
     abstract = {}
     concrete = {}
     for name, definition in program.definitions.items():
-        if validate(definition, allow_abstract=True).is_abstract:
+        if name in abstract_names:
             abstract[name] = definition
         else:
             concrete[name] = definition

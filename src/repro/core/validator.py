@@ -98,7 +98,7 @@ def validate(root, *, database=None, externals=None, allow_abstract=False):
             _validate_collection(main, linked, report, allow_abstract=allow_abstract)
         elif isinstance(main, n.Sentence):
             _validate_body(main.body, linked, report, context="sentence")
-        _check_stratification(root, report)
+        report.issues.extend(stratification_issues(root, dependency_graph(root)))
     elif isinstance(root, n.Collection):
         _validate_collection(root, linked, report, allow_abstract=allow_abstract)
     elif isinstance(root, n.Sentence):
@@ -120,12 +120,7 @@ def _validate_collection(coll, linked, report, *, allow_abstract, context=None):
     label = context or coll.head.name
 
     # Rule: every head attribute must be assigned in every emitting branch.
-    unassigned = _unassigned_attrs(coll, linked)
-    params = [
-        attr
-        for attr in linked.head_params
-        if linked.resolutions.get(attr) is coll.head
-    ]
+    unassigned, params = _head_inputs(coll, linked)
     if unassigned or params:
         report.is_abstract = True
         if not allow_abstract:
@@ -153,11 +148,57 @@ def _validate_collection(coll, linked, report, *, allow_abstract, context=None):
             )
     _validate_body(coll.body, linked, report, context=label)
     # Nested collections bound inside the body are validated recursively.
-    for node in coll.body.walk() if coll.body is not None else ():
-        if isinstance(node, n.Binding) and isinstance(node.source, n.Collection):
-            _validate_collection(
-                node.source, linked, report, allow_abstract=allow_abstract
-            )
+    for nested in _bound_collections(coll):
+        _validate_collection(nested, linked, report, allow_abstract=allow_abstract)
+
+
+def _bound_collections(coll):
+    """Collections bound as binding sources anywhere in *coll*'s body."""
+    return [
+        node.source
+        for node in (coll.body.walk() if coll.body is not None else ())
+        if isinstance(node, n.Binding) and isinstance(node.source, n.Collection)
+    ]
+
+
+def _head_inputs(coll, linked):
+    """``(unassigned head attributes, head attributes read as inputs)`` of
+    *coll*; either one makes it an abstract relation (Section 2.13.2)."""
+    params = [
+        attr
+        for attr in linked.head_params
+        if linked.resolutions.get(attr) is coll.head
+    ]
+    return _unassigned_attrs(coll, linked), params
+
+
+def linked_or_none(root):
+    """:func:`link` of *root*, or None when it does not link (:func:`validate`
+    reports why)."""
+    try:
+        return link(root)
+    except Exception:  # LinkError and friends
+        return None
+
+
+def abstract_definitions(program, linked):
+    """Names of *program*'s abstract definitions — those where it, or a
+    collection bound inside it, leaves a head attribute unassigned or reads
+    one as an input — as :func:`validate` of each definition would report.
+
+    *linked* is ``linked_or_none(program)``: one link serves every
+    definition.  When the program does not link as a whole each definition
+    is linked alone, and one that does not link is not abstract.
+    """
+    names = []
+    for name, definition in program.definitions.items():
+        own = linked if linked is not None else linked_or_none(definition)
+        if own is not None and any(
+            any(_head_inputs(coll, own))
+            for coll in [definition, *_bound_collections(definition)]
+        ):
+            names.append(name)
+    return frozenset(names)
 
 
 def _unassigned_attrs(coll, linked):
@@ -372,34 +413,44 @@ def _collect_deps(formula, out, *, negated, grouped):
         _collect_deps(formula.body, out, negated=negated, grouped=grouped)
 
 
-def _check_stratification(program, report):
-    edges = dependency_graph(program)
+def stratification_issues(program, edges):
+    """Errors for recursion through negation or aggregation in *program*,
+    whose :func:`dependency_graph` is *edges* (Section 2.9)."""
     defined = set(program.definitions)
-    # Find strongly connected components (iterative Tarjan).
-    sccs = _tarjan({name: [t for t, _ in edges[name] if t in defined] for name in defined})
+    sccs = strongly_connected(
+        {name: [t for t, _ in edges[name] if t in defined] for name in defined}
+    )
     component_of = {}
     for index, component in enumerate(sccs):
         for name in component:
             component_of[name] = index
+    issues = []
     for name in defined:
         for target, monotone in edges[name]:
             if target in defined and component_of[target] == component_of[name]:
                 recursive = len(sccs[component_of[name]]) > 1 or target == name or _self_loop(edges, name)
                 if recursive and not monotone:
-                    report.add(
+                    issues.append(Issue(
                         ERROR,
                         "stratification",
                         f"recursion through negation/aggregation between "
                         f"{name!r} and {target!r} has no least fixed point",
-                    )
+                    ))
+    return issues
 
 
 def _self_loop(edges, name):
     return any(target == name for target, _ in edges[name])
 
 
-def _tarjan(graph):
-    """Strongly connected components of *graph* (dict name -> successor list)."""
+def strongly_connected(graph):
+    """Strongly connected components of *graph* (dict name -> successor
+    list), dependencies first.
+
+    Tarjan emits components in reverse topological order of the
+    condensation, which for a dependency graph is exactly the evaluation
+    order.
+    """
     index_counter = [0]
     stack = []
     lowlink = {}
@@ -459,43 +510,22 @@ def _classify_relations(root, database, externals, report):
 
         externals = standard_registry()
     definitions = root.definitions if isinstance(root, n.Program) else {}
-    for node in _walk_root(root):
-        if isinstance(node, n.RelationRef):
-            name = node.name
-            if name in definitions:
-                kind = "defined"
-            elif database is not None and name in database:
-                kind = "base"
-            elif externals is not None and name in externals:
-                kind = "external"
-            elif _is_enclosing_head(root, name):
-                kind = "self"
-            else:
-                kind = "unknown"
-                if database is not None:
-                    report.add(
-                        ERROR,
-                        "unknown-relation",
-                        f"relation {name!r} is not a base, defined, or external relation",
-                    )
-            report.relation_kinds[name] = kind
-
-
-def _walk_root(root):
-    if isinstance(root, n.Program):
-        for definition in root.definitions.values():
-            yield from definition.walk()
-        main = root.resolve_main()
-        if main is not None and main not in set(root.definitions.values()):
-            yield from main.walk()
-    else:
-        yield from root.walk()
-
-
-def _is_enclosing_head(root, name):
-    """True when *name* is the head of some collection in the tree — a
-    self-reference (direct recursion written without a Program wrapper)."""
-    for node in _walk_root(root):
-        if isinstance(node, n.Collection) and node.head.name == name:
-            return True
-    return False
+    found = n.facts(root)
+    for name in found.relation_refs:
+        if name in definitions:
+            kind = "defined"
+        elif database is not None and name in database:
+            kind = "base"
+        elif externals is not None and name in externals:
+            kind = "external"
+        elif name in found.heads:
+            kind = "self"  # direct recursion written without a Program
+        else:
+            kind = "unknown"
+            if database is not None:
+                report.add(
+                    ERROR,
+                    "unknown-relation",
+                    f"relation {name!r} is not a base, defined, or external relation",
+                )
+        report.relation_kinds[name] = kind

@@ -854,9 +854,7 @@ def _correlation(conjunct_list, free, inner_vars, head_name, theta_ops):
 
 def _relation_names(node):
     """Stored relations a subtree reads, sorted (the index anchors)."""
-    return tuple(
-        sorted({sub.name for sub in node.walk() if isinstance(sub, n.RelationRef)})
-    )
+    return tuple(sorted(set(n.facts(node).relation_refs)))
 
 
 _NO_ANCHOR = (

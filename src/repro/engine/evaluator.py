@@ -31,7 +31,6 @@ Semantics implemented (see DESIGN.md §4 for the full decision list):
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 
 from ..core import nodes as n
@@ -61,20 +60,6 @@ from .planner import (
     plan_entry,
     scope_assumptions,
 )
-
-
-_RELATION_REFS_CACHE = weakref.WeakKeyDictionary()
-
-
-def _relation_refs(node):
-    """Names of every RelationRef in the subtree (weakly memoized)."""
-    refs = _RELATION_REFS_CACHE.get(node)
-    if refs is None:
-        refs = frozenset(
-            child.name for child in node.walk() if isinstance(child, n.RelationRef)
-        )
-        _RELATION_REFS_CACHE[node] = refs
-    return refs
 
 
 def evaluate(node, database, conventions=SET_CONVENTIONS, externals=None, *,
@@ -122,6 +107,7 @@ class _ScopePlan:
         "agg_comparisons",
         "row_formulas",
         "emitters",
+        "aggregates",
     )
 
     def __init__(self):
@@ -130,6 +116,7 @@ class _ScopePlan:
         self.agg_comparisons = []  # Comparison with aggregates, not assigning
         self.row_formulas = []  # boolean row-level formulas
         self.emitters = []  # nested formulas containing head assignments
+        self.aggregates = ()  # distinct AggCall nodes of the two agg lists
 
 
 class Evaluator:
@@ -216,7 +203,7 @@ class Evaluator:
         name = coll.head.name
         if name in self.database or name in self.externals:
             return False
-        return name in _relation_refs(coll)
+        return name in n.facts(coll).relation_refs
 
     # -- collections -------------------------------------------------------------
 
@@ -478,15 +465,8 @@ class Evaluator:
 
     def _compute_aggregates(self, quant, plan, group_rows):
         """Evaluate every AggCall of the scope over the group's rows."""
-        agg_nodes = []
-        for _, expr in plan.agg_assignments:
-            agg_nodes.extend(a for a in expr.walk() if isinstance(a, n.AggCall))
-        for predicate in plan.agg_comparisons:
-            agg_nodes.extend(a for a in predicate.walk() if isinstance(a, n.AggCall))
         values = {}
-        for node in agg_nodes:
-            if id(node) in values:
-                continue
+        for node in plan.aggregates:
             if node.arg is None:
                 values[id(node)] = agg_lib.count_rows(m for _, m in group_rows)
             else:
@@ -586,6 +566,7 @@ class Evaluator:
 
     def _classify_scope(self, quant):
         plan = _ScopePlan()
+        agg_assigners = []
         for conjunct in n.conjuncts(quant.body):
             if isinstance(conjunct, n.Comparison):
                 target = self._assignment_attr(conjunct)
@@ -593,6 +574,7 @@ class Evaluator:
                     attr, expr = target
                     if conjunct.has_aggregate():
                         plan.agg_assignments.append((attr, expr))
+                        agg_assigners.append(conjunct)
                     else:
                         plan.assignments.append((attr, expr))
                     continue
@@ -605,6 +587,13 @@ class Evaluator:
                 plan.emitters.append(conjunct)
             else:
                 plan.row_formulas.append(conjunct)
+        plan.aggregates = tuple(
+            dict.fromkeys(
+                agg
+                for conjunct in agg_assigners + plan.agg_comparisons
+                for agg in n.facts(conjunct).aggregates
+            )
+        )
         return plan
 
     def _assignment_attr(self, predicate):

@@ -26,7 +26,13 @@ from __future__ import annotations
 import weakref
 
 from ..core import nodes as n
-from ..core.validator import dependency_graph, validate
+from ..core.validator import (
+    abstract_definitions,
+    dependency_graph,
+    linked_or_none,
+    stratification_issues,
+    strongly_connected,
+)
 from ..data.relation import Relation
 from ..errors import EvaluationError, ValidationError
 from ..obs import NULL_SPAN
@@ -65,16 +71,13 @@ def _analysis(program):
     analysis = _ANALYSES.get(program)
     if analysis is not None:
         return analysis
-    report = validate(program, allow_abstract=True)
-    stratification_error = "; ".join(
-        str(i) for i in report.errors() if i.code == "stratification"
-    )
-    abstract_names = frozenset(
-        name
-        for name, definition in program.definitions.items()
-        if validate(definition, allow_abstract=True).is_abstract
-    )
+    linked = linked_or_none(program)
     dependencies = dependency_graph(program)
+    # validate() checks stratification only once the program links.
+    stratification_error = "" if linked is None else "; ".join(
+        str(issue) for issue in stratification_issues(program, dependencies)
+    )
+    abstract_names = abstract_definitions(program, linked)
     graph = {
         name: [
             target
@@ -86,7 +89,7 @@ def _analysis(program):
     }
     order = tuple(
         (component, len(component) > 1 or component[0] in graph[component[0]])
-        for component in _tarjan(graph)
+        for component in strongly_connected(graph)
     )
     analysis = (stratification_error, abstract_names, order)
     _ANALYSES[program] = analysis
@@ -268,21 +271,16 @@ def _solve_seminaive(component, definitions, evaluator):
 
 
 def _references(formula, names):
-    return any(
-        isinstance(node, n.RelationRef) and node.name in names
-        for node in formula.walk()
-    )
+    return not names.isdisjoint(n.facts(formula).relation_refs)
 
 
 def _delta_variants(disjunct, component_set, delta_name):
     """One copy of *disjunct* per recursive occurrence, with exactly that
     occurrence redirected to its delta relation."""
-    occurrences = [
-        node
-        for node in disjunct.walk()
-        if isinstance(node, n.RelationRef) and node.name in component_set
-    ]
-    for target_index in range(len(occurrences)):
+    occurrences = sum(
+        name in component_set for name in n.facts(disjunct).relation_refs
+    )
+    for target_index in range(occurrences):
         seen = [0]
 
         def redirect(node, target=target_index):
@@ -318,58 +316,3 @@ def transitive_closure_reference(pairs):
             closure.add((start, node))
             stack.extend(adjacency.get(node, ()))
     return closure
-
-
-def _tarjan(graph):
-    """SCCs of *graph*, dependencies first.
-
-    Tarjan emits components in reverse topological order of the
-    condensation, which for a dependency graph is exactly the evaluation
-    order.
-    """
-    index_counter = [0]
-    stack, on_stack = [], set()
-    index, lowlink = {}, {}
-    result = []
-
-    def strongconnect(root):
-        work = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index[node] = lowlink[node] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = graph.get(node, [])
-            while child_index < len(successors):
-                succ = successors[child_index]
-                child_index += 1
-                if succ not in index:
-                    work[-1] = (node, child_index)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    component.append(top)
-                    if top == node:
-                        break
-                result.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    for node in graph:
-        if node not in index:
-            strongconnect(node)
-    return result

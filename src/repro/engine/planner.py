@@ -888,17 +888,8 @@ def _compile_grouped(quant, scope_plan, compiled):
             assigns.append(("expr", attr, None, expr))
     spec.assigns = tuple(assigns)
 
-    agg_nodes = []
-    for _, expr in scope_plan.agg_assignments:
-        agg_nodes.extend(a for a in expr.walk() if isinstance(a, n.AggCall))
-    for predicate in scope_plan.agg_comparisons:
-        agg_nodes.extend(a for a in predicate.walk() if isinstance(a, n.AggCall))
     agg_specs = []
-    seen_aggs = set()
-    for node in agg_nodes:
-        if id(node) in seen_aggs:
-            continue
-        seen_aggs.add(id(node))
+    for node in scope_plan.aggregates:
         if node.arg is None:
             agg_specs.append((id(node), node.func, "star", None))
         elif isinstance(node.arg, n.Attr) and node.arg.var == var:

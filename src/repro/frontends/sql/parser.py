@@ -40,6 +40,7 @@ SQL = Lexicon(
     trailing="unexpected trailing SQL {!r}",
     keyword_label=str.upper,
     terminator=";",
+    doubled="'",
 )
 
 

@@ -211,6 +211,16 @@ class TestExecutionRoundTrips:
         db.create("N", ("A",), [(1,), (NULL,)])
         roundtrip_equal("{Q(K) | ∃x ∈ N[Q.K = 1 ∧ x.A is null]}", db)
 
+    def test_string_literal_with_a_quote(self, db):
+        from repro.frontends.sql import parse_sql
+
+        db.create("C", ("name",), [("O'Brien",), ("OBrien",)])
+        sql = roundtrip_equal(
+            "{Q(n) | ∃c ∈ C[Q.n = c.name ∧ c.name = \"O'Brien\"]}", db
+        )
+        assert "'O''Brien'" in sql
+        assert parse_sql(sql) == parse_sql(to_sql(to_arc(sql, database=db)))
+
     def test_outer_join(self):
         database = Database()
         database.create("R3", ("m", "y", "h"), [(1, 100, 11), (2, 200, 12)])

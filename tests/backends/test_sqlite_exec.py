@@ -403,6 +403,30 @@ class TestCapabilities:
         )
 
 
+class TestQuotedLiterals:
+    """A string literal holding a quote renders as SQL's ``''`` escape, so
+    the query runs on SQLite instead of falling back."""
+
+    @pytest.mark.parametrize(
+        "frontend, text",
+        [
+            ("arc", "{Q(id) | ∃c ∈ C[Q.id = c.id ∧ c.name = \"O'Brien\"]}"),
+            ("sql", "select c.id from C c where c.name = 'O''Brien'"),
+        ],
+    )
+    def test_runs_natively_and_matches_the_oracle(self, frontend, text):
+        db = Database()
+        db.create("C", ("id", "name"), [(1, "O'Brien"), (2, "OBrien"), (3, "O''Brien")])
+        prepared = Session(db, SQL_CONVENTIONS).prepare(text, frontend)
+        assert sqlite_exec.SqliteBackend().capabilities(
+            prepared.node, SQL_CONVENTIONS, db
+        ) == []
+        info = prepared.run_info(backend="sqlite")
+        assert info["fallback_reasons"] == []
+        assert info["result"] == prepared.run(backend="reference")
+        assert sorted(row["id"] for row in info["result"]) == [1]
+
+
 class TestDispatch:
     def test_unknown_backend_raises(self):
         with pytest.raises(EvaluationError, match="unknown backend"):

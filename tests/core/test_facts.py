@@ -1,0 +1,215 @@
+"""One pass per static question: the node walkers and ``facts`` keep the
+answers of the direct recursive walks they replace.
+
+Inputs are every paper example, the scenario corpus in every frontend, and
+hypothesis-built trees.  The references below are the straightforward
+recursive definitions (over ``dataclasses.fields``) that the cached,
+explicit-stack implementations must agree with.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import nodes as n
+from repro.data.values import NULL, is_null
+from repro.frontends import load_query
+from repro.workloads import paper_examples
+from repro.workloads.scenarios import SCENARIOS
+
+
+def paper_nodes():
+    out = [(f"arc:{key}", paper_examples.arc(key)) for key in paper_examples.all_arc_keys()]
+    out += [
+        (f"sql:{key}", paper_examples.sql_arc(key))
+        for key in paper_examples.all_sql_keys()
+    ]
+    return out
+
+
+def corpus_nodes():
+    """``(id, node, catalog)`` for every corpus cell in every frontend."""
+    out = []
+    for scenario in SCENARIOS.values():
+        db = scenario.catalog(size="small", seed=0)
+        for query in scenario.queries():
+            for frontend, text in sorted(query.texts.items()):
+                node = load_query(text, frontend, database=db)
+                out.append((f"{scenario.name}.{query.name}.{frontend}", node, db))
+    return out
+
+
+PAPER = paper_nodes()
+CORPUS = corpus_nodes()
+ALL = PAPER + [(name, node) for name, node, _ in CORPUS]
+
+
+# -- recursive references ------------------------------------------------------
+
+
+def ref_children(node):
+    if isinstance(node, n.Program):
+        out = list(node.definitions.values())
+        return out + [node.main] if isinstance(node.main, n.Node) else out
+    out = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, n.Node):
+            out.append(value)
+        elif isinstance(value, (list, tuple)):
+            out.extend(item for item in value if isinstance(item, n.Node))
+    return out
+
+
+def ref_walk(node):
+    yield node
+    for child in ref_children(node):
+        yield from ref_walk(child)
+
+
+def ref_rebuild(node, fn):
+    """Recursive clone (``fn`` = identity) or transform over the fields."""
+    if not isinstance(node, n.Node):
+        return node
+    kwargs = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, list):
+            kwargs[f.name] = [ref_rebuild(v, fn) for v in value]
+        elif isinstance(value, tuple):
+            kwargs[f.name] = tuple(ref_rebuild(v, fn) for v in value)
+        elif isinstance(value, dict):
+            kwargs[f.name] = {k: ref_rebuild(v, fn) for k, v in value.items()}
+        else:
+            kwargs[f.name] = ref_rebuild(value, fn)
+    return fn(type(node)(**kwargs))
+
+
+def ref_facts(node):
+    """What each replaced analysis read, by its own direct walk."""
+    walked = list(ref_walk(node))
+    return {
+        "relation_refs": tuple(s.name for s in walked if isinstance(s, n.RelationRef)),
+        "heads": frozenset(s.head.name for s in walked if isinstance(s, n.Collection)),
+        "aggregates": tuple(s for s in walked if isinstance(s, n.AggCall)),
+        "null_literal": any(
+            isinstance(s, n.Const) and is_null(s.value) for s in walked
+        ),
+        "negated_quantifier": any(
+            isinstance(s, n.Not)
+            and any(isinstance(i, n.Quantifier) for i in ref_walk(s))
+            for s in walked
+        ),
+        "divisions": tuple(
+            s.op for s in walked if isinstance(s, n.Arith) and s.op in ("/", "%")
+        ),
+    }
+
+
+def check_node(node):
+    walked = list(node.walk())
+    assert [id(s) for s in walked] == [id(s) for s in ref_walk(node)]
+    for sub in walked:
+        assert list(sub.children()) == ref_children(sub)
+    assert n.facts(node)._asdict() == ref_facts(node)
+    assert n.facts(node) is n.facts(node)
+    for sub in walked:
+        if isinstance(sub, n.Comparison):
+            assert sub.has_aggregate() == any(
+                isinstance(s, n.AggCall) for s in ref_walk(sub)
+            )
+    copy = n.clone(node)
+    assert n.structurally_equal(copy, node)
+    assert repr(copy) == repr(node) == repr(ref_rebuild(node, lambda x: x))
+    assert not {id(s) for s in copy.walk()} & {id(s) for s in walked}
+
+    def rename(sub):
+        if isinstance(sub, n.Attr):
+            return n.Attr(sub.var + "_", sub.attr)
+        return sub
+
+    renamed = n.transform(node, rename)
+    assert repr(renamed) == repr(ref_rebuild(node, rename))
+    assert n.structurally_equal(renamed, node) == (
+        not any(isinstance(s, n.Attr) for s in walked)
+    )
+
+
+@pytest.mark.parametrize("name,node", ALL, ids=[name for name, _ in ALL])
+def test_walkers_and_facts_match_the_recursive_references(name, node):
+    check_node(node)
+
+
+# -- hypothesis-built trees ----------------------------------------------------
+
+names = st.sampled_from(["r", "s", "t", "Q"])
+attrs = st.sampled_from(["A", "B"])
+consts = st.sampled_from([0, 1, 2.5, "x", "O'Brien", NULL, True])
+
+exprs = st.recursive(
+    st.one_of(st.builds(n.Attr, names, attrs), st.builds(n.Const, consts)),
+    lambda inner: st.one_of(
+        st.builds(n.Arith, st.sampled_from(n.ARITHMETIC_OPS), inner, inner),
+        st.builds(n.AggCall, st.sampled_from(["sum", "min", "count"]), inner),
+        st.builds(n.AggCall, st.just("count"), st.none()),
+    ),
+    max_leaves=4,
+)
+atoms = st.one_of(
+    st.builds(n.Comparison, exprs, st.sampled_from(n.COMPARISON_OPS), exprs),
+    st.builds(n.IsNull, exprs, st.booleans()),
+    st.builds(n.BoolConst, st.booleans()),
+)
+
+
+def _collection(body):
+    return st.builds(n.Collection, st.builds(n.Head, names, st.just(("A",))), body)
+
+
+def _quantifier(body):
+    source = st.one_of(
+        st.builds(n.RelationRef, st.sampled_from(["R", "S", "Q"])), _collection(body)
+    )
+    return st.builds(
+        n.Quantifier,
+        st.lists(st.builds(n.Binding, names, source), min_size=1, max_size=2),
+        body,
+        st.one_of(
+            st.none(),
+            st.builds(n.Grouping, st.lists(exprs, max_size=2).map(tuple)),
+        ),
+        st.one_of(
+            st.none(),
+            st.builds(
+                n.Join, st.just("inner"), st.lists(st.builds(n.JoinVar, names), max_size=2)
+            ),
+        ),
+    )
+
+
+formulas = st.recursive(
+    atoms,
+    lambda inner: st.one_of(
+        st.builds(n.And, st.lists(inner, max_size=3)),
+        st.builds(n.Or, st.lists(inner, max_size=3)),
+        st.builds(n.Not, inner),
+        _quantifier(inner),
+    ),
+    max_leaves=8,
+)
+roots = st.one_of(
+    _collection(formulas),
+    st.builds(n.Sentence, formulas),
+    st.builds(
+        lambda coll, main: n.Program({coll.head.name: coll}, main),
+        _collection(formulas),
+        st.one_of(st.none(), st.builds(n.Sentence, formulas)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots)
+def test_generated_trees_match_the_recursive_references(root):
+    check_node(root)

@@ -123,11 +123,18 @@ class TestSqlLexicon:
     def test_arc_only_spellings_are_not_sql(self):
         assert sql_kinds("gamma main") == [(IDENT, "gamma"), (IDENT, "main")]
 
+    def test_doubled_quote_inside_a_string_is_one_quote(self):
+        assert sql_kinds("'O''Brien' ''''") == [(STRING, "O'Brien"), (STRING, "'")]
+        assert sql_kinds("'' 'a'") == [(STRING, ""), (STRING, "a")]
+        # ARC keeps ending a literal at its first closing quote.
+        assert [t.value for t in tokenize("'a''b'")][:2] == ["a", "b"]
+
     @pytest.mark.parametrize(
         "text, message, line, column",
         [
             ('select\n  "R', "unterminated quoted identifier", 2, 3),
             ("select r.A\nfrom R r where r.A = 'x", "unterminated string literal", 2, 22),
+            ("select r.A\nfrom R r where r.A = 'x''", "unterminated string literal", 2, 22),
             ("select r.A\nfrom R r where r.A = #", "unexpected character '#' in SQL", 2, 22),
         ],
     )

@@ -190,24 +190,26 @@ class TestSeminaive:
 
 class TestAnalysisCache:
     def test_two_runs_of_one_prepared_program_analyse_it_once(self, monkeypatch):
-        """Validation, abstract-name detection and the SCC order depend on
-        the AST alone: the second run of a prepared program reuses them."""
+        """Stratification, abstract-name detection and the SCC order depend
+        on the AST alone: one link and one dependency graph serve the first
+        run, and the second run of a prepared program reuses them."""
         from repro.api import Session
+        from repro.core import validator
         from repro.engine import fixpoint
 
-        calls = {"validate": 0, "dependency_graph": 0}
+        calls = {"link": 0, "dependency_graph": 0}
 
-        def counting(name):
-            original = getattr(fixpoint, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(fixpoint, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counting("validate")
-        counting("dependency_graph")
+        counting(validator, "link")
+        counting(fixpoint, "dependency_graph")
         db = Database()
         db.create("Event", ("e", "m"), [(1, 1), (2, 1)])
         db.create("Machine", ("m",), [(1,), (2,)])
@@ -217,9 +219,7 @@ class TestAnalysisCache:
         )
         first = prepared.run()
         after_first = dict(calls)
-        # One validation of the program plus one per definition, and one
-        # dependency graph.
-        assert after_first == {"validate": 3, "dependency_graph": 1}
+        assert after_first == {"link": 1, "dependency_graph": 1}
         assert prepared.run() == first
         assert calls == after_first
         assert rows_as_tuples(first) == [(2,)]

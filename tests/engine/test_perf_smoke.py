@@ -335,3 +335,76 @@ def test_correlated_not_exists_probes_once_per_outer_row():
     assert third.stats.decorr_index_builds == 1  # the mutation dropped it
     assert len(changed) == len(result) - 1
     assert changed == Evaluator(db, SQL_CONVENTIONS, planner=False).evaluate(query)
+
+
+def _count_walks(monkeypatch):
+    """Count child expansions: every AST walk (``walk`` and ``facts``
+    alike) expands each node it visits through ``children``."""
+    from repro.core import nodes as n
+
+    counts = {"children": 0}
+    for cls in (n.Node, n.Program):
+        original = cls.children
+
+        def counting(self, _original=original):
+            counts["children"] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, "children", counting)
+    return counts
+
+
+def test_sqlite_probe_analyses_its_prepared_root_once(monkeypatch):
+    """A cold probe of a never-seen text computes ``facts`` for the root it
+    checks exactly once; a second probe of the same node walks nothing."""
+    from repro.backends.exec import sqlite_exec
+    from repro.core import nodes as n
+    from repro.core.conventions import SQL_CONVENTIONS
+    from repro.data import NULL
+
+    db = Database()
+    db.create("R", ("A", "B"), [(1, 2), (2, NULL)])
+    db.create("S", ("A",), [(1,)])
+    node = parse(
+        "{Q(A, m) | ∃r ∈ R, γ r.A[Q.A = r.A ∧ Q.m = max(r.B) ∧ "
+        "¬(∃s ∈ S[s.A = r.A])]}"
+    )
+    computed = []
+    original = n.facts
+
+    def spying(sub):
+        if sub not in n._FACTS:
+            computed.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(n, "facts", spying)
+    backend = sqlite_exec.SqliteBackend()
+    first = backend.capabilities(node, SQL_CONVENTIONS, db)
+    root, _ = sqlite_exec.compile_sql(node, db)
+    assert [sub for sub in computed if sub is root] == [root]
+
+    counts = _count_walks(monkeypatch)
+    computed.clear()
+    assert backend.capabilities(node, SQL_CONVENTIONS, db) == first
+    assert counts["children"] == 0 and computed == []
+
+
+@pytest.mark.parametrize("planner", [True, False])
+def test_grouped_aggregates_walk_once_per_scope_not_per_group(monkeypatch, planner):
+    """The scope plan carries its aggregate nodes, so evaluating a grouped
+    scope walks the same amount for 5 groups as for 200."""
+    text = (
+        "{Q(A, sm) | ∃r ∈ R, s ∈ S, γ r.A[Q.A = r.A ∧ r.B = s.B ∧ "
+        "Q.sm = sum(s.C) ∧ count(s.C) > 0]}"
+    )
+    counts = _count_walks(monkeypatch)
+    walks = []
+    for groups in (5, 200):
+        db = Database()
+        db.create("R", ("A", "B"), [(i, i % 3) for i in range(groups)])
+        db.create("S", ("B", "C"), [(b, b + 1) for b in range(3)])
+        before = counts["children"]
+        result = Evaluator(db, planner=planner).evaluate(parse(text))
+        walks.append(counts["children"] - before)
+        assert len(result) == groups
+    assert walks[0] == walks[1], walks
