@@ -48,6 +48,25 @@ cost model — the inner join re-runs per outer row — and decorrelation wins
 ~40-50×, which is what closes the acceptance claim (≥ 5×).  SQLite executes
 the γ∅ shapes as correlated scalar subqueries (no indexes on the loaded
 catalog, hence the n=800 cost) and the γ-keys shapes as group-by joins.
+
+The grouped boolean case is busy_customers (a γ∅ lateral for the order
+count plus the ``count(...) >= 2`` filter, a grouped ``∃`` whose HAVING
+truth is folded per key into the same equality-keyed index) over the retail
+scenario's shape at n=800 customers, fresh AST per run, both scopes
+decorrelated against both per row (2-CPU container, CPython 3.11, min of
+15 interleaved rounds; the container's timings drift by up to 2×):
+
+=============================================  ============  =========
+case                                           indexes       per-row
+=============================================  ============  =========
+busy_customers (γ∅ lateral + grouped ∃), n=800   ~17 ms       ~35 ms
+=============================================  ============  =========
+
+Here the per-row strategy is already an index nested loop (one hash probe
+of ``Orders`` per customer) and both sides pay the same outer scan and
+output, so the gain is ~2× (asserted ≥ 1.5×); the grouped ``∃`` alone —
+its index build plus 800 probes against 800 per-row ``_truth_grouped``
+calls — is ~7 ms against ~15 ms.
 """
 
 import os
@@ -61,6 +80,7 @@ from repro.core.conventions import SQL_CONVENTIONS
 from repro.core.parser import parse
 from repro.data import Database
 from repro.engine import evaluate
+from repro.frontends import load_query
 from repro.workloads import sweeps
 
 SQLITE = EvalOptions(backend="sqlite")
@@ -267,3 +287,66 @@ def test_anti_join_exists_index_beats_per_row_by_5x(case):
         f"exists index {indexed_time * 1e3:.2f} ms vs "
         f"per-row {per_row_time * 1e3:.2f} ms"
     )
+
+
+# -- grouped boolean scope (busy_customers) on the same index --------------------
+
+BUSY = (
+    "select c.cid, (select count(o.day) from Orders o where o.cid = c.cid) ct "
+    "from Customer c where (select count(o2.day) from Orders o2 "
+    "where o2.cid = c.cid) >= 2"
+)
+
+
+def _busy_db(n, seed=1):
+    """The retail scenario's shape at *n* customers: 2.5 orders per
+    customer, placed on the first three quarters of them."""
+    rng = random.Random(seed)
+    db = Database()
+    db.create("Customer", ("cid", "name"), [(i, f"c{i}") for i in range(n)])
+    db.create(
+        "Orders",
+        ("oid", "cid", "day"),
+        [
+            (i, rng.randrange(3 * n // 4), rng.randrange(1, 91))
+            for i in range(5 * n // 2)
+        ],
+    )
+    return db
+
+
+def test_grouped_boolean_index(benchmark):
+    db = _busy_db(800)
+    # A fresh AST per round: every round pays the index builds.
+    result = benchmark(lambda: _decorrelated(load_query(BUSY, "sql"), db))
+    assert result == _per_row(load_query(BUSY, "sql"), db)
+
+
+def test_grouped_boolean_index_beats_per_row_by_1_5x():
+    """Acceptance claim: busy_customers (a γ∅ lateral plus the grouped
+    ``∃ … count(...) >= 2`` filter, n=800) on its two indexes is ≥ 1.5×
+    faster than per-row evaluation of both scopes (measured ~2×: the
+    per-row strategy already probes a hash index on this single-relation
+    inner, and both sides pay the same outer scan and output)."""
+    if os.environ.get("CI") and not os.environ.get("RUN_TIMING_ASSERTIONS"):
+        pytest.skip("timing assertion; set RUN_TIMING_ASSERTIONS=1 to run in CI")
+    db = _busy_db(800)
+    assert _decorrelated(load_query(BUSY, "sql"), db) == _per_row(
+        load_query(BUSY, "sql"), db
+    )
+
+    def timed(fn):
+        node = load_query(BUSY, "sql")
+        start = time.perf_counter()
+        fn(node, db)
+        return time.perf_counter() - start
+
+    # Interleaved rounds, so a slow spell of a shared machine hits both.
+    rounds = [(timed(_decorrelated), timed(_per_row)) for _ in range(9)]
+    indexed_time = min(indexed for indexed, _ in rounds)
+    per_row_time = min(per_row for _, per_row in rounds)
+    assert per_row_time > 1.5 * indexed_time, (
+        f"grouped boolean index {indexed_time * 1e3:.2f} ms vs "
+        f"per-row {per_row_time * 1e3:.2f} ms"
+    )
+

@@ -5,92 +5,68 @@ The paper contrasts two renderings of "aggregate per outer row"
 nests a correlated collection inside the outer scope (Fig. 5b/13b), while
 **FIO** — "compute the inner aggregates first, then join" — groups the inner
 relation once and joins on the correlation key (Fig. 4a/21b).  The reference
-strategy evaluates FOI literally: the nested collection is re-evaluated per
-outer row.  This module rewrites FOI plans into FIO (the SQL lowering in
-:mod:`repro.backends.sql_render` reuses its specs):
+strategy evaluates FOI literally, re-evaluating the nested scope per outer
+row.  This module rewrites FOI into FIO (the SQL lowering in
+:mod:`repro.backends.sql_render` reuses its specs).
 
-* **Plan level** (:func:`plan_for` + :meth:`CorrelationSpec.materialize`) —
-  a lateral binding's inner scope is rewritten into an uncorrelated
-  collection materialized **once** and probed per outer row
-  (:class:`repro.engine.planner.CompiledScope` consumes the plan), under one
-  of two probe strategies selected by the correlation shape:
+One analyzer (:func:`analyze`) serves both kinds of correlated scope: a
+lateral binding's nested collection and a boolean quantifier scope — the
+``∃`` / ``¬∃`` of NOT EXISTS and NOT IN (Section 2.10, Fig. 11), which is FOI
+too.  An accepted scope is rewritten into an uncorrelated one whose
+correlation keys are projected (laterals) or folded into the grouping keys,
+materialized **once** (:meth:`CorrelationSpec.materialize`) and probed per
+outer row.  Correlation through equalities builds one equality-keyed
+:class:`KeyIndex` whose fold per key depends on the scope:
 
-  - ``"eq"`` — correlation *only through equalities*: a grouped hash index
-    ``{key tuple: [(row, mult), ...]}`` probed per outer row;
-  - ``"band"`` — equalities plus exactly **one** order predicate
-    (``<``/``<=``/``>``/``>=``, the eq2/eq15 θ shapes): the inner rows are
-    materialized sorted on the correlated attribute per equality key, so a
-    probe is a bisect.  For γ∅ aggregate scopes the sorted entries carry
-    *prefix-aggregate arrays* (sum/count/avg/min/max running folds in the
-    direction the operator selects), so the correlated aggregate is a
-    bisect + O(1) array lookup instead of a per-row scan; for non-grouped
-    scopes the probe yields the matching sorted slice.
+- ``"eq"`` (laterals): the key's rows with their multiplicities;
+- ``"exists"`` without γ: the Kleene OR of the local formulas' truth;
+- ``"exists"`` with γ: the OR of the HAVING truth over the key's groups.
 
-  A third strategy serves *boolean* quantifier scopes — the ``∃`` / ``¬∃``
-  of NOT EXISTS and NOT IN (Section 2.10, Fig. 11), which are FOI too:
+A lateral that also correlates through exactly **one** order predicate
+(``<``/``<=``/``>``/``>=``, the eq2/eq15 θ shapes) builds a ``"band"`` index
+instead: rows sorted on the correlated attribute per equality key, probed
+by bisection; γ∅ aggregate scopes carry *prefix-aggregate arrays*, so the
+correlated aggregate is a bisect plus an O(1) array read.
 
-  - ``"exists"`` — a scope with no grouping, no join annotation and no
-    head assignments, correlated only through equalities: the inner scope
-    is enumerated **once** with the non-strict Kleene fold into an
-    :class:`ExistsIndex` holding, per correlation key, the OR of the local
-    formulas' truth; :meth:`repro.engine.evaluator.Evaluator._truth_exists`
-    probes it once per outer row.  Keys that ``=`` does not compare by
-    Python equality (NULL under 3VL, NaN) sit in a short list probed with
-    :func:`~repro.data.values.compare` itself, so the probe is exactly the
-    per-row fold under both null conventions.
+**Irregular keys.**  A key value is irregular when ``=`` on it is not
+Python equality: NULL under three-valued logic, and NaN
+(:func:`_irregular`).  Laterals and grouped scopes enumerate strictly (only
+TRUE rows), so an irregular inner key matches no probe and is set aside,
+and an irregular outer key is a miss.  The ungrouped ``∃`` fold is Kleene,
+so its irregular keys stay in a short list probed with
+:func:`~repro.data.values.compare` itself.  An index that set keys aside
+under 3VL is *tri-bucket*; probes against it count ``tribucket_probes``.
 
-  Indexes are cached on the inner scope's stored relations
-  (:meth:`repro.data.relation.Relation.derived_put_shared`), so they
-  survive across evaluations and are dropped the moment any inner relation
-  mutates.  ``EvalOptions(decorrelate=False)`` / ``--no-decorrelate``
-  disables the pass, keeping the per-row strategy as the oracle.
+**The count bug** (Fig. 21, eq. (29)).  A γ∅ scope has a group even when
+no inner row matches, which a grouped index has no key for.  An accepted
+γ∅ scope's empty group cannot depend on the outer row, so every miss
+shares one value: the empty-group frame of a lateral (synthesized on the
+first miss, ``domain_join_compensations``) or the HAVING truth over the
+empty group of a boolean scope (computed with the build).
 
-Two further refinements close the remaining per-row tails:
+Indexes are cached on the inner scope's stored relations
+(:meth:`repro.data.relation.Relation.derived_put_shared`), so they survive
+across evaluations and are dropped the moment any inner relation mutates.
+``EvalOptions(decorrelate=False)`` / ``--no-decorrelate`` disables the
+pass, keeping the per-row strategy as the oracle.
 
-* **Tri-bucket 3VL probes.**  Correlation keys that may be NULL under
-  three-valued logic used to refuse outright.  The materialized index is
-  now UNKNOWN-aware: inner rows whose key evaluates to NULL are TRUE for no
-  probe (``x = NULL`` is never TRUE under 3VL) and are segregated into an
-  UNKNOWN bucket that strict enumeration skips, while non-NULL rows stay in
-  the TRUE buckets — so NULL-able keys decorrelate instead of re-evaluating
-  per row.  Probes against such an index count ``tribucket_probes``.
-
-* **Domain-join γ∅ compensation** (Fig. 21c).  A γ∅ scope emits one row
-  *even over an empty group*, which a grouped index cannot represent —
-  outer keys with no inner rows have no bucket.  Probe misses used to
-  re-evaluate the original scope per frame; since an accepted γ∅ spec's
-  empty-group frame cannot reference the outer row (head assignments using
-  outer variables refuse), the frames for *all* missing keys are identical
-  — exactly the anti-join of the outer key domain against the index keyset,
-  every member mapped to one shared frame.  The frame is synthesized once
-  per index (``domain_join_compensations``), and every further miss is a
-  dict lookup.
-
-Safety: the rewrite **refuses** (and evaluation falls back to the per-row
-strategy) whenever the correlation shape cannot be probed exactly —
-
-* ``<>``/``!=`` correlation predicates, or more than one order predicate
-  (any order predicate, for a boolean scope);
-* boolean scopes that group (∃ a group satisfying aggregate predicates);
-* θ predicates under grouping *keys* (folding an order key into GROUP BY
-  would split groups) or in γ∅ scopes whose head is not pure streamable
-  aggregates;
-* outer variables referenced inside nested scopes (nested laterals),
-  head assignments, grouping keys, disjunctions, or mixed operands;
-* inner scopes without a stored relation to anchor the materialization
-  (externals, abstract definitions).
-
-Data the sorted band cannot order exactly — mixed value kinds in one key
-group, NULL or NaN band values under two-valued logic (whose total-order
-extension ranks NULL below NaN below nothing else) — aborts the index
-*build* (not the plan), falling back to per-row for that catalog state
-only.
+The rewrite **refuses** (and evaluation stays per row) when the
+correlation cannot be probed exactly: ``<>``/``!=`` predicates, more than
+one order predicate (any, for a boolean scope), θ predicates under grouping
+keys or in γ∅ scopes whose head is not pure streamable aggregates; outer
+variables in nested scopes, head assignments, grouping keys, aggregates
+(HAVING), disjunctions or mixed operands; join annotations; and inner
+scopes without a stored relation to anchor the index (externals, abstract
+definitions).  Data an index cannot carry exactly — mixed value kinds in
+one band, NULL or NaN band values under two-valued logic — aborts the
+*build*, falling back to per-row for that catalog state only.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
+from operator import iadd
 
 from ..core import nodes as n
 from ..core.scopes import (
@@ -101,7 +77,7 @@ from ..core.scopes import (
     split_scope,
 )
 from ..data.relation import Relation, Tuple
-from ..data.values import Truth, compare, is_null, t_and
+from ..data.values import Truth, compare, is_null, t_and, t_or
 from ..errors import EvaluationError
 from ..obs import NULL_SPAN
 from . import aggregates as agg_lib
@@ -117,6 +93,14 @@ _BAND_AGGS = frozenset(["sum", "count", "avg", "min", "max"])
 #: never reaches); cached so repeated executes do not retry the build.
 _BUILD_UNSUPPORTED = object()
 
+#: The NaN every irregular NaN key component is folded onto.
+_NAN = float("nan")
+
+
+def _irregular(value, three_valued):
+    """True when ``=`` on *value* is not Python equality (3VL NULL, NaN)."""
+    return value != value or (three_valued and is_null(value))
+
 
 def _expr_text(expr):
     """Short human label for a correlation operand (``s.a``, ``5``, ...)."""
@@ -128,59 +112,41 @@ def _expr_text(expr):
 
 
 class CorrelationSpec:
-    """Structural decorrelation analysis of one nested collection.
+    """Structural decorrelation analysis of one correlated scope.
 
     ``reason`` is None when the FOI → FIO rewrite applies; every other field
     is only meaningful in that case.  Specs are cached per AST node
     (weakly), shared by the planner and the SQL rewrite.
     """
 
-    __slots__ = (
-        # NOTE: no back-reference to the analyzed Collection — the spec is
-        # the *value* of a weak-keyed cache keyed by that node, and a strong
-        # back-edge would make every entry immortal.
-        "reason",  # refusal reason, or None when the rewrite applies
-        "strategy",  # "eq" (hash index) | "band" (sorted θ-band) | "exists" (truth)
-        "outer_exprs",  # per equality key: the outer-side expression (probe key)
-        "key_inner_exprs",  # per equality key: the inner-side expression
-        "key_attrs",  # fresh head attributes carrying the keys
-        "head_attrs",  # original head attributes (buckets project to these)
-        "rewritten",  # the uncorrelated FIO Collection (head + key attrs)
-        "band_op",  # normalized θ operator (inner OP outer), or None
-        "band_outer_expr",  # outer side of the θ predicate (probe value)
-        "band_inner_expr",  # inner side of the θ predicate (sort key)
-        "band_attr",  # fresh head attr carrying the band key in `rewritten`
-        "band_aggs",  # γ∅ band: ((head attr, agg func, arg expr | None), ...)
-        "stripped",  # γ∅ band, exists: (bindings, local row formulas) to enumerate
-        "empty_group",  # original scope was γ∅ (probe misses synthesize it)
-        "grouped",  # original scope had grouping keys
-        "relation_names",  # stored relations anchoring the materialized index
-        "__weakref__",  # the index cache is keyed weakly by this spec
-    )
+    # NOTE: no back-reference to the analyzed node — the spec is the
+    # *value* of a weak-keyed cache keyed by that node, and a strong
+    # back-edge would make every entry immortal.  (The index cache is keyed
+    # weakly by the spec itself.)
+    strategy = "eq"  # "eq" (lateral) | "band" (sorted θ-band) | "exists" (boolean)
+    outer_exprs = ()  # per equality key: the outer-side expression (probe key)
+    key_inner_exprs = ()  # per equality key: the inner-side expression
+    key_attrs = ()  # fresh head attributes carrying the keys
+    head_attrs = ()  # original head attributes (buckets project to these)
+    rewritten = None  # the uncorrelated FIO scope (Collection, or Quantifier)
+    band_op = None  # normalized θ operator (inner OP outer), or None
+    band_outer_expr = None  # outer side of the θ predicate (probe value)
+    band_inner_expr = None  # inner side of the θ predicate (sort key)
+    band_attr = None  # fresh head attr carrying the band key in `rewritten`
+    band_aggs = ()  # γ∅ band: ((head attr, agg func, arg expr | None), ...)
+    stripped = None  # γ∅ band, ungrouped ∃: (bindings, local row formulas)
+    empty_group = False  # original scope was γ∅ (probe misses see the empty group)
+    grouped = False  # original scope had grouping keys
+    relation_names = ()  # stored relations anchoring the materialized index
 
     def __init__(self, reason=None):
-        self.reason = reason
-        self.strategy = "eq"
-        self.outer_exprs = ()
-        self.key_inner_exprs = ()
-        self.key_attrs = ()
-        self.head_attrs = ()
-        self.rewritten = None
-        self.band_op = None
-        self.band_outer_expr = None
-        self.band_inner_expr = None
-        self.band_attr = None
-        self.band_aggs = ()
-        self.stripped = None
-        self.empty_group = False
-        self.grouped = False
-        self.relation_names = ()
+        self.reason = reason  # refusal reason, or None when the rewrite applies
 
     # -- plan-level execution --------------------------------------------------
 
     def materialize(self, evaluator):
-        """The probe index for this spec (:class:`FioIndex`,
-        :class:`BandIndex` or :class:`ExistsIndex`), or None.
+        """The probe index for this spec (:class:`KeyIndex` or
+        :class:`BandIndex`), or None.
 
         Built at most once per catalog state: the index is cached on every
         stored relation the inner scope reads (any mutation drops it), and
@@ -200,12 +166,10 @@ class CorrelationSpec:
         tracer = evaluator.tracer
         index = Relation.derived_get_shared(anchors, self, tag)
         if index is not None:
-            # An exists index is looked up once per outer row, not once
-            # per scope execution: its hits would flood the trace.
+            # A boolean scope's index is looked up once per outer row, not
+            # once per scope execution: its hits would flood the trace.
             if tracer is not None and self.strategy != "exists":
-                tracer.event(
-                    "decorr.index", cached=True, strategy=self.strategy
-                )
+                tracer.event("decorr.index", cached=True, strategy=self.strategy)
             return None if index is _BUILD_UNSUPPORTED else index
         # A build failure falls back to per-row for this catalog state: the
         # materialization evaluates the *whole* rewritten scope, including
@@ -232,71 +196,60 @@ class CorrelationSpec:
         return index
 
     def _build_eq(self, evaluator):
-        """Grouped hash index over the equality keys (tri-bucket under 3VL)."""
+        """Lateral fold: each key's ``(row, mult)`` bucket."""
         counter = evaluator._eval_collection(self.rewritten, {})
-        three_valued = evaluator.conventions.three_valued
-        buckets = {}
-        unknown = 0
         key_attrs = self.key_attrs
         head_attrs = self.head_attrs
-        for row, mult in counter.items():
-            values = row._values
-            key = tuple(values[a] for a in key_attrs)
-            if three_valued and any(is_null(v) for v in key):
-                # UNKNOWN candidate: ``x = NULL`` is TRUE for no probe, so
-                # strict enumeration never yields the row — but it stays
-                # accounted for, which is what lets NULL-able keys
-                # decorrelate instead of refusing.
-                unknown += 1
-                continue
-            entry = (row.project(head_attrs), mult)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [entry]
-            else:
-                bucket.append(entry)
-        return FioIndex(buckets, unknown, three_valued and unknown > 0)
+        pairs = (
+            (tuple(row._values[a] for a in key_attrs), [(row.project(head_attrs), mult)])
+            for row, mult in counter.items()
+        )
+        return KeyIndex.fold(pairs, iadd, evaluator.conventions, strict=True)
 
     def _build_exists(self, evaluator):
-        """Truth index of a boolean scope: one Kleene fold per key.
+        """Boolean-scope fold, from one enumeration of the uncorrelated scope.
 
-        The uncorrelated inner scope is enumerated once, non-strictly.  A
-        combination whose local formulas are FALSE contributes FALSE to
-        every probe and is dropped; the others are keyed by their inner
-        key values.  Keys whose equality follows Python equality (no NULL
-        under 3VL, no NaN) fold into ``truths``; the rest, which ``=``
-        compares as UNKNOWN or FALSE, go to a short list probed with
-        :func:`compare` itself.  2VL NaN keys equal nothing and are dropped.
+        Without γ the scope is enumerated non-strictly and each key keeps
+        the Kleene OR of its combinations' local truth (FALSE adds
+        nothing).  With γ the groups are enumerated strictly, each key
+        keeps the OR of its groups' HAVING truth, and a γ∅ miss sees the
+        empty group: its HAVING truth is computed here, once.
         """
-        bindings, local = self.stripped
-        three_valued = evaluator.conventions.three_valued
         eval_expr = evaluator._eval_expr
         key_exprs = self.key_inner_exprs
-        truths = {}
-        irregular = {}
-        for env, _, truth in evaluator._extend_with_bindings(
-            bindings, local, {}, 1, strict=False
-        ):
-            if truth is Truth.FALSE:
-                continue
-            key = tuple(eval_expr(expr, env) for expr in key_exprs)
-            target = truths
-            if any(_irregular(value, three_valued) for value in key):
-                if not three_valued:
-                    continue
-                # One entry per distinct key: every NaN compares alike.
-                key = tuple(_NAN if value != value else value for value in key)
-                target = irregular
-            if truth is Truth.TRUE or key not in target:
-                target[key] = truth
-        return ExistsIndex(truths, tuple(irregular.items()), three_valued)
+
+        def key(env):
+            return tuple([eval_expr(expr, env) for expr in key_exprs])
+
+        miss = Truth.FALSE
+        grouped = self.grouped or self.empty_group
+        if grouped:
+            quant = self.rewritten
+            plan = evaluator._plan_scope(quant)
+            groups = evaluator._compile_scope(quant, plan).group_verdicts(evaluator, {})
+            if groups is None:  # not a fusable shape
+                groups = evaluator._groups(quant, plan, {})
+            pairs = ((key(rep_env), having) for _, rep_env, _, having in groups)
+            if self.empty_group:
+                miss = evaluator._group_verdict(plan, [], {})[2]
+        else:
+            bindings, local = self.stripped
+            combos = evaluator._extend_with_bindings(
+                bindings, local, {}, 1, strict=False
+            )
+            pairs = (
+                (key(env), truth) for env, _, truth in combos if truth is not Truth.FALSE
+            )
+        # 2VL has no UNKNOWN, so its ∃ fold is strict as well.
+        conventions = evaluator.conventions
+        strict = grouped or not conventions.three_valued
+        return KeyIndex.fold(pairs, t_or, conventions, strict=strict, miss=miss)
 
     def _build_band(self, evaluator):
         """Sorted θ-band index (per-key prefix aggregates for γ∅ scopes)."""
         conventions = evaluator.conventions
         three_valued = conventions.three_valued
-        groups = {}
-        unknown = 0
+        eval_expr = evaluator._eval_expr
         if self.empty_group:
             # γ∅ aggregate scope: enumerate the *raw* pre-aggregation row
             # stream (exact bag multiplicities — a projected collection
@@ -304,185 +257,177 @@ class CorrelationSpec:
             from .planner import compile_bindings
 
             bindings, formulas = self.stripped
-            compiled = compile_bindings(evaluator, list(bindings), list(formulas))
-            key_exprs = self.key_inner_exprs
+            source = compile_bindings(
+                evaluator, list(bindings), list(formulas)
+            ).execute(evaluator, {})
             band_expr = self.band_inner_expr
+            key_exprs = self.key_inner_exprs
             arg_exprs = tuple(arg for _, _, arg in self.band_aggs)
-            eval_expr = evaluator._eval_expr
-            for env, mult in compiled.execute(evaluator, {}):
-                band_value = eval_expr(band_expr, env)
-                if is_null(band_value):
-                    if three_valued:
-                        unknown += 1
-                        continue
-                    return None  # 2VL orders NULL; keep the per-row oracle
-                if band_value != band_value:
-                    if not three_valued:
-                        # 2VL's total-order extension ranks NaN above NULL
-                        # (compare keys (1, NaN) vs (0, 0)), so a NULL outer
-                        # probe with >/>= would select it; the sorted band
-                        # cannot carry that, so keep the per-row oracle.
-                        return None
-                    continue  # 3VL: NaN satisfies no ordering predicate
-                key = tuple(eval_expr(expr, env) for expr in key_exprs)
-                if three_valued and any(is_null(v) for v in key):
-                    unknown += 1
-                    continue
-                args = tuple(
-                    None if arg is None else eval_expr(arg, env)
-                    for arg in arg_exprs
-                )
-                entry = (band_value, mult, args)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [entry]
-                else:
-                    bucket.append(entry)
-            built = {}
-            for key, entries in groups.items():
-                group = _BandGroup.for_aggregates(
-                    entries, self.band_op, self.band_aggs
-                )
-                if group is None:
-                    return None
-                built[key] = group
-            empty_row = Tuple._adopt(
-                {
-                    attr: agg_lib.aggregate(func, (), conventions)
-                    for attr, func, _ in self.band_aggs
-                }
-            )
-            return BandIndex(
-                built,
-                self.band_op,
-                aggs=self.band_aggs,
-                conventions=conventions,
-                empty_row=empty_row,
-                tribucket=three_valued and unknown > 0,
-            )
 
-        # Non-grouped scope: the rewritten collection already carries the
-        # head, equality keys, and band key per row; sort each key bucket.
-        counter = evaluator._eval_collection(self.rewritten, {})
-        band_attr = self.band_attr
-        key_attrs = self.key_attrs
-        head_attrs = self.head_attrs
-        for row, mult in counter.items():
-            values = row._values
-            band_value = values[band_attr]
-            if is_null(band_value):
-                if three_valued:
-                    unknown += 1
-                    continue
-                return None
-            if band_value != band_value:
+            def split(env):
+                return (
+                    eval_expr(band_expr, env),
+                    tuple(eval_expr(expr, env) for expr in key_exprs),
+                )
+
+            def payload(env):
+                return tuple(
+                    None if arg is None else eval_expr(arg, env) for arg in arg_exprs
+                )
+
+        else:
+            # Non-grouped scope: the rewritten collection already carries
+            # the head, equality keys and band key per row.
+            source = evaluator._eval_collection(self.rewritten, {}).items()
+            band_attr = self.band_attr
+            key_attrs = self.key_attrs
+            head_attrs = self.head_attrs
+
+            def split(row):
+                values = row._values
+                return values[band_attr], tuple(values[a] for a in key_attrs)
+
+            def payload(row):
+                return row.project(head_attrs)
+
+        groups = {}
+        set_aside = False
+        for item, mult in source:
+            band_value, key = split(item)
+            if _irregular(band_value, True):
                 if not three_valued:
-                    return None  # 2VL ranks NaN above NULL (see above)
+                    # 2VL's total-order extension sorts NULL first and ranks
+                    # NaN above NULL (compare keys (1, NaN) vs (0, 0)), so a
+                    # NULL outer probe with >/>= would select it; the sorted
+                    # band cannot carry that, so keep the per-row oracle.
+                    return None
+                set_aside = True  # 3VL: satisfies no ordering predicate
                 continue
-            key = tuple(values[a] for a in key_attrs)
-            if three_valued and any(is_null(v) for v in key):
-                unknown += 1
+            if any(_irregular(value, three_valued) for value in key):
+                set_aside = True
                 continue
-            entry = (band_value, row.project(head_attrs), mult)
+            entry = (band_value, payload(item), mult)
             bucket = groups.get(key)
             if bucket is None:
                 groups[key] = [entry]
             else:
                 bucket.append(entry)
+        aggs = self.band_aggs if self.empty_group else None
         built = {}
         for key, entries in groups.items():
-            group = _BandGroup.for_rows(entries, self.band_op)
+            group = _BandGroup.build(entries, self.band_op, aggs)
             if group is None:
                 return None
             built[key] = group
+        empty_row = None
+        if aggs is not None:
+            empty_row = Tuple._adopt(
+                {
+                    attr: agg_lib.aggregate(func, (), conventions)
+                    for attr, func, _ in aggs
+                }
+            )
         return BandIndex(
             built,
             self.band_op,
-            aggs=None,
+            aggs=aggs,
             conventions=conventions,
-            empty_row=None,
-            tribucket=three_valued and unknown > 0,
+            empty_row=empty_row,
+            tribucket=three_valued and set_aside,
         )
 
 
-class FioIndex:
-    """Materialized equality-FIO index: TRUE buckets + UNKNOWN tally.
+class KeyIndex:
+    """Materialized equality-keyed index: one fold per correlation key.
 
-    ``tribucket`` marks an index whose build segregated UNKNOWN candidates
-    (3VL, NULL keys present) — probes against it count ``tribucket_probes``.
-    ``empty_group_items`` is the domain-join γ∅ compensation: the shared
-    empty-group frame every missing outer key maps to.
+    ``entries`` maps each regular inner key to its fold: a bucket of
+    ``(row, mult)`` (laterals), or a truth (boolean scopes).  Strict folds
+    set irregular inner keys aside and ``irregular`` is None; the Kleene
+    ``∃`` fold keeps them in the ``irregular`` list of ``(key, truth)``.
+    ``tribucket`` marks an index that set irregular keys aside under 3VL —
+    probes against it count ``tribucket_probes``.  ``miss`` is what a key
+    with no entry yields: FALSE for a boolean scope (or the HAVING truth
+    over the empty group, under γ∅), and for a γ∅ lateral the empty-group
+    frame, synthesized on the first miss (:meth:`empty_group_items`).
     """
 
-    __slots__ = ("buckets", "unknown_count", "tribucket", "_empty_items")
+    __slots__ = ("entries", "irregular", "tribucket", "miss", "_projections")
 
-    def __init__(self, buckets, unknown_count, tribucket):
-        self.buckets = buckets
-        self.unknown_count = unknown_count
+    def __init__(self, entries, irregular, tribucket, miss):
+        self.entries = entries
+        self.irregular = irregular
         self.tribucket = tribucket
-        self._empty_items = None
+        self.miss = miss
+        self._projections = {}
 
-    def get(self, key):
-        return self.buckets.get(key)
+    @classmethod
+    def fold(cls, pairs, fold, conventions, *, strict, miss=None):
+        """Fold ``(inner key, value)`` *pairs* into one entry per key: a
+        key's first value, combined with each later one by *fold*.
+
+        *strict* folds set irregular keys aside; the Kleene fold keeps
+        them, one entry per distinct key (every NaN compares alike).
+        """
+        three_valued = conventions.three_valued
+        entries = {}
+        irregular = None if strict else {}
+        set_aside = False
+        for key, value in pairs:
+            target = entries
+            if any(_irregular(v, three_valued) for v in key):
+                set_aside = True
+                if irregular is None:
+                    continue
+                key = tuple(_NAN if v != v else v for v in key)
+                target = irregular
+            found = target.get(key)
+            target[key] = value if found is None else fold(found, value)
+        if irregular is not None:
+            irregular = tuple(irregular.items())
+        return cls(entries, irregular, three_valued and set_aside, miss)
 
     def empty_group_items(self, evaluator, source, env, stats):
-        """The γ∅ empty-group frame, synthesized once per index.
+        """The γ∅ lateral's empty-group frame, synthesized once per index.
 
         An accepted γ∅ spec's head assignments cannot reference the outer
         row, so the frame is identical for every probe miss: one anti-join
         of the outer key domain against the index keyset, batched into a
         single synthesis (Fig. 21c) instead of a per-frame re-evaluation.
         """
-        items = self._empty_items
+        items = self.miss
         if items is None:
-            items = list(evaluator._eval_collection(source, env).items())
-            self._empty_items = items
+            items = self.miss = list(evaluator._eval_collection(source, env).items())
             stats.domain_join_compensations += 1
         return items
 
-
-def _irregular(value, three_valued):
-    """True when ``=`` on *value* is not Python equality (3VL NULL, NaN)."""
-    return value != value or (three_valued and is_null(value))
-
-
-#: The NaN every irregular NaN key component is folded onto.
-_NAN = float("nan")
-
-
-class ExistsIndex:
-    """Materialized boolean-scope index: the ∃ truth per correlation key.
-
-    ``truths`` maps each regular inner key to the Kleene OR of the local
-    truth of its combinations (TRUE or UNKNOWN); ``irregular`` lists the
-    keys holding NULL (3VL) or NaN with the same fold.
-    """
-
-    __slots__ = ("truths", "irregular", "three_valued", "_projections")
-
-    def __init__(self, truths, irregular, three_valued):
-        self.truths = truths
-        self.irregular = irregular
-        self.three_valued = three_valued
-        self._projections = {}
-
-    def probe(self, key):
-        """``OR`` over inner combos ``r`` of ``AND_i r.k_i = key_i ∧ local(r)``."""
-        truth = self.truths.get(key)
-        if truth is not None:
+    def truth(self, key):
+        """``OR`` over inner keys ``r`` of ``AND_i r_i = key_i`` and the
+        fold of ``r``: the boolean scope's truth for one outer *key*."""
+        found = self.entries.get(key)
+        if found is not None:
             # A regular key matched; irregular keys add at most UNKNOWN.
-            return truth
-        three_valued = self.three_valued
-        odd = [i for i, value in enumerate(key) if _irregular(value, three_valued)]
+            return found
+        irregular = self.irregular
+        if irregular is None:
+            # Strict fold: a key with no entry (an irregular one included)
+            # matches no TRUE row.
+            return self.miss
+        # The Kleene fold runs under 3VL only.
+        odd = [i for i, value in enumerate(key) if _irregular(value, True)]
         if odd and all(key[i] == key[i] for i in odd):
             # 3VL NULL components compare UNKNOWN with every regular key;
             # the rest of the key must still match.
             kept = tuple(i for i in range(len(key)) if i not in odd)
-            if tuple(key[i] for i in kept) in self._projection(kept):
+            projection = self._projections.get(kept)
+            if projection is None:
+                # The regular keys projected onto the positions *kept*.
+                projection = {tuple(k[i] for i in kept) for k in self.entries}
+                self._projections[kept] = projection
+            if tuple(key[i] for i in kept) in projection:
                 return Truth.UNKNOWN
         # No regular key matches (NaN equals none).  An irregular key holds
         # NULL or NaN, so it is UNKNOWN at best.
-        for inner, truth in self.irregular:
+        for inner, truth in irregular:
             for left, right in zip(inner, key):
                 truth = t_and(truth, compare(left, "=", right, three_valued=True))
                 if truth is Truth.FALSE:
@@ -491,13 +436,12 @@ class ExistsIndex:
                 return Truth.UNKNOWN
         return Truth.FALSE
 
-    def _projection(self, kept):
-        """The regular keys projected onto the positions *kept* (cached)."""
-        projection = self._projections.get(kept)
-        if projection is None:
-            projection = {tuple(key[i] for i in kept) for key in self.truths}
-            self._projections[kept] = projection
-        return projection
+
+def _kind(value):
+    """The orderable kind of a band value ("num" or "str"), or None."""
+    if isinstance(value, (bool, int, float)):
+        return "num"
+    return "str" if isinstance(value, str) else None
 
 
 class _BandGroup:
@@ -512,53 +456,28 @@ class _BandGroup:
 
     __slots__ = ("vals", "kind", "payload")
 
-    _NUM = (bool, int, float)
-
     def __init__(self, vals, kind, payload):
         self.vals = vals
         self.kind = kind
         self.payload = payload
 
-    @staticmethod
-    def _kind_of(entries):
-        """Homogeneous orderable kind of the band values, or None (mixed)."""
-        kind = None
-        for entry in entries:
-            value = entry[0]
-            if isinstance(value, _BandGroup._NUM):
-                value_kind = "num"
-            elif isinstance(value, str):
-                value_kind = "str"
-            else:
-                return None
-            if kind is None:
-                kind = value_kind
-            elif kind != value_kind:
-                # Mixed kinds have no total order consistent with the
-                # comparison semantics (str vs int orders FALSE both ways).
-                return None
-        return kind
-
     @classmethod
-    def for_rows(cls, entries, op):
-        kind = cls._kind_of(entries)
-        if kind is None:
+    def build(cls, entries, op, agg_specs):
+        """The group of ``(band value, payload, mult)`` *entries*: sorted
+        ``(row, mult)`` pairs, or prefix-aggregate arrays when *agg_specs*
+        is given (the payloads are then aggregate argument tuples)."""
+        kinds = {_kind(entry[0]) for entry in entries}
+        if len(kinds) != 1 or None in kinds:
+            # Mixed kinds have no total order consistent with the
+            # comparison semantics (str vs int orders FALSE both ways).
             return None
+        kind = kinds.pop()
         entries.sort(key=lambda entry: entry[0])
         vals = [entry[0] for entry in entries]
-        rows = [(entry[1], entry[2]) for entry in entries]
         if op in (">", ">="):
-            rows.reverse()
-        return cls(vals, kind, rows)
-
-    @classmethod
-    def for_aggregates(cls, entries, op, agg_specs):
-        kind = cls._kind_of(entries)
-        if kind is None:
-            return None
-        entries.sort(key=lambda entry: entry[0])
-        vals = [entry[0] for entry in entries]
-        selected = entries if op in ("<", "<=") else list(reversed(entries))
+            entries.reverse()
+        if agg_specs is None:
+            return cls(vals, kind, [(row, mult) for _, row, mult in entries])
         arrays = []
         try:
             for position, (_, func, arg) in enumerate(agg_specs):
@@ -569,7 +488,7 @@ class _BandGroup:
                 total = 0
                 extreme = None
                 pick = min if func == "min" else max
-                for _, mult, args in selected:
+                for _, args, mult in entries:
                     if arg is None:  # count(*): NULLs included
                         count += mult
                     else:
@@ -607,13 +526,7 @@ class _BandGroup:
             return len(self.vals) if op in (">", ">=") else 0
         if value != value:
             return 0  # NaN satisfies no ordering predicate
-        if isinstance(value, self._NUM):
-            value_kind = "num"
-        elif isinstance(value, str):
-            value_kind = "str"
-        else:
-            value_kind = None
-        if value_kind != self.kind:
+        if _kind(value) != self.kind:
             return 0  # heterogeneous ordering comparisons are FALSE
         vals = self.vals
         if op == "<":
@@ -628,14 +541,7 @@ class _BandGroup:
 class BandIndex:
     """Materialized θ-band index: equality-key groups of sorted entries."""
 
-    __slots__ = (
-        "groups",
-        "op",
-        "aggs",
-        "conventions",
-        "empty_row",
-        "tribucket",
-    )
+    __slots__ = ("groups", "op", "aggs", "conventions", "empty_row", "tribucket")
 
     def __init__(self, groups, op, *, aggs, conventions, empty_row, tribucket):
         self.groups = groups
@@ -697,11 +603,7 @@ def analyze(node):
     or a boolean quantifier scope."""
     spec = _SPECS.get(node)
     if spec is None:
-        if isinstance(node, n.Collection):
-            spec = _analyze(node)
-        else:
-            spec = _analyze_exists(node)
-        _SPECS[node] = spec
+        spec = _SPECS[node] = _analyze(node)
     return spec
 
 
@@ -712,74 +614,48 @@ def _band_shape_reason(body, head, label):
     can tell band-eligible shapes refused for shape reasons apart from
     truly unsafe correlations.
     """
+    why = f"correlates through the non-equality predicate ({label})"
     if body.grouping is not None and body.grouping.keys:
         return (
-            f"correlates through the non-equality predicate ({label}) under "
-            "grouping keys — folding an order key into the grouping would "
-            "split the groups, so θ-band indexes apply only to γ∅ and "
-            "non-grouped scopes"
+            f"{why} under grouping keys — folding an order key into the "
+            "grouping would split the groups, so θ-band indexes apply only "
+            "to γ∅ and non-grouped scopes"
         )
     if body.grouping is None:
         return None  # non-grouped: sorted-slice probes handle any head
     assignments, agg_assignments, agg_comparisons, _ = split_scope(head, body)
     if assignments:
-        return (
-            f"correlates through the non-equality predicate ({label}) in a "
-            "γ∅ scope with non-aggregate head assignments"
-        )
+        return f"{why} in a γ∅ scope with non-aggregate head assignments"
     if agg_comparisons:
         return (
-            f"correlates through the non-equality predicate ({label}) in a "
-            "γ∅ scope with aggregate comparisons (the group may be filtered "
-            "away)"
+            f"{why} in a γ∅ scope with aggregate comparisons (the group may "
+            "be filtered away)"
         )
     assigned = {}
     for attr, expr in agg_assignments:
         if attr in assigned:
-            return (
-                f"correlates through the non-equality predicate ({label}) "
-                "with a duplicate head assignment"
-            )
+            return f"{why} with a duplicate head assignment"
         assigned[attr] = expr
     for attr in head.attrs:
         expr = assigned.get(attr)
         if expr is None:
-            return (
-                f"correlates through the non-equality predicate ({label}) "
-                f"and head attribute {attr!r} has no aggregate assignment"
-            )
+            return f"{why} and head attribute {attr!r} has no aggregate assignment"
         if not isinstance(expr, n.AggCall) or expr.func not in _BAND_AGGS:
             what = expr.func if isinstance(expr, n.AggCall) else "an expression"
-            return (
-                f"correlates through the non-equality predicate ({label}) "
-                f"with a non-prefix-foldable aggregate assignment ({what})"
-            )
-    return None
-
-
-def _lateral_reason(quant, free):
-    """Why a binding of *quant* is itself correlated (None when none is)."""
-    for binding in quant.bindings:
-        if n.vars_used(binding.source) & free:
-            return (
-                f"nested lateral binding {binding.var!r} references the outer "
-                "correlation variables"
-            )
+            return f"{why} with a non-prefix-foldable aggregate assignment ({what})"
     return None
 
 
 def _correlation(conjunct_list, free, inner_vars, head_name, theta_ops):
     """Classify the conjuncts of a scope body that reference *free* variables.
 
-    Returns a refusal reason, or ``(correlated, pairs, orientations, band)``:
-    the positions of the ``inner = outer`` equalities, their (inner side,
-    outer side) operands, whether the inner side is the left operand, and
-    the one θ predicate (position, inner, outer, normalized op, label) when
-    *theta_ops* admits it.
+    Returns a refusal reason, or ``(correlated, pairs, band)``: the
+    positions of the ``inner = outer`` equalities, their (inner side, outer
+    side) operands, and the one θ predicate (position, inner, outer,
+    normalized op, label) when *theta_ops* admits it.
     """
     correlated = []  # conjunct positions consumed by equality pairs
     pairs = []  # (inner side, outer side) in the original tree
-    orientations = []  # True when the inner side is the left operand
     band = None  # (position, inner, outer, normalized op, label)
     for index, conjunct in enumerate(conjunct_list):
         used = n.vars_used(conjunct)
@@ -828,7 +704,6 @@ def _correlation(conjunct_list, free, inner_vars, head_name, theta_ops):
         if conjunct.op == "=":
             correlated.append(index)
             pairs.append(pair)
-            orientations.append(left_inner)
             continue
         # θ candidate: normalize the operator to *inner OP outer*.
         op = conjunct.op if left_inner else FLIP[conjunct.op]
@@ -849,103 +724,70 @@ def _correlation(conjunct_list, free, inner_vars, head_name, theta_ops):
                 f"({band[4]} and {label}); a θ-band index handles exactly one"
             )
         band = (index, pair[0], pair[1], op, label)
-    return correlated, pairs, orientations, band
+    return correlated, pairs, band
 
 
-def _relation_names(node):
-    """Stored relations a subtree reads, sorted (the index anchors)."""
-    return tuple(sorted(set(n.facts(node).relation_refs)))
+def _analyze(node):
+    """Analyze a lateral's nested collection or a boolean quantifier scope.
 
-
-_NO_ANCHOR = (
-    "inner scope references no stored relation to anchor the materialization"
-)
-
-
-def _analyze_exists(quant):
-    """Exists-index analysis of a boolean quantifier scope (``∃`` / ``¬∃``).
-
-    Accepted scopes have no grouping and no join annotation and correlate
-    only through ``inner = outer`` equalities; every other conjunct is
-    local to the inner scope, so one enumeration serves every outer row.
-    Head assignments and emitters are the evaluator's to exclude: they
-    depend on the enclosing head, not on this node.
+    Every conjunct that references no outer variable is local to the inner
+    scope, so one enumeration of the rewritten scope serves every outer
+    row.  A boolean scope's head assignments and emitters are the
+    evaluator's to exclude: they depend on the enclosing head, not on this
+    node.
     """
-    if quant.grouping is not None:
-        return CorrelationSpec(
-            "boolean scope groups its rows (∃ a group satisfying the "
-            "aggregate predicates)"
-        )
-    if quant.join is not None:
+    head = None
+    scope = node
+    if isinstance(node, n.Collection):
+        head, scope = node.head, node.body
+        if isinstance(scope, n.Or):
+            return CorrelationSpec("inner body is a disjunction")
+        if not isinstance(scope, n.Quantifier):
+            return CorrelationSpec(
+                f"inner body is a {type(scope).__name__}, not a quantifier scope"
+            )
+    if scope.join is not None:
         return CorrelationSpec("inner scope carries a join annotation")
-    free = frozenset(free_variables(quant))
-    reason = _lateral_reason(quant, free)
-    if reason is not None:
-        return CorrelationSpec(reason)
-    conjunct_list = n.conjuncts(quant.body)
-    if any(isinstance(c, n.Comparison) and c.has_aggregate() for c in conjunct_list):
+    free = frozenset(free_variables(node))
+    for binding in scope.bindings:
+        if n.vars_used(binding.source) & free:
+            return CorrelationSpec(
+                f"nested lateral binding {binding.var!r} references the outer "
+                "correlation variables"
+            )
+    grouping = scope.grouping
+    if grouping is not None and any(n.vars_used(key) & free for key in grouping.keys):
+        return CorrelationSpec("grouping key references outer variables")
+    conjunct_list = n.conjuncts(scope.body)
+    if (
+        head is None
+        and grouping is None
+        and any(
+            isinstance(c, n.Comparison) and c.has_aggregate() for c in conjunct_list
+        )
+    ):
         return CorrelationSpec(
             "boolean scope has an aggregate predicate but no grouping operator"
         )
     found = _correlation(
-        conjunct_list, free, {b.var for b in quant.bindings}, None, ()
-    )
-    if isinstance(found, str):
-        return CorrelationSpec(found)
-    correlated, pairs, _, _ = found
-    relation_names = _relation_names(quant)
-    if not relation_names:
-        return CorrelationSpec(_NO_ANCHOR)
-    spec = CorrelationSpec()
-    spec.strategy = "exists"
-    spec.outer_exprs = tuple(outer for _, outer in pairs)
-    spec.key_inner_exprs = tuple(inner for inner, _ in pairs)
-    spec.relation_names = relation_names
-    consumed = set(correlated)
-    spec.stripped = (
-        tuple(quant.bindings),
-        tuple(c for i, c in enumerate(conjunct_list) if i not in consumed),
-    )
-    return spec
-
-
-def _analyze(collection):
-    free = frozenset(free_variables(collection))
-    body = collection.body
-    if isinstance(body, n.Or):
-        return CorrelationSpec("inner body is a disjunction")
-    if not isinstance(body, n.Quantifier):
-        return CorrelationSpec(
-            f"inner body is a {type(body).__name__}, not a quantifier scope"
-        )
-    if body.join is not None:
-        return CorrelationSpec("inner scope carries a join annotation")
-    reason = _lateral_reason(body, free)
-    if reason is not None:
-        return CorrelationSpec(reason)
-    if body.grouping is not None:
-        for key in body.grouping.keys:
-            if n.vars_used(key) & free:
-                return CorrelationSpec(
-                    "grouping key references outer variables"
-                )
-    head = collection.head
-    conjunct_list = n.conjuncts(body.body)
-    found = _correlation(
         conjunct_list,
         free,
-        {b.var for b in body.bindings},
-        head.name,
-        BAND_OPS,
+        {b.var for b in scope.bindings},
+        None if head is None else head.name,
+        () if head is None else BAND_OPS,
     )
     if isinstance(found, str):
         return CorrelationSpec(found)
-    correlated, pairs, orientations, band = found
-    relation_names = _relation_names(collection)
+    correlated, pairs, band = found
+    # The stored relations the scope reads anchor the materialized index.
+    relation_names = tuple(sorted(set(n.facts(node).relation_refs)))
     if not relation_names:
-        return CorrelationSpec(_NO_ANCHOR)
+        return CorrelationSpec(
+            "inner scope references no stored relation to anchor the "
+            "materialization"
+        )
     if band is not None:
-        shape_reason = _band_shape_reason(body, head, band[4])
+        shape_reason = _band_shape_reason(scope, head, band[4])
         if shape_reason is not None:
             return CorrelationSpec(shape_reason)
 
@@ -953,89 +795,88 @@ def _analyze(collection):
     spec.outer_exprs = tuple(outer for _, outer in pairs)
     spec.key_inner_exprs = tuple(n.clone(inner) for inner, _ in pairs)
     spec.relation_names = relation_names
-    spec.head_attrs = tuple(head.attrs)
-    spec.empty_group = body.grouping is not None and not body.grouping.keys
-    spec.grouped = body.grouping is not None and bool(body.grouping.keys)
+    spec.empty_group = grouping is not None and not grouping.keys
+    spec.grouped = grouping is not None and bool(grouping.keys)
+    if head is None:
+        spec.strategy = "exists"
+    else:
+        spec.head_attrs = tuple(head.attrs)
+        # Fresh key attributes (avoiding the head's own names).
+        taken = set(head.attrs)
+        wanted = len(pairs) + (1 if band is not None and not spec.empty_group else 0)
+        key_attrs = [fresh_name(f"_ck{i}", taken) for i in range(wanted)]
+        if band is not None:
+            spec.strategy = "band"
+            spec.band_op = band[3]
+            spec.band_inner_expr = n.clone(band[1])
+            spec.band_outer_expr = band[2]
+            if not spec.empty_group:
+                spec.band_attr = key_attrs.pop()
+        spec.key_attrs = tuple(key_attrs)
+
+    # Conjunct position -> inner operand of every correlation predicate.
+    moved = dict(zip(correlated, (inner for inner, _ in pairs)))
     if band is not None:
-        spec.strategy = "band"
-        spec.band_op = band[3]
-        spec.band_inner_expr = n.clone(band[1])
-        spec.band_outer_expr = band[2]
-
-    # Fresh key attributes (avoiding the head's own names).
-    taken = set(head.attrs)
-    wanted = len(pairs) + (1 if band is not None and not spec.empty_group else 0)
-    key_attrs = [fresh_name(f"_ck{i}", taken) for i in range(wanted)]
-    if band is not None and not spec.empty_group:
-        spec.band_attr = key_attrs.pop()
-    spec.key_attrs = tuple(key_attrs)
-
+        moved[band[0]] = band[1]
+    if head is None and grouping is None:
+        # Ungrouped ∃: the build enumerates the bindings under the local
+        # conjuncts directly; nothing needs rewriting.
+        spec.stripped = (
+            tuple(scope.bindings),
+            tuple(c for i, c in enumerate(conjunct_list) if i not in moved),
+        )
+        return spec
     if spec.strategy == "band" and spec.empty_group:
         # γ∅ band: the probe folds prefix arrays, so materialization needs
         # the *raw* row stream — bindings plus the residual row formulas,
         # with the correlation predicates and aggregate assignments
         # stripped out.
-        consumed = set(correlated)
-        consumed.add(band[0])
         kept = [
             n.clone(conjunct)
             for position, conjunct in enumerate(conjunct_list)
-            if position not in consumed
+            if position not in moved
             and not (
                 isinstance(conjunct, n.Comparison)
                 and assignment_of(conjunct, head) is not None
             )
         ]
         spec.stripped = (
-            tuple(n.clone(binding) for binding in body.bindings),
+            tuple(n.clone(binding) for binding in scope.bindings),
             tuple(kept),
         )
-        agg_specs = []
-        assignments = dict(split_scope(head, body)[1])
-        for attr in head.attrs:
-            call = assignments[attr]
-            agg_specs.append(
-                (attr, call.func, None if call.arg is None else n.clone(call.arg))
-            )
-        spec.band_aggs = tuple(agg_specs)
+        calls = dict(split_scope(head, scope)[1])
+        spec.band_aggs = tuple(
+            (attr, call.func, None if call.arg is None else n.clone(call.arg))
+            for attr, call in zip(head.attrs, map(calls.get, head.attrs))
+        )
         return spec
 
-    # The FIO rewrite: drop the correlated predicates, project their inner
-    # sides as key attributes, and (for grouped scopes) fold the equality
-    # keys into the grouping keys — γ∅ becomes γ keys; the count-bug
-    # compensation happens at probe time.
-    clone = n.clone(collection)
-    cbody = clone.body
-    cconjuncts = n.conjuncts(cbody.body)
-    consumed = set(correlated)
+    # The FIO rewrite: drop the correlated predicates and fold their inner
+    # sides into the grouping keys (γ∅ becomes γ keys; a probe miss sees
+    # the empty group); a lateral also projects them as key attributes.
+    clone = n.clone(node)
+    cscope = clone if head is None else clone.body
+    cconjuncts = n.conjuncts(cscope.body)
+    # The clone's copy of each inner operand: same position, same side.
     inner_keys = [
-        (cconjuncts[i].left if left_inner else cconjuncts[i].right)
-        for i, left_inner in zip(correlated, orientations)
+        cconjuncts[i].left if conjunct_list[i].left is inner else cconjuncts[i].right
+        for i, inner in moved.items()
     ]
-    extra_attrs = list(spec.key_attrs)
-    if band is not None:
-        consumed.add(band[0])
-        band_conjunct = cconjuncts[band[0]]
-        band_inner = (
-            band_conjunct.left
-            if band_conjunct.op == band[3]
-            else band_conjunct.right
-        )
-        inner_keys.append(band_inner)
-        extra_attrs.append(spec.band_attr)
-    kept = [c for i, c in enumerate(cconjuncts) if i not in consumed]
-    assignments = [
-        n.Comparison(n.Attr(head.name, ck), "=", expr)
-        for ck, expr in zip(extra_attrs, inner_keys)
-    ]
-    cbody.body = n.make_and(kept + assignments)
-    if cbody.grouping is not None:
-        keys = list(cbody.grouping.keys)
+    extra_attrs = spec.key_attrs + ((spec.band_attr,) if band is not None else ())
+    kept = [c for i, c in enumerate(cconjuncts) if i not in moved]
+    if head is not None:
+        kept += [
+            n.Comparison(n.Attr(head.name, ck), "=", expr)
+            for ck, expr in zip(extra_attrs, inner_keys)
+        ]
+        clone.head = n.Head(head.name, tuple(head.attrs) + tuple(extra_attrs))
+    cscope.body = n.make_and(kept)
+    if grouping is not None:
+        keys = list(cscope.grouping.keys)
         for expr in inner_keys:
             if not any(n.structurally_equal(expr, key) for key in keys):
                 keys.append(n.clone(expr))
-        cbody.grouping = n.Grouping(tuple(keys))
-    clone.head = n.Head(head.name, tuple(head.attrs) + tuple(extra_attrs))
+        cscope.grouping = n.Grouping(tuple(keys))
     spec.rewritten = clone
     return spec
 
@@ -1046,16 +887,14 @@ def _analyze(collection):
 
 
 def plan_for(evaluator, source):
-    """Decide decorrelation of a lateral *source* under *evaluator*.
+    """Decide decorrelation of *source* under *evaluator*.
 
     *source* is a lateral's nested collection or a boolean quantifier
     scope.  Returns ``(spec, None)`` when the FIO rewrite applies, else
-    ``(None, reason)``.  The decision layers the evaluator-dependent checks
-    (escape hatch, stored relations) on top of the cached structural
-    analysis.  NULL-able correlation keys under three-valued logic no
-    longer refuse: the materialized index is UNKNOWN-aware (tri-bucket), so
-    the decision is data-independent — data the *band* build cannot order
-    exactly still falls back per catalog state inside ``materialize``.
+    ``(None, reason)``: the evaluator-dependent checks (escape hatch,
+    stored relations) on top of the cached structural analysis.  The
+    decision is data-independent; data an index cannot carry exactly falls
+    back per catalog state inside ``materialize``.
     """
     if not getattr(evaluator, "decorrelate", True):
         return None, "decorrelation disabled (decorrelate=False)"

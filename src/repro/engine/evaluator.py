@@ -454,17 +454,12 @@ class Evaluator:
         else:
             groups = (rows,)  # γ∅: exactly one group, even over empty input
         for group_rows in groups:
-            agg_values = self._compute_aggregates(quant, plan, group_rows)
-            rep_env = group_rows[0][0] if group_rows else env
-            having = Truth.TRUE
-            for predicate in plan.agg_comparisons:
-                having = t_and(having, self._truth(predicate, rep_env, agg_values))
-                if having is Truth.FALSE:
-                    break
-            yield group_rows, rep_env, agg_values, having
+            yield (group_rows, *self._group_verdict(plan, group_rows, env))
 
-    def _compute_aggregates(self, quant, plan, group_rows):
-        """Evaluate every AggCall of the scope over the group's rows."""
+    def _group_verdict(self, plan, group_rows, env):
+        """``(rep_env, agg_values, having)`` for one group: a representative
+        env (*env* over an empty group), every AggCall of the scope over the
+        group's rows, and the Kleene AND of the aggregate comparisons."""
         values = {}
         for node in plan.aggregates:
             if node.arg is None:
@@ -475,7 +470,13 @@ class Evaluator:
                     for env2, mult in group_rows
                 ]
                 values[id(node)] = agg_lib.aggregate(node.func, pairs, self.conventions)
-        return values
+        rep_env = group_rows[0][0] if group_rows else env
+        having = Truth.TRUE
+        for predicate in plan.agg_comparisons:
+            having = t_and(having, self._truth(predicate, rep_env, values))
+            if having is Truth.FALSE:
+                break
+        return rep_env, values, having
 
     def _eval_group_expr(self, expr, rep_env, outer_env, group_rows):
         """Evaluate a non-aggregate assignment inside a grouping scope.
@@ -845,14 +846,14 @@ class Evaluator:
             for _ in self._solutions_quantifier(quant, env, top=False):
                 return Truth.TRUE
             return Truth.FALSE
-        if quant.grouping is not None:
-            return self._truth_grouped(quant, plan, env)
         if self.planner and env:
             # A scope outside every other (empty env) runs once, and its
             # early exit beats building an index.
             truth = self._truth_exists(quant, env)
             if truth is not None:
                 return truth
+        if quant.grouping is not None:
+            return self._truth_grouped(quant, plan, env)
         result = Truth.FALSE
         for _, _, truth in self._combos(quant, plan, env, strict=False):
             result = t_or(result, truth)
@@ -861,7 +862,7 @@ class Evaluator:
         return result
 
     def _truth_exists(self, quant, env):
-        """∃ as one probe of the decorrelated exists index, or None when
+        """∃ as one probe of the scope's decorrelated index, or None when
         the scope must run per row (refused shape, ``decorrelate=False``,
         unindexable data, or an outer key that does not evaluate)."""
         spec = decorrelate.plan_for(self, quant)[0]
@@ -874,12 +875,16 @@ class Evaluator:
             key = tuple(self._eval_expr(expr, env) for expr in spec.outer_exprs)
         except EvaluationError:
             return None
-        self.stats.index_probes += 1
-        return index.probe(key)
+        stats = self.stats
+        stats.index_probes += 1
+        if index.tribucket:
+            stats.tribucket_probes += 1
+        return index.truth(key)
 
     def _truth_grouped(self, quant, plan, env):
         """Boolean grouping scope: ∃ a group satisfying the aggregate
-        predicates (Fig. 9 and the count bug's version 1)."""
+        predicates (Fig. 9 and the count bug's version 1), per outer row —
+        the oracle for the index :meth:`_truth_exists` probes."""
         result = Truth.FALSE
         for _, _, _, having in self._groups(quant, plan, env):
             result = t_or(result, having)

@@ -35,9 +35,11 @@ Compiled plans serve *strict* enumeration (combinations whose row formulas
 must all be TRUE).  Non-strict boolean scopes need UNKNOWN propagation —
 dropping a row whose equality is UNKNOWN would change the Kleene fold — so
 they never run on a compiled plan.  A boolean scope correlated only through
-equalities runs instead as one probe per outer row of an exists index
-(:mod:`repro.engine.decorrelate`), built by a single non-strict
-enumeration; every other boolean scope keeps the reference strategy.
+equalities runs instead as one probe per outer row of an equality-keyed
+index (:mod:`repro.engine.decorrelate`), built by a single non-strict
+enumeration — or, for a grouped scope, one fused grouping whose HAVING
+truth is folded per key; every other boolean scope keeps the reference
+strategy.
 
 One documented deviation: like every SQL optimizer, pushdown leaves the
 *evaluation order* of predicates unspecified.  A predicate whose
@@ -56,11 +58,12 @@ from collections import Counter
 
 from ..core import nodes as n
 from ..data.relation import Tuple
-from ..data.values import NULL, Truth, is_null
+from ..data.values import NULL, Truth, t_and
 from ..errors import EvaluationError
 from ..util.deadline import STRIDE_MASK
 from . import aggregates as agg_lib
 from . import decorrelate
+from .decorrelate import _irregular
 
 _MISSING = object()
 
@@ -382,59 +385,73 @@ class CompiledScope:
         frame.pop(var, None)
         return groups
 
-    def _finalize_group(self, ev, env, bucket, is_set):
-        """Compute (assigns dict or None-to-skip) for one group's bucket.
+    def group_verdicts(self, ev, env):
+        """The fused :meth:`_verdicts` of the scope's groups, or None when
+        the shape is unsupported (the caller uses ``Evaluator._groups``)."""
+        if not self.supports_grouped():
+            return None
+        groups = self._grouped_buckets(ev, env)
+        return None if groups is None else self._verdicts(ev, env, groups)
 
-        *bucket* holds (row, stored-multiplicity) pairs; under set
+    def _verdicts(self, ev, env, groups):
+        """Yield ``(bucket, rep_env, agg_values, having)`` per group, as
+        ``Evaluator._groups`` does: *having* is the Kleene AND of the
+        aggregate comparisons, and γ∅ over no input still has its one empty
+        group.  *bucket* holds (row, stored-multiplicity) pairs; under set
         conventions the multiplicities are ignored (each distinct row
         counts once).
         """
         spec = self.grouped
+        if not groups and spec.empty_group:
+            groups = {(): []}
         var = self.steps[0].var
         conventions = ev.conventions
-        rep_row = bucket[0][0] if bucket else None
-
-        agg_values = {}
-        if spec.agg_specs:
-            for agg_id, func, arg_kind, payload in spec.agg_specs:
-                agg_values[agg_id] = _fold_aggregate(
+        is_set = conventions.is_set
+        for bucket in groups.values():
+            agg_values = {
+                agg_id: _fold_aggregate(
                     ev, var, env, bucket, is_set, func, arg_kind, payload, conventions
                 )
+                for agg_id, func, arg_kind, payload in spec.agg_specs
+            }
+            rep_env = {**env, var: bucket[0][0]} if bucket else env
+            having = Truth.TRUE
+            for predicate in spec.agg_comparisons:
+                having = t_and(having, ev._truth(predicate, rep_env, agg_values))
+                if having is Truth.FALSE:
+                    break
+            yield bucket, rep_env, agg_values, having
 
-        rep_env = None
-        if spec.needs_rep_env:
-            if rep_row is not None:
-                rep_env = dict(env)
-                rep_env[var] = rep_row
-            else:
-                rep_env = env
-
-        for predicate in spec.agg_comparisons:
-            if ev._truth(predicate, rep_env, agg_values) is not Truth.TRUE:
-                return None
-
-        assigns = {}
-        for kind, attr, payload, expr in spec.assigns:
-            if rep_row is not None:
-                if kind == "attr":
-                    value = rep_row._values[payload]
-                elif kind == "const":
-                    value = payload
+    def _finalized_groups(self, ev, env, verdicts):
+        """Yield the head assignments of every group whose HAVING holds."""
+        spec = self.grouped
+        for bucket, rep_env, agg_values, having in verdicts:
+            if having is not Truth.TRUE:
+                continue
+            rep_row = bucket[0][0] if bucket else None
+            assigns = {}
+            for kind, attr, payload, expr in spec.assigns:
+                if rep_row is not None:
+                    if kind == "attr":
+                        value = rep_row._values[payload]
+                    elif kind == "const":
+                        value = payload
+                    else:
+                        value = ev._eval_expr(expr, rep_env)
                 else:
-                    value = ev._eval_expr(expr, rep_env)
+                    # Empty γ∅ group: mirror the reference fallback (outer
+                    # env only), including its error wording.
+                    value = ev._eval_group_expr(expr, env, env, bucket)
+                if attr in assigns and assigns[attr] != value:
+                    break
+                assigns[attr] = value
             else:
-                # Empty γ∅ group: mirror the reference fallback (outer env
-                # only), including its error wording.
-                value = ev._eval_group_expr(expr, env, env, bucket)
-            if attr in assigns and assigns[attr] != value:
-                return None
-            assigns[attr] = value
-        for attr, kind, payload in spec.agg_assigns:
-            if kind == "agg":
-                assigns[attr] = agg_values[payload]
-            else:
-                assigns[attr] = ev._eval_expr(payload, rep_env, agg_values)
-        return assigns
+                for attr, kind, payload in spec.agg_assigns:
+                    if kind == "agg":
+                        assigns[attr] = agg_values[payload]
+                    else:
+                        assigns[attr] = ev._eval_expr(payload, rep_env, agg_values)
+                yield assigns
 
     def grouped_counter(self, ev, env, head_attrs):
         """Whole-collection fused grouping: Counter of output Tuples.
@@ -506,7 +523,8 @@ class CompiledScope:
             if cache_relation is not None:
                 cache_relation.derived_put(spec, cache_tag, dict(out))
             return out
-        out.update(map(adopt, self._finalized_groups(ev, env, groups, is_set)))
+        verdicts = self._verdicts(ev, env, groups)
+        out.update(map(adopt, self._finalized_groups(ev, env, verdicts)))
         return out
 
     def grouped_rows(self, ev, env):
@@ -515,26 +533,10 @@ class CompiledScope:
         Returns None when the scope shape is unsupported (caller uses the
         generic path).
         """
-        if not self.supports_grouped():
+        verdicts = self.group_verdicts(ev, env)
+        if verdicts is None:
             return None
-        groups = self._grouped_buckets(ev, env)
-        if groups is None:
-            return None
-        is_set = ev.conventions.is_set
-        return (
-            (assigns, 1)
-            for assigns in self._finalized_groups(ev, env, groups, is_set)
-        )
-
-    def _finalized_groups(self, ev, env, groups, is_set):
-        """Yield the assigns of every surviving group; γ∅ over no input
-        still finalizes its one empty group."""
-        if not groups and self.grouped.empty_group:
-            groups = {(): []}
-        for bucket in groups.values():
-            assigns = self._finalize_group(ev, env, bucket, is_set)
-            if assigns is not None:
-                yield assigns
+        return ((assigns, 1) for assigns in self._finalized_groups(ev, env, verdicts))
 
 
 _NO_ROWS = ((), (), False)
@@ -604,7 +606,7 @@ def _probe_fio(ev, step, index, frame, is_set, three_valued):
         # θ-band probe: bisect the sorted entries; γ∅ scopes fold
         # prefix-aggregate arrays at the boundary (one row, count-bug exact).
         return index.probe(key, band_value, is_set)
-    bucket = None if key is None else index.get(key)
+    bucket = None if key is None else index.entries.get(key)
     if bucket is None and decorr.empty_group:
         # γ∅ emits one row even over an empty group (the count bug's
         # asymmetry): every missing key maps to one shared frame — the
@@ -628,7 +630,7 @@ def _probe_key(ev, exprs, frame, three_valued):
             value = ev._eval_expr(expr, frame)
         except EvaluationError:
             return _UNUSABLE
-        if (three_valued and is_null(value)) or value != value:
+        if _irregular(value, three_valued):
             return None
         key.append(value)
     return tuple(key)
@@ -645,7 +647,6 @@ class _GroupedSpec:
         "agg_assigns",  # [(out_attr, 'agg'|'expr', payload)]
         "agg_specs",  # [(id, func, arg_kind, payload)]
         "agg_comparisons",
-        "needs_rep_env",
         "row_attrs",  # attr names read straight off scanned rows
         "out_attrs",  # frozenset of produced head attributes
         "simple",  # (output template, streamable agg list) or None
@@ -663,6 +664,9 @@ def _fold_aggregate(ev, var, env, bucket, is_set, func, arg_kind, payload, conve
         if is_set:
             return len(bucket)
         return agg_lib.count_rows(m for _, m in bucket)
+    if arg_kind == "attr" and func == "count" and not is_set:
+        # NULLs skipped; each row weighs its stored multiplicity.
+        return sum([mult for row, mult in bucket if row._values[payload] is not NULL])
     if arg_kind == "attr" and func in _STREAMABLE_AGGS and is_set:
         if func == "sum" and bucket:
             # Optimistic: a NULL anywhere raises TypeError (0 + NULL is
@@ -910,11 +914,6 @@ def _compile_grouped(quant, scope_plan, compiled):
             agg_assigns.append((attr, "expr", expr))
     spec.agg_assigns = tuple(agg_assigns)
     spec.agg_comparisons = tuple(scope_plan.agg_comparisons)
-    spec.needs_rep_env = bool(
-        spec.agg_comparisons
-        or any(kind == "expr" for kind, _, _, _ in spec.assigns)
-        or any(kind == "expr" for _, kind, _ in spec.agg_assigns)
-    )
     spec.row_attrs = frozenset(row_attrs)
     spec.out_attrs = frozenset(seen_attrs)
 

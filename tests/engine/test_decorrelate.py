@@ -617,6 +617,42 @@ class TestExistsAccepts:
         assert reason is None and spec.strategy == "exists"
         assert len(spec.outer_exprs) == 2
 
+    def test_grouped_boolean_scope(self):
+        """busy_customers.sql: ``∃o2 ∈ Orders, γ ∅[o2.cid = c.cid ∧ 2 <=
+        count(o2.day)]`` runs on one index holding, per key, the OR of the
+        HAVING truth over its groups — under γ∅ and γ keys alike."""
+        from repro.frontends import load_query
+
+        db = Database()
+        db.create("Customer", ("cid",), [(1,), (2,), (3,)])
+        db.create("Orders", ("cid", "day"), [(1, 1), (1, 2), (2, 1)])
+        texts = (
+            (
+                "sql",
+                "select c.cid from Customer c where (select count(o2.day) "
+                "from Orders o2 where o2.cid = c.cid) >= 2",
+            ),
+            (
+                "arc",
+                "{Q(cid) | ∃c ∈ Customer[∃o ∈ Orders, γ o.day[o.cid = c.cid "
+                "∧ count(o.day) >= 1] ∧ Q.cid = c.cid]}",
+            ),
+        )
+        for frontend, text in texts:
+            node = load_query(text, frontend)
+            grouped = [
+                sub
+                for sub in node.walk()
+                if isinstance(sub, n.Quantifier) and sub.grouping is not None
+            ]
+            spec, reason = decorrelate.plan_for(Evaluator(db), grouped[0])
+            assert reason is None
+            assert spec.strategy == "exists"
+            assert [f"{e.var}.{e.attr}" for e in spec.outer_exprs] == ["c.cid"]
+            assert evaluate(node, db, SQL_CONVENTIONS) == evaluate(
+                node, db, SQL_CONVENTIONS, options=ORACLE
+            )
+
 
 class TestExistsRefuses:
     def test_theta_correlation(self):
@@ -665,30 +701,29 @@ class TestExistsRefuses:
         assert spec is None
         assert "'Sub' has no stored extension" in reason
 
-    def test_grouped_boolean_scope(self):
-        """busy_customers.sql: ``∃o2 ∈ Orders, γ ∅[... ∧ 2 <= count(...)]``
-        is a _truth_grouped scope, decided per group, not per key."""
-        from repro.frontends import load_query
-
-        db = Database()
-        db.create("Customer", ("cid",), [(1,), (2,)])
-        db.create("Orders", ("cid", "day"), [(1, 1), (1, 2), (2, 1)])
-        node = load_query(
-            "select c.cid from Customer c where (select count(o2.day) "
-            "from Orders o2 where o2.cid = c.cid) >= 2",
-            "sql",
+    def test_grouped_scope_with_an_outer_variable_in_having(self):
+        spec, reason = probe_exists(
+            "{Q(A) | ∃r ∈ R[¬∃s ∈ S, γ ∅[s.A = r.A ∧ sum(s.B) > r.B] "
+            "∧ Q.A = r.A]}"
         )
-        grouped = [
-            sub
-            for sub in node.walk()
-            if isinstance(sub, n.Quantifier) and sub.grouping is not None
-        ]
-        spec, reason = decorrelate.plan_for(Evaluator(db), grouped[0])
         assert spec is None
-        assert "groups its rows" in reason
-        assert evaluate(node, db, SQL_CONVENTIONS) == evaluate(
-            node, db, SQL_CONVENTIONS, options=ORACLE
+        assert "correlation predicate contains an aggregate" in reason
+
+    def test_grouped_scope_with_theta_correlation(self):
+        spec, reason = probe_exists(
+            "{Q(A) | ∃r ∈ R[¬∃s ∈ S, γ ∅[s.A < r.A ∧ count(s.B) >= 2] "
+            "∧ Q.A = r.A]}"
         )
+        assert spec is None
+        assert "< on s.A" in reason and "equality keys only" in reason
+
+    def test_grouped_scope_with_an_outer_grouping_key(self):
+        spec, reason = probe_exists(
+            "{Q(A) | ∃r ∈ R[¬∃s ∈ S, γ r.B[s.A = r.A ∧ count(s.B) >= 2] "
+            "∧ Q.A = r.A]}"
+        )
+        assert spec is None
+        assert "grouping key references outer variables" in reason
 
     def test_escape_hatch_and_reference_backend_never_index(self):
         spec, reason = probe_exists(NOT_EXISTS, decorrelate=False)

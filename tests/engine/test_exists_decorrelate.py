@@ -1,12 +1,15 @@
-"""Differential tests for the exists index: ∃ / ¬∃ / NOT IN with NULL and NaN.
+"""Differential tests for boolean-scope indexes: ∃ / ¬∃ / NOT IN and
+grouped ∃ (HAVING) with NULL and NaN.
 
 A boolean quantifier scope correlated through ``inner = outer`` equalities
 runs on the planner as one probe of a materialized truth index per outer
-row (:class:`repro.engine.decorrelate.ExistsIndex`).  The probe must return
-exactly the Kleene fold the per-row strategy computes — including the
-UNKNOWN a NULL (3VL) key contributes and the FALSE a NaN key contributes —
-so every family here asserts reference ≡ planner ≡ ``decorrelate=False``
-under set/bag × 3VL/2VL conventions.
+row (:class:`repro.engine.decorrelate.KeyIndex`).  The probe must return
+exactly the fold the per-row strategy computes — the Kleene OR of the
+local truth, including the UNKNOWN a NULL (3VL) key contributes and the
+FALSE a NaN key contributes, or for a grouped scope the OR of the HAVING
+truth over the key's groups, with the empty γ∅ group on a miss (the count
+bug) — so every family here asserts reference ≡ planner ≡
+``decorrelate=False`` under set/bag × 3VL/2VL conventions.
 """
 
 import random
@@ -24,7 +27,7 @@ from repro.core.conventions import (
     Semantics,
 )
 from repro.data import Database, NULL
-from repro.engine import Evaluator, evaluate
+from repro.engine import Evaluator, decorrelate, evaluate
 from repro.errors import ArcError
 from repro.frontends import load_query
 from repro.workloads.scenarios import get_scenario
@@ -99,6 +102,38 @@ SHAPES = {
     ),
 }
 
+#: Grouped boolean scopes (∃ a group satisfying HAVING), same schema.
+GROUPED_SHAPES = {
+    "sql-busy-customers": (
+        "sql",
+        "select r.A, (select count(s.B) from S s where s.A = r.A) ct "
+        "from R r where (select count(s2.B) from S s2 where s2.A = r.A) >= 2",
+    ),
+    # Compiles to a γ∅ lateral plus a filter: no boolean scope at all.
+    "datalog-busy-customers": (
+        "datalog",
+        "Q(a, ct) :- R(a, b, c), ct = count y : {S(a, y, z)}, ct >= 2.",
+    ),
+    # The count bug: a key with no inner row still has its empty group.
+    "sql-count-bug": (
+        "sql",
+        "select r.A, r.B from R r where (select count(s.C) from S s "
+        "where s.A = r.A and s.B = r.B) < 2",
+    ),
+    "arc-gamma-keys-having": (
+        "arc",
+        "{Q(A) | ∃r ∈ R[∃s ∈ S, γ s.B[s.A = r.A ∧ count(s.C) >= 2] "
+        "∧ Q.A = r.A]}",
+    ),
+    "arc-not-gamma-empty": (
+        "arc",
+        "{Q(A, C) | ∃r ∈ R[¬∃s ∈ S, γ ∅[s.A = r.A ∧ sum(s.C) > 1] "
+        "∧ Q.A = r.A ∧ Q.C = r.C]}",
+    ),
+}
+
+ALL_SHAPES = {**SHAPES, **GROUPED_SHAPES}
+
 VALUES = [0, 1, 2, NULL, NAN]
 
 
@@ -130,9 +165,9 @@ def assert_exists_agrees(node, db, conventions):
 
 
 @pytest.mark.parametrize("conv_name", sorted(CONVENTIONS))
-@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("shape", sorted(ALL_SHAPES))
 def test_seeded_negation_family_agrees(shape, conv_name):
-    frontend, text = SHAPES[shape]
+    frontend, text = ALL_SHAPES[shape]
     conventions = CONVENTIONS[conv_name]
     rng = random.Random(f"{shape}:{conv_name}")
     for _ in range(12):
@@ -194,6 +229,51 @@ def test_the_index_engages_on_every_accepted_shape():
         assert evaluator.stats.decorr_index_builds == 1, shape
 
 
+@pytest.mark.parametrize(
+    "shape", sorted(GROUPED_SHAPES.keys() - {"datalog-busy-customers"})
+)
+def test_grouped_scope_builds_one_index_and_never_runs_per_row(shape, monkeypatch):
+    """The differential above would pass trivially if every grouped scope
+    ran per row: each builds exactly one boolean-scope index, and the
+    per-row ``_truth_grouped`` never runs on the planner."""
+    calls = []
+    build = decorrelate.CorrelationSpec._build_exists
+    per_row = Evaluator._truth_grouped
+    monkeypatch.setattr(
+        decorrelate.CorrelationSpec,
+        "_build_exists",
+        lambda self, ev: calls.append("build") or build(self, ev),
+    )
+    monkeypatch.setattr(
+        Evaluator,
+        "_truth_grouped",
+        lambda self, *args: calls.append("per row") or per_row(self, *args),
+    )
+    rng = random.Random(11)
+    db = _database(_random_rows(rng, 8) + [(1, 1, 1)], _random_rows(rng, 10))
+    frontend, text = GROUPED_SHAPES[shape]
+    Evaluator(db, SQL_CONVENTIONS).evaluate(load_query(text, frontend, database=db))
+    assert calls == ["build"]
+
+
+@pytest.mark.parametrize("shape", ["arc-not-exists-1key", "sql-count-bug"])
+def test_one_evaluator_sees_a_mutation_between_runs(shape):
+    """An evaluator reuses a boolean scope's index across outer rows; a
+    mutation of the inner relation between two of its runs must reach the
+    second run, which rebuilds the index."""
+    frontend, text = ALL_SHAPES[shape]
+    db = _database([(1, 1, 0), (2, 1, 0), (3, 1, 0)], [(1, 1, 1)])
+    node = load_query(text, frontend, database=db)
+    evaluator = Evaluator(db, SQL_CONVENTIONS)
+    first = evaluator.evaluate(node)
+    db["S"].add((2, 1, 1))
+    db["S"].add((2, 1, 2))
+    second = evaluator.evaluate(node)
+    assert second != first
+    assert second == evaluate(node, db, SQL_CONVENTIONS, options=ORACLE)
+    assert evaluator.stats.decorr_index_builds == 2
+
+
 _VALUE = st.sampled_from(VALUES)
 _ROWS = st.lists(st.tuples(_VALUE, _VALUE, _VALUE), max_size=7)
 
@@ -202,11 +282,11 @@ _ROWS = st.lists(st.tuples(_VALUE, _VALUE, _VALUE), max_size=7)
 @given(
     r_rows=_ROWS,
     s_rows=_ROWS,
-    shape=st.sampled_from(sorted(SHAPES)),
+    shape=st.sampled_from(sorted(ALL_SHAPES)),
     conv_name=st.sampled_from(sorted(CONVENTIONS)),
 )
 def test_negation_family_agrees_on_generated_data(r_rows, s_rows, shape, conv_name):
-    frontend, text = SHAPES[shape]
+    frontend, text = ALL_SHAPES[shape]
     db = _database(r_rows, s_rows)
     node = load_query(text, frontend, database=db)
     assert_exists_agrees(node, db, CONVENTIONS[conv_name])

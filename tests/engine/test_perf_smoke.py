@@ -292,13 +292,21 @@ def test_gamma_empty_misses_are_domain_join_batched():
     assert stats.decorr_index_builds == 1
 
 
-def test_tribucket_probes_count_on_nullable_keys():
+@pytest.mark.parametrize(
+    "query",
+    [
+        sweeps.correlated_aggregate_query(agg="sum"),
+        parse("{Q(k) | ∃r ∈ R[¬∃s ∈ S[s.K0 = r.K0 ∧ s.B > 0] ∧ Q.k = r.K0]}"),
+    ],
+    ids=["lateral", "boolean"],
+)
+def test_tribucket_probes_count_on_nullable_keys(query):
     """NULL-able correlation keys under 3VL decorrelate (no refusal): the
-    index is UNKNOWN-aware and every probe against it is counted."""
+    index is UNKNOWN-aware and every probe against it is counted — a
+    lateral's and a boolean scope's alike."""
     from repro.core.conventions import SQL_CONVENTIONS
 
     db = sweeps.correlated_sweep_database(30, 50, seed=8, null_rate=0.3)
-    query = sweeps.correlated_aggregate_query(agg="sum")
     evaluator = Evaluator(db, SQL_CONVENTIONS)
     result = evaluator.evaluate(query)
     stats = evaluator.stats
@@ -334,6 +342,58 @@ def test_correlated_not_exists_probes_once_per_outer_row():
     changed = third.evaluate(query)
     assert third.stats.decorr_index_builds == 1  # the mutation dropped it
     assert len(changed) == len(result) - 1
+    assert changed == Evaluator(db, SQL_CONVENTIONS, planner=False).evaluate(query)
+
+
+def test_grouped_boolean_scope_probes_once_per_outer_row(monkeypatch):
+    """busy_customers' grouped ``∃`` (``count(...) >= 2`` per customer)
+    over N outer rows builds one index and probes it N times: the per-row
+    ``_truth_grouped`` never runs on the planner, and runs N times under
+    ``decorrelate=False``.  A mutation of the inner relation rebuilds."""
+    from repro.core.conventions import SQL_CONVENTIONS
+    from repro.frontends import load_query
+
+    calls = {"per_row": 0}
+    per_row = Evaluator._truth_grouped
+
+    def counting(self, *args):
+        calls["per_row"] += 1
+        return per_row(self, *args)
+
+    monkeypatch.setattr(Evaluator, "_truth_grouped", counting)
+    n_outer = 300
+    db = Database()
+    db.create("Customer", ("cid",), [(i,) for i in range(n_outer)])
+    db.create(
+        "Orders",
+        ("cid", "day"),
+        [(i, day) for i in range(n_outer) for day in range(i % 4)],
+    )
+    query = load_query(
+        "select c.cid from Customer c where (select count(o.day) "
+        "from Orders o where o.cid = c.cid) >= 2",
+        "sql",
+    )
+    first = Evaluator(db, SQL_CONVENTIONS)
+    result = first.evaluate(query)
+    assert len(result) == n_outer // 2
+    assert first.stats.decorr_index_builds == 1, first.stats.as_dict()
+    # One probe per outer row, plus the build's one grouped partition.
+    assert first.stats.index_probes == n_outer + 1, first.stats.as_dict()
+    assert calls["per_row"] == 0
+
+    per_row_run = Evaluator(db, SQL_CONVENTIONS, decorrelate=False)
+    assert per_row_run.evaluate(query) == result
+    assert per_row_run.stats.decorr_index_builds == 0
+    assert calls["per_row"] == n_outer
+
+    db["Orders"].add((1, 9))
+    calls["per_row"] = 0
+    third = Evaluator(db, SQL_CONVENTIONS)
+    changed = third.evaluate(query)
+    assert third.stats.decorr_index_builds == 1  # the mutation dropped it
+    assert calls["per_row"] == 0
+    assert len(changed) == len(result) + 1
     assert changed == Evaluator(db, SQL_CONVENTIONS, planner=False).evaluate(query)
 
 
