@@ -104,22 +104,11 @@ def cmd_validate(args):
 
 
 def _session_options(args):
-    """Build :class:`EvalOptions` from eval/serve flags.
-
-    Validation lives in ``EvalOptions`` itself.  ``--no-planner`` is the
-    CLI spelling of ``--backend reference``, so giving both is refused.
-    """
-    backend = args.backend
-    if getattr(args, "no_planner", False):
-        if backend is not None:
-            raise ArcError(
-                "--no-planner and --backend both select an engine; use "
-                "--backend reference instead of combining them"
-            )
-        backend = "reference"
+    """Build :class:`EvalOptions` from eval/serve flags (validation lives
+    in ``EvalOptions`` itself)."""
     return EvalOptions(
         decorrelate=not getattr(args, "no_decorrelate", False),
-        backend=backend,
+        backend=args.backend,
         db_file=args.db_file,  # implies backend="sqlite" when set
         timeout_ms=args.timeout_ms,
         max_rows=args.max_rows,
@@ -406,11 +395,6 @@ def build_parser():
         default=50,
         metavar="N",
         help="table rows to print before truncating the display (default: 50)",
-    )
-    p_eval.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="disable the hash-indexed execution layer (reference strategy)",
     )
     p_eval.add_argument(
         "--no-decorrelate",

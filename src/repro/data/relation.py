@@ -109,7 +109,7 @@ class Relation:
         self._rows = Counter()
         self._indexes = {}  # attrs tuple -> {key tuple: [(Tuple, mult), ...]}
         self.index_builds = 0  # full index (re)builds; probes of a maintained index are free
-        # Derived results (e.g. materialized aggregates) keyed weakly by the
+        # Derived results (e.g. decorrelation indexes) keyed weakly by the
         # owning plan object; invalidated together with the indexes.
         self._derived = weakref.WeakKeyDictionary()
         for row in rows:

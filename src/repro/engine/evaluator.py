@@ -226,63 +226,41 @@ class Evaluator:
         return self._eval_collection_inner(coll, env)
 
     def _eval_collection_inner(self, coll, env):
-        self._head_stack.append(coll.head)
+        head = coll.head
+        attrs = head.attrs
+        self._head_stack.append(head)
         deadline = self.deadline
+        adopt = Tuple._adopt
+        out = Counter()
+        # Row budget, batched: a local counter per emission with one
+        # count_rows() flush per stride (plus the remainder below), so the
+        # accounting stays exact while the hot loop avoids a method call
+        # per row.  A budget trip may land up to a stride late — still
+        # memory-bounded by max_rows + STRIDE.
+        dl_rows = 0
+        dl_mask = STRIDE_MASK
         try:
-            out = self._fused_grouped_counter(coll, env)
-            if out is None:
-                out = Counter()
-                # Row budget, batched: a local counter per emission with one
-                # count_rows() flush per stride (plus the remainder below),
-                # so the accounting stays exact while the hot loop avoids a
-                # method call per row.  A budget trip may land up to a
-                # stride late — still memory-bounded by max_rows + STRIDE.
-                dl_rows = 0
-                dl_mask = STRIDE_MASK
-                for assigns, mult in self._solutions(coll.body, env, top=True):
-                    missing = set(coll.head.attrs) - set(assigns)
-                    if missing:
-                        raise EvaluationError(
-                            f"collection {coll.head.name!r}: head attributes "
-                            f"{sorted(missing)} were never assigned"
-                        )
-                    row = Tuple({a: assigns[a] for a in coll.head.attrs})
-                    out[row] += mult
-                    if deadline is not None:
-                        dl_rows += 1
-                        if not dl_rows & dl_mask:
-                            deadline.count_rows(dl_mask + 1)
-                if deadline is not None and dl_rows & dl_mask:
-                    deadline.count_rows(dl_rows & dl_mask)
-            elif deadline is not None and out:
-                # Fused grouped output: bounded by the scanned relation, so
-                # post-hoc counting is budget-safe.
-                deadline.count_rows(len(out))
+            for assigns, mult in self._solutions(coll.body, env, top=True):
+                try:
+                    row = adopt({a: assigns[a] for a in attrs})
+                except KeyError:
+                    missing = set(attrs) - set(assigns)
+                    raise EvaluationError(
+                        f"collection {head.name!r}: head attributes "
+                        f"{sorted(missing)} were never assigned"
+                    ) from None
+                out[row] += mult
+                if deadline is not None:
+                    dl_rows += 1
+                    if not dl_rows & dl_mask:
+                        deadline.count_rows(dl_mask + 1)
+            if deadline is not None and dl_rows & dl_mask:
+                deadline.count_rows(dl_rows & dl_mask)
         finally:
             self._head_stack.pop()
         if self.conventions.is_set:
             return Counter(dict.fromkeys(out, 1))
         return out
-
-    def _fused_grouped_counter(self, coll, env):
-        """Whole-collection fast path for a single grouped-scope body.
-
-        Returns a Counter, or None when the shape is not fusable (the
-        generic path then also surfaces any head-coverage errors).
-        """
-        body = coll.body
-        if (
-            not self.planner
-            or not isinstance(body, n.Quantifier)
-            or body.grouping is None
-            or body.join is not None
-        ):
-            return None
-        plan = self._plan_scope(body)
-        if plan.emitters:
-            return None
-        compiled = self._compile_scope(body, plan)
-        return compiled.grouped_counter(self, env, frozenset(coll.head.attrs))
 
     # -- solutions (emitting evaluation) ------------------------------------------
 
@@ -416,12 +394,11 @@ class Evaluator:
             raise EvaluationError(
                 "a grouping scope cannot contain nested emitting formulas"
             )
-        if self.planner and quant.join is None:
-            fused = self._compile_scope(quant, plan).grouped_rows(self, env)
-            if fused is not None:
-                yield from fused
-                return
-        for group_rows, rep_env, agg_values, having in self._groups(quant, plan, env):
+        groups, fused = self._scope_groups(quant, plan, env)
+        if fused is not None:
+            yield from fused._finalized_groups(self, env, groups)
+            return
+        for group_rows, rep_env, agg_values, having in groups:
             if having is not Truth.TRUE:
                 continue
             assigns = {}
@@ -437,6 +414,18 @@ class Evaluator:
             for attr, expr in plan.agg_assignments:
                 assigns[attr] = self._eval_expr(expr, rep_env, agg_values)
             yield assigns, 1
+
+    def _scope_groups(self, quant, plan, env):
+        """``(groups, fused)``: the scope's groups as :meth:`_groups` yields
+        them, from the compiled scope's fused partition when the planner
+        has one (*fused* is that :class:`CompiledScope`), else from
+        :meth:`_groups` (*fused* is None)."""
+        if self.planner and quant.join is None:
+            compiled = self._compile_scope(quant, plan)
+            groups = compiled.groups(self, env)
+            if groups is not None:
+                return groups, compiled
+        return self._groups(quant, plan, env), None
 
     def _groups(self, quant, plan, env):
         """Partition the scope's combinations by grouping key (first-seen

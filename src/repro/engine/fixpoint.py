@@ -213,21 +213,26 @@ def _solve_seminaive(component, definitions, evaluator):
             for variant in _delta_variants(disjunct, component_set, delta_name)
         ]
 
-    # Iteration 0: base (non-recursive) disjuncts only.
-    known = {}
+    # Iteration 0: every definition over the empty component relations.  A
+    # recursive disjunct runs through its delta variants over empty Δ
+    # relations — the same disjunct over no facts, on the plans round 1
+    # reuses — because a mention under ∨ can still derive rows from none.
     full = {}
-    deltas = {}
     for name in component:
-        head = definitions[name].head
-        rows = set()
-        for part in base_parts[name]:
-            rows.update(evaluator._eval_collection(part, {}))
-        relation = Relation(name, head.attrs)
-        relation.extend_new(rows)
-        evaluator.defined[name] = relation
-        full[name] = relation
-        known[name] = rows
-        deltas[name] = rows
+        attrs = definitions[name].head.attrs
+        full[name] = evaluator.defined[name] = Relation(name, attrs)
+        evaluator.defined[delta_name[name]] = Relation(delta_name[name], attrs)
+    known = {
+        name: {
+            row
+            for part in base_parts[name] + delta_parts[name]
+            for row in evaluator._eval_collection(part, {})
+        }
+        for name in component
+    }
+    for name, rows in known.items():
+        full[name].extend_new(rows)
+    deltas = dict(known)
 
     deadline = evaluator.deadline
     tracer = evaluator.tracer

@@ -54,10 +54,8 @@ harness covers), results and errors agree exactly.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 
 from ..core import nodes as n
-from ..data.relation import Tuple
 from ..data.values import NULL, Truth, t_and
 from ..errors import EvaluationError
 from ..util.deadline import STRIDE_MASK
@@ -254,26 +252,34 @@ class CompiledScope:
 
     # -- fused grouping ---------------------------------------------------------
 
-    def supports_grouped(self):
-        return (
-            self.grouped is not None
-            and not self.deferred
-            and not self.final_filters
-            and len(self.steps) == 1
-            and self.steps[0].relation_name is not None
-        )
+    def groups(self, ev, env):
+        """The scope's groups from the fused partition, or None when the
+        scope is not fused or its relation no longer fits the plan (the
+        caller then partitions with ``Evaluator._groups``, which also
+        surfaces any schema errors with the reference wording).
+
+        Yields ``(bucket, rep_env, agg_values, having)`` per group, as
+        ``Evaluator._groups`` does: *having* is the Kleene AND of the
+        aggregate comparisons, and γ∅ over no input still has its one empty
+        group.  *bucket* holds (row, stored-multiplicity) pairs; under set
+        conventions the multiplicities are ignored (each distinct row
+        counts once).
+        """
+        if self.grouped is None:
+            return None
+        buckets = self._grouped_buckets(ev, env)
+        return None if buckets is None else self._verdicts(ev, env, buckets)
 
     def _grouped_buckets(self, ev, env):
-        """Partition the single binding's rows into per-group buckets.
+        """Partition the stored binding's rows into per-group buckets.
 
-        Returns a dict mapping raw key tuples to buckets — lists of
-        ``(row, mult)`` pairs in relation iteration order — or None when
-        the shape cannot be handled (caller falls back to the generic
-        path, which also surfaces any schema errors with the reference
-        wording).  The uncorrelated unfiltered case returns the relation's
-        cached hash index over the grouping attributes directly, so the
-        partition survives across evaluations (callers must not mutate
-        the buckets).
+        Returns a dict mapping key tuples to buckets — lists of ``(row,
+        mult)`` pairs in relation iteration order — or None when the plan
+        does not fit the current relation.  The uncorrelated unfiltered
+        attribute-keyed case returns the relation's cached hash index over
+        the grouping attributes, so the partition survives across
+        evaluations (callers must not mutate the buckets); a correlated
+        scope partitions its one index bucket.
         """
         spec = self.grouped
         step = self.steps[0]
@@ -287,120 +293,63 @@ class CompiledScope:
         for formula in self.pre_filters:
             if truth(formula, env) is not Truth.TRUE:
                 return {}
-        key_attrs = spec.key_attrs
-        filters = step.filters if step.lookup_attrs is not None else step.scan_filters
-        ev.stats.grouped_fast_paths += 1
+        stats = ev.stats
+        stats.grouped_fast_paths += 1
         deadline = ev.deadline
         if deadline is not None:
-            # The fused scans below are single-pass over one stored relation
-            # (bounded work), so one clock read per partition suffices.
+            # The cached-index branch below never reaches the loop's
+            # per-stride checks.
             deadline.check()
-
-        # Row source: full relation or one index bucket (correlated scopes).
-        pairs = None
+        key_attrs = spec.key_attrs
         if step.lookup_attrs is not None:
             key = _probe_key(ev, step.key_exprs, env, ev.conventions.three_valued)
             if key is _UNUSABLE:
                 return None
             if key is None:
-                pairs = []
-            else:
-                ev.stats.index_probes += 1
-                pairs = relation.index_on(step.lookup_attrs).get(key, [])
-        elif not filters and key_attrs is not None:
-            # The grouping partition IS a hash index over the key attrs:
-            # reuse (and cache) it on the relation.
-            ev.stats.index_probes += 1
-            ev.stats.rows_enumerated += relation.distinct_count()
+                return {}
+            stats.index_probes += 1
+            source = relation.index_on(step.lookup_attrs).get(key) or ()
+            filters = step.filters
+        elif not step.scan_filters and key_attrs is not None:
+            # The partition IS a hash index over the key attrs: reuse (and
+            # cache) it on the relation.
+            stats.index_probes += 1
+            stats.rows_enumerated += relation.distinct_count()
             return relation.index_on(key_attrs)
-
-        if pairs is None:
-            source = relation._rows.items()
         else:
-            source = pairs
+            source = relation._rows.items()
+            filters = step.scan_filters
 
         groups = {}
-        if not filters and key_attrs is not None:
-            # Tight loop: raw-value keys, no per-row environment.
-            count = 0
-            if len(key_attrs) == 1:
-                attr = key_attrs[0]
-                for entry in source:
-                    count += 1
-                    key = (entry[0]._values[attr],)
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [entry]
-                    else:
-                        bucket.append(entry)
-            elif key_attrs:
-                for entry in source:
-                    count += 1
-                    values = entry[0]._values
-                    key = tuple(values[a] for a in key_attrs)
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [entry]
-                    else:
-                        bucket.append(entry)
-            else:
-                bucket = list(source)
-                count = len(bucket)
-                if bucket:
-                    groups[()] = bucket
-            ev.stats.rows_enumerated += count
-            return groups
-
-        # Generic loop: per-row frame for filters and expression keys.
         frame = dict(env)
         var = step.var
         key_exprs = spec.key_exprs
         eval_expr = ev._eval_expr
-        dl_ops = 0
+        count = 0
         for entry in source:
-            row = entry[0]
-            ev.stats.rows_enumerated += 1
-            if deadline is not None:
-                dl_ops += 1
-                if not dl_ops & STRIDE_MASK:
-                    deadline.check()
-            frame[var] = row
-            keep = True
+            count += 1
+            if deadline is not None and not count & STRIDE_MASK:
+                deadline.check()
+            row = frame[var] = entry[0]
             for formula in filters:
                 if truth(formula, frame) is not Truth.TRUE:
-                    keep = False
                     break
-            if not keep:
-                continue
-            if key_attrs is not None:
-                values = row._values
-                key = tuple(values[a] for a in key_attrs)
             else:
-                key = tuple(eval_expr(expr, frame) for expr in key_exprs)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [entry]
-            else:
-                bucket.append(entry)
-        frame.pop(var, None)
+                if key_attrs is None:
+                    key = tuple([eval_expr(expr, frame) for expr in key_exprs])
+                else:
+                    values = row._values
+                    key = tuple([values[a] for a in key_attrs])
+                bucket = groups.get(key)
+                if bucket is None:
+                    groups[key] = [entry]
+                else:
+                    bucket.append(entry)
+        stats.rows_enumerated += count
         return groups
 
-    def group_verdicts(self, ev, env):
-        """The fused :meth:`_verdicts` of the scope's groups, or None when
-        the shape is unsupported (the caller uses ``Evaluator._groups``)."""
-        if not self.supports_grouped():
-            return None
-        groups = self._grouped_buckets(ev, env)
-        return None if groups is None else self._verdicts(ev, env, groups)
-
     def _verdicts(self, ev, env, groups):
-        """Yield ``(bucket, rep_env, agg_values, having)`` per group, as
-        ``Evaluator._groups`` does: *having* is the Kleene AND of the
-        aggregate comparisons, and γ∅ over no input still has its one empty
-        group.  *bucket* holds (row, stored-multiplicity) pairs; under set
-        conventions the multiplicities are ignored (each distinct row
-        counts once).
-        """
+        """Fold each bucket of *groups* into its :meth:`groups` entry."""
         spec = self.grouped
         if not groups and spec.empty_group:
             groups = {(): []}
@@ -422,121 +371,32 @@ class CompiledScope:
                     break
             yield bucket, rep_env, agg_values, having
 
-    def _finalized_groups(self, ev, env, verdicts):
-        """Yield the head assignments of every group whose HAVING holds."""
+    def _finalized_groups(self, ev, env, groups):
+        """Yield ``(head assignments, 1)`` for every group of :meth:`groups`
+        whose HAVING holds, from the precompiled head assignments."""
         spec = self.grouped
-        for bucket, rep_env, agg_values, having in verdicts:
+        for bucket, rep_env, agg_values, having in groups:
             if having is not Truth.TRUE:
                 continue
             rep_row = bucket[0][0] if bucket else None
             assigns = {}
             for kind, attr, payload, expr in spec.assigns:
-                if rep_row is not None:
-                    if kind == "attr":
-                        value = rep_row._values[payload]
-                    elif kind == "const":
-                        value = payload
-                    else:
-                        value = ev._eval_expr(expr, rep_env)
-                else:
+                if rep_row is None:
                     # Empty γ∅ group: mirror the reference fallback (outer
                     # env only), including its error wording.
-                    value = ev._eval_group_expr(expr, env, env, bucket)
-                if attr in assigns and assigns[attr] != value:
-                    break
-                assigns[attr] = value
-            else:
-                for attr, kind, payload in spec.agg_assigns:
-                    if kind == "agg":
-                        assigns[attr] = agg_values[payload]
-                    else:
-                        assigns[attr] = ev._eval_expr(payload, rep_env, agg_values)
-                yield assigns
-
-    def grouped_counter(self, ev, env, head_attrs):
-        """Whole-collection fused grouping: Counter of output Tuples.
-
-        Returns None when the shape is unsupported; the fully-simple shape
-        (plain key/constant assignments, streamable aggregates, no HAVING)
-        fills a precompiled output template per group, with no per-group
-        environment.
-        """
-        if not self.supports_grouped():
-            return None
-        spec = self.grouped
-        if spec.out_attrs != head_attrs:
-            return None
-        is_set = ev.conventions.is_set
-
-        # A fully-simple, uncorrelated, unfiltered grouping depends only on
-        # the relation's contents, so its result is a materialized aggregate
-        # the relation can cache (invalidated by Relation.add, like indexes).
-        step = self.steps[0]
-        cache_relation = None
-        cache_tag = None
-        if (
-            spec.simple is not None
-            and is_set
-            and step.lookup_attrs is None
-            and not step.scan_filters
-            and not self.pre_filters
-            and spec.key_attrs is not None
-        ):
-            try:
-                relation = ev._resolve_relation(step.relation_name)
-            except EvaluationError:
-                relation = None
-            if relation is not None and spec.row_attrs <= relation._schema_set:
-                cache_tag = ("γ", ev.conventions.empty_aggregate)
-                cached = relation.derived_get(spec, cache_tag)
-                if cached is not None:
-                    ev.stats.grouped_fast_paths += 1
-                    return Counter(cached)
-                cache_relation = relation
-
-        groups = self._grouped_buckets(ev, env)
-        if groups is None:
-            return None
-        out = Counter()
-        adopt = Tuple._adopt
-        if spec.simple is not None and is_set and groups:
-            template, simple_aggs = spec.simple
-            var = step.var
-            conventions = ev.conventions
-            for bucket in groups.values():
-                agg_vals = [
-                    _fold_aggregate(
-                        ev, var, env, bucket, True, func, arg_kind, payload, conventions
-                    )
-                    for func, arg_kind, payload in simple_aggs
-                ]
-                rep = bucket[0][0]._values
-                assigns = {}
-                for attr, kind, payload in template:
-                    if kind == "rep":
-                        assigns[attr] = rep[payload]
-                    elif kind == "agg":
-                        assigns[attr] = agg_vals[payload]
-                    else:
-                        assigns[attr] = payload
-                out[adopt(assigns)] += 1
-            if cache_relation is not None:
-                cache_relation.derived_put(spec, cache_tag, dict(out))
-            return out
-        verdicts = self._verdicts(ev, env, groups)
-        out.update(map(adopt, self._finalized_groups(ev, env, verdicts)))
-        return out
-
-    def grouped_rows(self, ev, env):
-        """Fused grouped evaluation yielding (assigns, 1) per surviving group.
-
-        Returns None when the scope shape is unsupported (caller uses the
-        generic path).
-        """
-        verdicts = self.group_verdicts(ev, env)
-        if verdicts is None:
-            return None
-        return ((assigns, 1) for assigns in self._finalized_groups(ev, env, verdicts))
+                    assigns[attr] = ev._eval_group_expr(expr, env, env, bucket)
+                elif kind == "attr":
+                    assigns[attr] = rep_row._values[payload]
+                elif kind == "const":
+                    assigns[attr] = payload
+                else:
+                    assigns[attr] = ev._eval_expr(expr, rep_env)
+            for attr, kind, payload in spec.agg_assigns:
+                if kind == "agg":
+                    assigns[attr] = agg_values[payload]
+                else:
+                    assigns[attr] = ev._eval_expr(payload, rep_env, agg_values)
+            yield assigns, 1
 
 
 _NO_ROWS = ((), (), False)
@@ -641,16 +501,13 @@ class _GroupedSpec:
 
     __slots__ = (
         "key_attrs",  # tuple of attr names when every key is Attr(var), else None
-        "key_exprs",  # the raw key expressions (generic fallback)
+        "key_exprs",  # the raw key expressions (evaluated per row otherwise)
         "empty_group",  # γ∅: one group even over empty input
         "assigns",  # [(kind, out_attr, payload, expr)]
         "agg_assigns",  # [(out_attr, 'agg'|'expr', payload)]
         "agg_specs",  # [(id, func, arg_kind, payload)]
         "agg_comparisons",
         "row_attrs",  # attr names read straight off scanned rows
-        "out_attrs",  # frozenset of produced head attributes
-        "simple",  # (output template, streamable agg list) or None
-        "__weakref__",  # materialized results are cached per-relation, keyed here
     )
 
 
@@ -856,8 +713,14 @@ def _usable_equalities(binding, pending, bound):
 
 
 def _compile_grouped(quant, scope_plan, compiled):
-    """Build the fused-grouping spec, or None when the shape is unsupported."""
-    if len(compiled.steps) != 1 or compiled.steps[0].relation_name is None:
+    """Build the fused-grouping spec, or None unless the scope binds exactly
+    one stored relation and every row formula runs on that binding."""
+    if (
+        len(compiled.steps) != 1
+        or compiled.steps[0].relation_name is None
+        or compiled.deferred
+        or compiled.final_filters
+    ):
         return None
     var = compiled.steps[0].var
     spec = _GroupedSpec()
@@ -915,28 +778,6 @@ def _compile_grouped(quant, scope_plan, compiled):
     spec.agg_assigns = tuple(agg_assigns)
     spec.agg_comparisons = tuple(scope_plan.agg_comparisons)
     spec.row_attrs = frozenset(row_attrs)
-    spec.out_attrs = frozenset(seen_attrs)
-
-    spec.simple = None
-    if (
-        not spec.agg_comparisons
-        and all(kind in ("attr", "const") for kind, _, _, _ in spec.assigns)
-        and all(kind == "agg" for _, kind, _ in spec.agg_assigns)
-        and all(
-            arg_kind == "star" or (arg_kind == "attr" and func in _STREAMABLE_AGGS)
-            for _, func, arg_kind, _ in spec.agg_specs
-        )
-    ):
-        agg_index = {entry[0]: i for i, entry in enumerate(spec.agg_specs)}
-        simple_aggs = tuple(entry[1:] for entry in spec.agg_specs)
-        template = [
-            (attr, "rep" if kind == "attr" else "const", payload)
-            for kind, attr, payload, _ in spec.assigns
-        ]
-        template.extend(
-            (attr, "agg", agg_index[agg_id]) for attr, _, agg_id in spec.agg_assigns
-        )
-        spec.simple = (tuple(template), simple_aggs)
     return spec
 
 

@@ -17,8 +17,7 @@ Two kinds of checks, tuned for hot loops:
   add and one mask, well under the 5 % overhead ceiling the CI perf gate
   asserts on the E23 width-4 sweep.
 * :meth:`count_rows` — called where result rows are *produced* (collection
-  emission loops, fused grouped outputs, SQLite fetch chunks, fixpoint
-  deltas).  Exceeding ``max_rows`` raises
+  emission loops, SQLite fetch chunks, fixpoint deltas).  Exceeding ``max_rows`` raises
   :class:`~repro.errors.BudgetExceeded` before the oversized result is
   fully materialized.  The budget bounds rows produced across all
   execution tiers — materialized intermediates included — so it is a

@@ -569,11 +569,6 @@ class TestCli:
 
         spec = self._write_csv(tmp_path, "R", ("A", "B"), [(1, 10)])
         query = "{Q(A) | ∃r ∈ R[Q.A = r.A]}"
-        assert (
-            main(["eval", query, "--db", spec, "--no-planner", "--backend", "sqlite"])
-            == 2
-        )
-        assert "--no-planner" in capsys.readouterr().err
         # --db-file with a non-sqlite backend would be silently ignored.
         assert (
             main(

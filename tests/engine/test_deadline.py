@@ -267,6 +267,21 @@ class TestRowBudget:
         assert [row["x"] for row in result.sorted_rows()] == [1]
         assert session.stats.budget_exceeded == 0
 
+    def test_grouped_collection_counts_its_groups(self):
+        """A fused grouping emits its groups through the same counted loop
+        as every other collection."""
+        db = repro.Database()
+        db.create("R", ("A", "B"), [(i, i) for i in range(200)])
+        query = "{Q(A, s) | ∃r ∈ R, γ r.A[Q.A = r.A ∧ Q.s = sum(r.B)]}"
+        over = Session(db, SET_CONVENTIONS, options=EvalOptions(max_rows=100))
+        with pytest.raises(BudgetExceeded):
+            over.prepare(query).run()
+        assert over.stats.budget_exceeded == 1
+        within = Session(db, SET_CONVENTIONS, options=EvalOptions(max_rows=200))
+        assert len(within.prepare(query).run()) == 200
+        assert within.stats.grouped_fast_paths == 1
+        assert within.stats.budget_exceeded == 0
+
     def test_unbounded_runs_pay_no_accounting(self):
         session = Session(_db(), SET_CONVENTIONS)
         result = session.prepare("{Q(x) | ∃p ∈ P[Q.x = p.x]}").run()

@@ -177,6 +177,41 @@ class TestSeminaive:
         seminaive = self._solve(db, text, "Odd", seminaive=True)
         assert naive.set_equal(seminaive)
 
+    @pytest.mark.parametrize(
+        "text, main, expected",
+        [
+            (
+                "T := {T(a) | ∃r ∈ R[(∃p ∈ T[p.a + 1 = r.a] ∨ r.a = 0) ∧ T.a = r.a]}"
+                " ; main T",
+                "T",
+                [0, 1, 2, 3, 4, 5],
+            ),
+            (
+                "Ev := {Ev(a) | ∃r ∈ R[(∃p ∈ Od[p.a + 1 = r.a] ∨ r.a = 0)"
+                " ∧ Ev.a = r.a]} ;\n"
+                "Od := {Od(a) | ∃r ∈ R, p ∈ Ev[p.a + 1 = r.a ∧ Od.a = r.a]} ; main Od",
+                "Od",
+                [1, 3, 5],
+            ),
+        ],
+        ids=["self", "mutual"],
+    )
+    def test_recursion_under_or_derives_from_no_facts(self, text, main, expected):
+        """A recursive mention inside ``∨`` still derives rows while the
+        recursive relations are empty (the ``r.a = 0`` branch), so the first
+        round must run the whole definition, not just its recursion-free
+        disjuncts."""
+        from repro.api import EvalOptions
+
+        db = Database()
+        db.create("R", ("a",), [(i,) for i in range(6)])
+        naive = self._solve(db, text, main, seminaive=False)
+        assert sorted(row["a"] for row in naive) == expected
+        assert self._solve(db, text, main, seminaive=True).set_equal(naive)
+        for backend in ("planner", "reference"):
+            result = evaluate(parse(text), db, options=EvalOptions(backend=backend))
+            assert result.set_equal(naive), backend
+
     def test_delta_relations_cleaned_up(self, ancestor_db):
         from repro.core import nodes as n
         from repro.core.parser import parse

@@ -211,13 +211,6 @@ def test_gamma_empty_probe_misses_are_compensated_not_reevaluated():
     assert evaluator.stats.decorr_index_builds == 1
 
 
-def test_cli_exposes_no_planner_flag():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["eval", "{Q(A) | ∃r ∈ R[Q.A = r.A]}", "--no-planner"])
-    assert args.no_planner is True
-
-
 def test_cli_exposes_no_decorrelate_flag():
     from repro.cli import build_parser
 

@@ -159,21 +159,51 @@ def test_constant_equality_probe_agrees():
 AGG_FUNCS = ["sum", "count", "avg", "min", "max", "sumdistinct", "countdistinct"]
 
 
-def _grouped_query(func, *, grouped_key=True, having=False):
-    """{Q(A?, v) | ∃r ∈ R, γ [r.A] [assignments (+ HAVING)]}"""
+#: Scope shapes that run the fused partition loop rather than reuse the
+#: relation's key index: a row filter, an expression key, a two-attribute
+#: key (filtered too, for the same reason), and a lateral whose grouped
+#: scope is correlated through ``r.A = s.A`` (one index bucket per outer
+#: row).
+GROUPED_SHAPES = ["filtered", "expr_key", "two_keys", "lateral"]
+
+
+def _grouped_query(func, *, grouped_key=True, having=False, shape=None):
+    """{Q(A?, v) | ∃r ∈ R, γ [r.A] [assignments (+ HAVING)]}, reshaped by
+    one of :data:`GROUPED_SHAPES` when *shape* is given."""
     agg = n.AggCall(func, b.attr2("r", "B"))
     conjuncts = [n.Comparison(n.Attr("Q", "v"), "=", agg)]
     attrs = ["v"]
+    key = b.attr2("r", "A")
+    if shape == "expr_key":
+        key = b.arith("+", key, 1)
     if grouped_key:
-        conjuncts.insert(0, b.eq(b.attr2("Q", "A"), b.attr2("r", "A")))
+        conjuncts.insert(0, b.eq(b.attr2("Q", "A"), key))
         attrs.insert(0, "A")
-        grouping = b.grouping(b.attr2("r", "A"))
+        grouping = b.grouping(key)
     else:
         grouping = b.grouping()
+    if shape == "two_keys":
+        conjuncts.append(b.eq(b.attr2("Q", "B"), b.attr2("r", "B")))
+        attrs.append("B")
+        grouping = b.grouping(*grouping.keys, b.attr2("r", "B"))
+    if shape in ("filtered", "two_keys"):
+        conjuncts.append(b.gt(b.attr2("r", "B"), 2))
+    elif shape == "lateral":
+        conjuncts.append(b.eq(b.attr2("r", "A"), b.attr2("s", "A")))
     if having:
         conjuncts.append(n.Comparison(n.AggCall("count", None), ">", n.Const(1)))
-    return b.collection(
+    query = b.collection(
         "Q", attrs, b.exists([b.bind("r", "R")], b.conj(*conjuncts), grouping=grouping)
+    )
+    if shape != "lateral":
+        return query
+    return b.collection(
+        "P",
+        attrs,
+        b.exists(
+            [b.bind("s", "S"), b.bind("q", query)],
+            b.conj(*(b.eq(b.attr2("P", a), b.attr2("q", a)) for a in attrs)),
+        ),
     )
 
 
@@ -192,6 +222,22 @@ def test_random_grouped_aggregates_agree(func, null_rate):
             query = _grouped_query(func, grouped_key=grouped_key)
             for _, conventions in CONVENTION_SET:
                 assert_agree(query, db, conventions)
+
+
+@pytest.mark.parametrize("shape", GROUPED_SHAPES)
+@pytest.mark.parametrize("func", AGG_FUNCS)
+def test_grouped_partition_shapes_agree(func, shape):
+    db = Database()
+    db.add(generators.binary_relation("R", 30, domain=5, seed=3, null_rate=0.3))
+    db.add(
+        generators.binary_relation(
+            "S", 8, domain=6, seed=4, attrs=("A", "C"), null_rate=0.3
+        )
+    )
+    for grouped_key in (True, False):
+        query = _grouped_query(func, grouped_key=grouped_key, shape=shape)
+        for _, conventions in CONVENTION_SET:
+            assert_decorrelation_agrees(query, db, conventions)
 
 
 def test_grouped_with_having_agrees():
@@ -364,7 +410,7 @@ def test_transitive_closure_agrees():
 
 
 def test_results_track_relation_mutation():
-    """Cached indexes and materialized aggregates must invalidate on add."""
+    """Cached indexes (the grouped partition among them) must invalidate on add."""
     db = sweeps.size_sweep_database(50, seed=3)
     query = sweeps.grouped_aggregate_query()
     first = evaluate(query, db, SET_CONVENTIONS)

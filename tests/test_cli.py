@@ -160,28 +160,16 @@ class TestEval:
         assert "lateral_reevals=0" in out
         assert "tribucket_probes=0" in out
 
-    def test_contradictory_engine_flags_error(self, capsys, csv_r):
+    def test_reference_backend_explain_labels_the_reference_engine(
+        self, capsys, csv_r
+    ):
         code = main(
             [
                 "eval",
                 "--db",
                 csv_r,
-                "--no-planner",
                 "--backend",
-                "sqlite",
-                "{Q(A) | ∃r ∈ R[Q.A = r.A]}",
-            ]
-        )
-        assert code == 2
-        assert "--no-planner" in capsys.readouterr().err
-
-    def test_no_planner_explain_labels_the_reference_engine(self, capsys, csv_r):
-        code = main(
-            [
-                "eval",
-                "--db",
-                csv_r,
-                "--no-planner",
+                "reference",
                 "--explain",
                 "{Q(A) | ∃r ∈ R[Q.A = r.A]}",
             ]
