@@ -50,22 +50,29 @@ that kills workers repeatedly is quarantined and answers **422**
 lapses; a stuck query runs into the hard wall cap inside its own
 Deadline and answers 408 like any deadline; and deadline-aware shedding
 refuses requests (429 + ``Retry-After``) whose budget the queue would
-already consume.  ``/stats`` exposes ``pool.workers_respawned`` /
-``shed_total`` and a ``quarantine`` block; ``/metrics`` exports the
-matching ``arc_worker_respawns_total`` / ``arc_shed_total`` /
-``arc_quarantined_total`` counters and the ``arc_quarantine_size``
-gauge.
+already consume.
 
-``GET /healthz`` answers liveness — 200 while healthy, **503 degraded**
-while any backend circuit breaker is open *or the job queue is
-saturated*; ``GET /stats`` exposes aggregated execution counters across
-every worker session, breaker states, per-phase latency quantiles, and a
-``pool`` block (``workers``, ``busy``, ``queue_depth``,
-``coalesced_total``, per-worker handled counts); ``GET /metrics`` serves
-the same signals in Prometheus text format (pool gauges, coalescing
-counter, per-worker latency histograms).  Errors return 400 (bad request
-/ query errors), 404, 408 (:class:`~repro.errors.QueryTimeout`), 413
-(:class:`~repro.errors.BudgetExceeded` or an oversized request body), 422
+Telemetry
+---------
+Every serving event is counted once, where it happens: engine and
+session cache counters in each worker slot's ExecutionStats, pool
+events (respawns, sheds, the service-time EWMA) on the pool,
+quarantines on the :class:`~repro.serve.Quarantine`, requests and
+coalesced followers on the server.  :meth:`QueryServer.snapshot` reads
+them all once, and its dict is the ``GET /stats`` body: the summed
+counters, breaker states, per-phase latency quantiles, a ``pool`` block
+(``workers``, ``busy``, ``queue_depth``, ``coalesced_total``,
+``workers_respawned``, ``shed_total``, per-worker handled counts) and a
+``quarantine`` block.  ``GET /healthz`` projects the same snapshot into
+liveness — 200 while healthy, **503 degraded** while any backend circuit
+breaker is open *or the job queue is saturated*.  ``GET /metrics``
+renders the registry's histograms and counters plus one row per series
+of :data:`_METRICS` read from the snapshot, in Prometheus text format.
+
+Errors return 400 (bad request / query errors), 404, 408
+(:class:`~repro.errors.QueryTimeout`), 413
+(:class:`~repro.errors.BudgetExceeded`, or a request body over
+:data:`MAX_BODY_BYTES`), 422
 (:class:`~repro.errors.PoisonQuery`), 429 (admission/shedding), or 500
 (including :class:`~repro.errors.WorkerCrash`), always with
 ``{"error": ..., "error_type": ...}`` — the stdlib's own refusals of a
@@ -116,8 +123,6 @@ from ..errors import (
 from ..frontends import FRONTENDS
 from ..obs import MetricsRegistry, Tracer, render_prometheus
 from ..serve import (
-    DEFAULT_POISON_THRESHOLD,
-    DEFAULT_QUARANTINE_TTL_S,
     RETRY_AFTER_S,
     AdmissionError,
     Coalescer,
@@ -129,9 +134,9 @@ from ..serve.pool import DEFAULT_QUEUE_DEPTH
 from ..util import failpoints
 from .options import validate_budget
 
-#: Default bound on request bodies (1 MiB): a query is text, not a bulk
-#: upload, so anything larger is a client error or an attack.
-DEFAULT_MAX_BODY_BYTES = 1 << 20
+#: Bound on request bodies (1 MiB): a query is text, not a bulk upload,
+#: so anything larger is a client error or an attack.
+MAX_BODY_BYTES = 1 << 20
 
 #: Hard wall cap (ms) for requests with no soft deadline of their own.
 DEFAULT_HARD_TIMEOUT_MS = 10_000
@@ -221,105 +226,70 @@ def _error_outcome(exc_or_message, status, headers=(), worker=None):
     return Outcome(status, body, headers)
 
 
-def _prometheus_extra(server):
-    """Counter/gauge rows for ``/metrics`` beyond the tracer's histograms:
-    aggregated engine ExecutionStats and session cache counters across the
-    worker pool, pool gauges, coalescing totals, breaker states, and the
-    server's own uptime/request totals."""
-    totals, loads, hits, probes = server.aggregate_stats()
-    stats_samples = [
-        ({"counter": name}, value) for name, value in sorted(totals.items())
-    ]
-    stats_samples += [
-        ({"counter": "catalog_loads"}, loads),
-        ({"counter": "catalog_hits"}, hits),
-        ({"counter": "probe_hits"}, probes),
-    ]
-    pool = server.pool.snapshot()
-    extra = [
-        (
-            "arc_stats_total",
-            "counter",
-            "Engine ExecutionStats and session cache counters "
-            "(summed across worker sessions).",
-            stats_samples,
-        ),
-        (
-            "arc_requests_total",
-            "counter",
-            "HTTP query requests served.",
-            [({}, server.requests_served)],
-        ),
-        (
-            "arc_pool_workers",
-            "gauge",
-            "Worker threads in the serving pool.",
-            [({}, pool["workers"])],
-        ),
-        (
-            "arc_pool_busy",
-            "gauge",
-            "Workers executing a job right now.",
-            [({}, pool["busy"])],
-        ),
-        (
-            "arc_pool_queue_depth",
-            "gauge",
-            "Jobs queued but not yet started.",
-            [({}, pool["queue_depth"])],
-        ),
-        (
-            "arc_pool_queue_capacity",
-            "gauge",
-            "Queue depth at which admission control refuses (429).",
-            [({}, pool["queue_capacity"])],
-        ),
-        (
-            "arc_coalesced_total",
-            "counter",
-            "Requests answered from another in-flight execution.",
-            [({}, server.coalescer.coalesced_total)],
-        ),
-        (
-            "arc_worker_requests_total",
-            "counter",
-            "Jobs completed per pool worker.",
-            [
-                ({"worker": str(row["worker"])}, row["handled"])
-                for row in pool["per_worker"]
-            ],
-        ),
-        (
-            "arc_quarantine_size",
-            "gauge",
-            "Request fingerprints currently quarantined as poison.",
-            [({}, len(server.pool.quarantine))],
-        ),
-        (
-            "arc_uptime_seconds",
-            "gauge",
-            "Seconds since the server started.",
-            [({}, round(time.monotonic() - server.started, 3))],
-        ),
-    ]
-    breakers = breaker_states()
-    if breakers:
-        extra.append((
-            "arc_breaker_state",
-            "gauge",
-            "Circuit breaker state per backend (0=closed 1=half-open 2=open).",
-            [
-                ({"backend": name}, _BREAKER_STATE_CODE[snap["state"]])
-                for name, snap in breakers.items()
-            ],
-        ))
-        extra.append((
-            "arc_breaker_trips_total",
-            "counter",
-            "Circuit breaker trips per backend.",
-            [({"backend": name}, snap["trips"]) for name, snap in breakers.items()],
-        ))
-    return extra
+#: The ``/metrics`` series read from :meth:`QueryServer.snapshot`, beside
+#: the registry's own: ``(name, type, help, samples)``, where *samples*
+#: maps the snapshot to a number (one unlabelled sample) or to a list of
+#: ``(labels, value)``.  A new server metric is one row here.
+_METRICS = (
+    ("arc_stats_total", "counter",
+     "Engine ExecutionStats and session cache counters "
+     "(summed across worker slots).",
+     lambda s: [({"counter": name}, s[name])
+                for name in ExecutionStats.__slots__]),
+    ("arc_requests_total", "counter", "HTTP query requests served.",
+     lambda s: s["requests_total"]),
+    ("arc_pool_workers", "gauge", "Worker threads in the serving pool.",
+     lambda s: s["pool"]["workers"]),
+    ("arc_pool_busy", "gauge", "Workers executing a job right now.",
+     lambda s: s["pool"]["busy"]),
+    ("arc_pool_queue_depth", "gauge", "Jobs queued but not yet started.",
+     lambda s: s["pool"]["queue_depth"]),
+    ("arc_pool_queue_capacity", "gauge",
+     "Queue depth at which admission control refuses (429).",
+     lambda s: s["pool"]["queue_capacity"]),
+    ("arc_pool_service_ewma_ms", "gauge",
+     "Rolling EWMA of per-job service time, milliseconds.",
+     lambda s: s["pool"]["service_ewma_ms"]),
+    ("arc_coalesced_total", "counter",
+     "Requests answered from another in-flight execution.",
+     lambda s: s["pool"]["coalesced_total"]),
+    ("arc_worker_requests_total", "counter", "Jobs completed per pool worker.",
+     lambda s: [({"worker": str(row["worker"])}, row["handled"])
+                for row in s["pool"]["per_worker"]]),
+    ("arc_worker_respawns_total", "counter",
+     "Pool workers respawned after a crash.",
+     lambda s: s["pool"]["workers_respawned"]),
+    ("arc_shed_total", "counter",
+     "Requests refused because the estimated queue wait exceeded their "
+     "deadline budget.",
+     lambda s: s["pool"]["shed_total"]),
+    ("arc_quarantined_total", "counter",
+     "Request fingerprints quarantined as poison.",
+     lambda s: s["quarantine"]["quarantined_total"]),
+    ("arc_quarantine_size", "gauge",
+     "Request fingerprints currently quarantined as poison.",
+     lambda s: s["quarantine"]["size"]),
+    ("arc_uptime_seconds", "gauge", "Seconds since the server started.",
+     lambda s: s["uptime_s"]),
+    ("arc_breaker_state", "gauge",
+     "Circuit breaker state per backend (0=closed 1=half-open 2=open).",
+     lambda s: [({"backend": name}, _BREAKER_STATE_CODE[snap["state"]])
+                for name, snap in s["breakers"].items()]),
+    ("arc_breaker_trips_total", "counter",
+     "Circuit breaker trips per backend.",
+     lambda s: [({"backend": name}, snap["trips"])
+                for name, snap in s["breakers"].items()]),
+)
+
+
+def _metric_rows(snapshot):
+    """The :data:`_METRICS` rows with samples, for ``render_prometheus``."""
+    for name, kind, help_text, read in _METRICS:
+        samples = read(snapshot)
+        if not isinstance(samples, list):
+            samples = [({}, samples)]
+        if samples:
+            yield name, kind, help_text, samples
 
 
 class QueryServer(ThreadingHTTPServer):
@@ -346,8 +316,9 @@ class QueryServer(ThreadingHTTPServer):
     wall time (each run's Deadline is ``min(soft, hard)``; without it a
     deadline-less run is capped at :data:`DEFAULT_HARD_TIMEOUT_MS`);
     ``shed_threshold_ms`` sheds deadline-less requests when the estimated
-    queue wait exceeds it; ``poison_threshold`` / ``quarantine_ttl_s``
-    tune the poison-query quarantine.
+    queue wait exceeds it.  The poison-query quarantine uses the
+    :mod:`repro.serve.supervise` defaults (2 kills, 300 s), and request
+    bodies are bounded by :data:`MAX_BODY_BYTES`.
     """
 
     # Handler threads are daemonic: a keep-alive connection parked in
@@ -357,11 +328,8 @@ class QueryServer(ThreadingHTTPServer):
 
     def __init__(self, address, session, *, workers=1,
                  queue_depth=DEFAULT_QUEUE_DEPTH, catalogs=None,
-                 max_body_bytes=DEFAULT_MAX_BODY_BYTES,
                  log_requests=False, log_json=False,
-                 hard_timeout_ms=None, shed_threshold_ms=None,
-                 poison_threshold=DEFAULT_POISON_THRESHOLD,
-                 quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S):
+                 hard_timeout_ms=None, shed_threshold_ms=None):
         # Validated before binding: a non-positive cap would turn every
         # request into a 408 (or a 400), so refuse it at startup instead.
         validate_budget(hard_timeout_ms, None, timeout_name="hard_timeout_ms")
@@ -371,7 +339,6 @@ class QueryServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.session = session
         self.hard_timeout_ms = hard_timeout_ms
-        self.max_body_bytes = max_body_bytes
         self.started = time.monotonic()
         self.requests_served = 0
         #: Backend executions performed (coalesced followers excluded).
@@ -398,8 +365,6 @@ class QueryServer(ThreadingHTTPServer):
         self.pool = WorkerPool(
             self.factory, workers, queue_depth, metrics=self.metrics,
             adopt=session, shed_threshold_ms=shed_threshold_ms,
-            poison_threshold=poison_threshold,
-            quarantine_ttl_s=quarantine_ttl_s,
         )
         self.coalescer = Coalescer()
 
@@ -540,29 +505,31 @@ class QueryServer(ThreadingHTTPServer):
         with self._counts_lock:
             self.requests_served += 1
 
-    # -- aggregation -------------------------------------------------------
+    # -- telemetry ---------------------------------------------------------
 
-    def aggregate_stats(self):
-        """Execution counters summed across every live worker Session
-        **plus** the retired totals harvested from crashed workers:
-        ``(stats totals, catalog_loads, catalog_hits, probe_hits)``.
+    def snapshot(self):
+        """The server's telemetry, read once: the ``/stats`` body.
 
-        A respawned worker's fresh Sessions count from zero, but its dead
-        predecessor's totals live on in the pool's retired ledger — the
-        aggregate never goes backwards across a crash.
+        The worker slots' summed ExecutionStats (session cache counters
+        included), request totals, uptime, breaker states, per-phase
+        latency quantiles, and the ``pool`` and ``quarantine`` blocks.
+        ``/healthz`` projects this dict and ``/metrics`` renders it
+        through :data:`_METRICS`.
         """
-        totals = ExecutionStats().as_dict()
-        loads = hits = probes = 0
-        for session in self.pool.sessions():
-            for name, value in session.stats.as_dict().items():
-                totals[name] = totals.get(name, 0) + value
-            loads += session.catalog_loads
-            hits += session.catalog_hits
-            probes += session.probe_hits
-        retired, (r_loads, r_hits, r_probes) = self.pool.retired_stats()
-        for name, value in retired.items():
-            totals[name] = totals.get(name, 0) + value
-        return totals, loads + r_loads, hits + r_hits, probes + r_probes
+        pool = self.pool.snapshot()
+        pool["coalesced_total"] = self.coalescer.coalesced_total
+        pool["queries_executed"] = self.queries_executed
+        snapshot = self.pool.aggregate_stats()
+        snapshot.update(
+            requests=self.requests_served,
+            requests_total=self.requests_served,
+            uptime_s=round(time.monotonic() - self.started, 3),
+            breakers=breaker_states(),
+            latency=self.metrics.latency_summary(),
+            pool=pool,
+            quarantine=self.pool.quarantine.snapshot(),
+        )
+        return snapshot
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -693,13 +660,13 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             self._error(400, "negative Content-Length", close=True)
             return None
-        if length > self.server.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             # Refused *before* reading: draining an attacker-sized body
             # would be the very resource sink the bound exists to prevent.
             self._error(
                 413,
                 f"request body of {length} bytes exceeds the "
-                f"{self.server.max_body_bytes} byte limit",
+                f"{MAX_BODY_BYTES} byte limit",
                 close=True,
             )
             return None
@@ -710,76 +677,51 @@ class _Handler(BaseHTTPRequestHandler):
         self._query_id = None
         if self._read_body() is None:
             return
-        server = self.server
-        if self.path == "/healthz":
-            breakers = breaker_states()
-            degraded_backends = sorted(
-                name
-                for name, snap in breakers.items()
-                if snap["state"] == "open"
-            )
-            saturated = server.pool.saturated()
-            degraded = bool(degraded_backends) or saturated
-            pool = server.pool.snapshot()
-            # A degraded 503 is retriable — advise pollers when to return.
-            degraded_headers = (
-                (("Retry-After", str(RETRY_AFTER_S)),) if degraded else ()
-            )
-            self._send_json(
-                503 if degraded else 200,
-                {
-                    "status": "degraded" if degraded else "ok",
-                    "degraded_backends": degraded_backends,
-                    "queue_saturated": saturated,
-                    "breakers": breakers,
-                    "relations": sorted(
-                        server.factory.catalogs[server.factory.default].names()
-                    ),
-                    "catalogs": server.factory.names(),
-                    "backend": server.session.options.backend,
-                    "workers": pool["workers"],
-                    "busy": pool["busy"],
-                    "queue_depth": pool["queue_depth"],
-                    "coalesced_total": server.coalescer.coalesced_total,
-                    "requests": server.requests_served,
-                    "uptime_s": round(time.monotonic() - server.started, 3),
-                },
-                headers=degraded_headers,
-            )
+        if self.path not in ("/healthz", "/stats", "/metrics"):
+            self._error(404, f"unknown path {self.path!r}")
             return
+        server = self.server
+        snapshot = server.snapshot()
+        no_store = (("Cache-Control", "no-store"),)
         if self.path == "/stats":
-            totals, loads, hits, probes = server.aggregate_stats()
-            pool = server.pool.snapshot()
-            pool["coalesced_total"] = server.coalescer.coalesced_total
-            pool["queries_executed"] = server.queries_executed
-            stats = totals
-            stats.update(
-                catalog_loads=loads,
-                catalog_hits=hits,
-                probe_hits=probes,
-                requests=server.requests_served,
-                requests_total=server.requests_served,
-                uptime_s=round(time.monotonic() - server.started, 3),
-                breakers=breaker_states(),
-                latency=server.metrics.latency_summary(),
-                pool=pool,
-                quarantine=server.pool.quarantine.snapshot(),
-            )
-            self._send_json(
-                200, stats, headers=(("Cache-Control", "no-store"),)
-            )
+            self._send_json(200, snapshot, headers=no_store)
             return
         if self.path == "/metrics":
             text = render_prometheus(
-                server.metrics, extra=_prometheus_extra(server)
+                server.metrics, extra=_metric_rows(snapshot)
             )
             self._send_payload(
-                200, text.encode("utf-8"),
-                headers=(("Cache-Control", "no-store"),),
+                200, text.encode("utf-8"), headers=no_store,
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
             return
-        self._error(404, f"unknown path {self.path!r}")
+        pool, breakers = snapshot["pool"], snapshot["breakers"]
+        degraded_backends = sorted(
+            name for name, snap in breakers.items() if snap["state"] == "open"
+        )
+        saturated = pool["queue_depth"] >= pool["queue_capacity"]
+        degraded = bool(degraded_backends) or saturated
+        factory = server.factory
+        self._send_json(
+            503 if degraded else 200,
+            {
+                "status": "degraded" if degraded else "ok",
+                "degraded_backends": degraded_backends,
+                "queue_saturated": saturated,
+                "breakers": breakers,
+                "relations": sorted(factory.catalogs[factory.default].names()),
+                "catalogs": factory.names(),
+                "backend": server.session.options.backend,
+                "workers": pool["workers"],
+                "busy": pool["busy"],
+                "queue_depth": pool["queue_depth"],
+                "coalesced_total": pool["coalesced_total"],
+                "requests": snapshot["requests"],
+                "uptime_s": snapshot["uptime_s"],
+            },
+            # A degraded 503 is retriable — advise pollers when to return.
+            headers=(("Retry-After", str(RETRY_AFTER_S)),) if degraded else (),
+        )
 
     # -- POST /query -------------------------------------------------------
 

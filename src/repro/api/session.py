@@ -216,16 +216,16 @@ class SessionContext:
         """
         from ..backends.exec import sqlite_exec
 
-        session, tracer = self.session, self.tracer
+        tracer = self.tracer
         with NULL_SPAN if tracer is None else tracer.span("sqlite.connect") as span:
             conn, loaded = sqlite_exec.connect_catalog(
                 self.database, db_file=self.options.db_file
             )
             span.tag(loaded=loaded)
         if loaded:
-            session.catalog_loads += 1
+            self.stats.catalog_loads += 1
         else:
-            session.catalog_hits += 1
+            self.stats.catalog_hits += 1
         return conn
 
     def probe(self, engine, node):
@@ -245,7 +245,7 @@ class SessionContext:
         if relations:
             cached = Relation.derived_get_shared(relations, node, tag)
             if cached is not None:
-                session.probe_hits += 1
+                self.stats.probe_hits += 1
                 if tracer is not None:
                     tracer.event(
                         "probe.cached", engine=engine.name,
@@ -292,18 +292,31 @@ class Session:
         self.conventions = conventions
         self.externals = externals if externals is not None else standard_registry()
         self.options = options
-        #: One ExecutionStats accumulated across every run of this session.
+        #: One ExecutionStats accumulated across every run of this session
+        #: (a pool worker's Sessions share their slot's, see
+        #: :class:`repro.serve.pool.Worker`).
         self.stats = ExecutionStats()
-        #: Catalog (re)loads and warm hits observed by this session's
-        #: SQLite runs (a load means the fingerprint changed or was cold).
-        self.catalog_loads = 0
-        self.catalog_hits = 0
-        #: Capability-probe verdicts served from the warm cache.
-        self.probe_hits = 0
         #: Optional :class:`~repro.obs.Tracer`; None (the default) keeps
         #: every instrumentation site on its zero-overhead branch.
         self.tracer = None
         self._prepared = OrderedDict()  # (text, frontend) -> Prepared
+
+    # The session cache counters live in ``stats``; these read them.
+
+    @property
+    def catalog_loads(self):
+        """SQLite catalog (re)loads (the fingerprint changed or was cold)."""
+        return self.stats.catalog_loads
+
+    @property
+    def catalog_hits(self):
+        """SQLite runs answered on the thread's warm connection."""
+        return self.stats.catalog_hits
+
+    @property
+    def probe_hits(self):
+        """Capability-probe verdicts served from the warm cache."""
+        return self.stats.probe_hits
 
     # -- preparing ---------------------------------------------------------
 

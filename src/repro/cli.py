@@ -212,17 +212,10 @@ def cmd_serve(args):
         workers=workers,
         queue_depth=queue_depth,
         catalogs=_load_catalogs(args.catalog),
-        max_body_bytes=(
-            args.max_body_bytes
-            if args.max_body_bytes is not None
-            else serve.DEFAULT_MAX_BODY_BYTES
-        ),
         log_requests=args.log_requests,
         log_json=args.log_json,
         hard_timeout_ms=args.hard_timeout_ms,
         shed_threshold_ms=args.shed_threshold_ms,
-        poison_threshold=args.poison_threshold,
-        quarantine_ttl_s=args.quarantine_ttl_s,
     )
     # SIGTERM/SIGINT drain queued + in-flight requests, then stop
     # accepting — an orchestrator's stop signal never kills a response
@@ -486,15 +479,6 @@ def build_parser():
         help="disable the FOI→FIO lateral decorrelation pass",
     )
     p_serve.add_argument(
-        "--max-body-bytes",
-        dest="max_body_bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="refuse request bodies larger than N bytes with 413 before "
-        "reading them (default: 1 MiB)",
-    )
-    p_serve.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -545,24 +529,6 @@ def build_parser():
         help="shed deadline-less requests (429) when the estimated queue "
         "wait exceeds this (default: off; requests with timeout_ms are "
         "always shed when the wait exceeds their budget)",
-    )
-    p_serve.add_argument(
-        "--poison-threshold",
-        dest="poison_threshold",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker crashes by one request fingerprint before it is "
-        "quarantined and answers 422 (default: 2)",
-    )
-    p_serve.add_argument(
-        "--quarantine-ttl-s",
-        dest="quarantine_ttl_s",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="seconds a poisoned fingerprint stays quarantined "
-        "(default: 300)",
     )
     p_serve.add_argument(
         "--log-json",

@@ -97,6 +97,9 @@ class ExecutionStats:
         "budget_exceeded",  # runs aborted by BudgetExceeded (row budget)
         "retries",  # transient sqlite errors absorbed by the retry loop
         "breaker_trips",  # circuit-breaker closed→open transitions
+        "catalog_loads",  # SQLite catalog (re)loads: cold or changed fingerprint
+        "catalog_hits",  # SQLite runs served by the thread's warm connection
+        "probe_hits",  # capability-probe verdicts served from the warm cache
     )
 
     def __init__(self):
@@ -120,6 +123,9 @@ class ExecutionStats:
         self.budget_exceeded = 0
         self.retries = 0
         self.breaker_trips = 0
+        self.catalog_loads = 0
+        self.catalog_hits = 0
+        self.probe_hits = 0
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}

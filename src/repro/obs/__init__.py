@@ -8,7 +8,7 @@ the :data:`NULL_SPAN` no-op singleton) and guard every site with
 constructs :class:`Tracer` instances and calls the exporters.
 """
 
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 from .tracer import DEFAULT_MAX_SPANS, NULL_SPAN, Event, Span, Tracer
 from .exporters import (
     chrome_trace,
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_MAX_SPANS",
     "Counter",
-    "Gauge",
     "Event",
     "Histogram",
     "MetricsRegistry",

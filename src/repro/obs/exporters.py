@@ -2,9 +2,9 @@
 
 Three serializations of the same observability records:
 
-* :func:`render_prometheus` — the registry (plus ad-hoc counter/gauge rows
-  for :class:`~repro.engine.planner.ExecutionStats` and breaker states) in
-  the Prometheus text exposition format v0.0.4, served by ``GET /metrics``;
+* :func:`render_prometheus` — the registry (plus counter/gauge rows the
+  server reads from its telemetry snapshot) in the Prometheus text
+  exposition format v0.0.4, served by ``GET /metrics``;
 * :func:`chrome_trace` / :func:`write_chrome_trace` — finished spans as
   ``chrome://tracing`` / Perfetto "trace event" JSON, one timeline row per
   query id, with tags and stats deltas in ``args`` (the ``--trace-out``
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .metrics import Counter, Gauge, Histogram
+from .metrics import Counter, Histogram
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +62,15 @@ def render_prometheus(registry, extra=()):
 
     *extra* is an iterable of ``(name, kind, help, samples)`` where *kind*
     is ``"counter"`` or ``"gauge"`` and *samples* is a list of
-    ``(labels dict, value)`` — how ``GET /metrics`` exports the engine's
-    :class:`~repro.engine.planner.ExecutionStats` counters and the
-    circuit-breaker states without forcing them through the registry.
+    ``(labels dict, value)`` — how ``GET /metrics`` exports the values
+    the server already keeps (its snapshot) without copying them into
+    the registry.
     """
     lines = []
     for metric in registry:
         lines.append(f"# HELP {metric.name} {metric.help_text}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
+        if isinstance(metric, Counter):
             for labels, value in metric.samples():
                 lines.append(
                     f"{metric.name}{_format_labels(labels)} {_format_value(value)}"

@@ -6,8 +6,6 @@ data model — just enough for ``GET /metrics`` (rendered by
 ``GET /stats`` embeds:
 
 * :class:`Counter` — monotonically increasing, labelled totals;
-* :class:`Gauge` — a labelled value that can move both ways (queue
-  estimates, EWMA summaries), last-write-wins;
 * :class:`Histogram` — fixed cumulative buckets per label set with
   ``sum``/``count``, plus interpolated p50/p95/p99 estimates;
 * :class:`MetricsRegistry` — get-or-create by name, iteration in
@@ -84,45 +82,6 @@ class Counter:
             yield dict(zip(self.label_names, key)), value
 
 
-class Gauge:
-    """A point-in-time value that can rise and fall, optionally labelled.
-
-    ``set`` is last-write-wins under the metric lock; readers snapshot
-    under the same lock.  Used for values the serving pool maintains as
-    it goes (the rolling service-time EWMA behind load shedding) rather
-    than values computed at scrape time, which ride the ``extra`` rows of
-    :func:`repro.obs.exporters.render_prometheus` instead.
-    """
-
-    kind = "gauge"
-
-    __slots__ = ("name", "help_text", "label_names", "_values", "_lock")
-
-    def __init__(self, name, help_text="", labels=()):
-        self.name = name
-        self.help_text = help_text
-        self.label_names = tuple(labels)
-        self._values = {}
-        self._lock = threading.Lock()
-
-    def set(self, value, **labels):
-        key = _label_key(self.label_names, labels)
-        with self._lock:
-            self._values[key] = value
-
-    def value(self, **labels):
-        key = _label_key(self.label_names, labels)
-        with self._lock:
-            return self._values.get(key)
-
-    def samples(self):
-        """Yield ``(labels dict, value)`` per label set (zero sets = empty)."""
-        with self._lock:
-            items = list(self._values.items())
-        for key, value in items:
-            yield dict(zip(self.label_names, key)), value
-
-
 class Histogram:
     """Cumulative fixed-bucket histogram with quantile interpolation."""
 
@@ -188,9 +147,12 @@ class Histogram:
         ``histogram_quantile`` behaviour on the +Inf bucket.
         """
         entry = self._snapshot_entry(_label_key(self.label_names, labels))
-        if entry is None or entry[2] == 0:
-            return None
+        return None if entry is None else self._quantile(entry, q)
+
+    def _quantile(self, entry, q):
         counts, _, total = entry
+        if total == 0:
+            return None
         rank = q * total
         cumulative = 0
         lower = 0.0
@@ -206,13 +168,14 @@ class Histogram:
         return self.buckets[-1]
 
     def snapshot(self, **labels):
-        """JSON-friendly summary (count, sum, p50/p95/p99) for ``/stats``."""
-        summary = {
-            "count": self.count(**labels),
-            "sum_s": round(self.sum(**labels), 6),
-        }
+        """JSON-friendly summary (count, sum, p50/p95/p99) for ``/stats``,
+        from one lock-consistent copy of the series."""
+        entry = self._snapshot_entry(_label_key(self.label_names, labels))
+        if entry is None:
+            entry = ((), 0.0, 0)
+        summary = {"count": entry[2], "sum_s": round(entry[1], 6)}
         for q in _QUANTILES:
-            value = self.quantile(q, **labels)
+            value = self._quantile(entry, q)
             summary[f"p{int(q * 100)}_ms"] = (
                 None if value is None else round(value * 1e3, 3)
             )
@@ -254,24 +217,14 @@ class MetricsRegistry:
     def counter(self, name, help_text="", labels=()):
         return self._get_or_create(Counter, name, help_text, labels)
 
-    def gauge(self, name, help_text="", labels=()):
-        return self._get_or_create(Gauge, name, help_text, labels)
-
     def histogram(self, name, help_text="", labels=(), buckets=DEFAULT_BUCKETS):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = Histogram(
-                    name, help_text, labels, buckets
-                )
-        self._check(metric, Histogram, labels)
-        return metric
+        return self._get_or_create(Histogram, name, help_text, labels, buckets)
 
-    def _get_or_create(self, cls, name, help_text, labels):
+    def _get_or_create(self, cls, name, help_text, labels, *args):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = self._metrics[name] = cls(name, help_text, labels)
+                metric = self._metrics[name] = cls(name, help_text, labels, *args)
         self._check(metric, cls, labels)
         return metric
 

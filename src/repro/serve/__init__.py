@@ -3,12 +3,12 @@
 Four small, separately testable pieces that together turn the service
 mode into a worker-pool server:
 
-* :mod:`~repro.serve.pool` — a fixed pool of worker threads, each owning
+* :mod:`~repro.serve.pool` — a fixed pool of worker slots, each owning
   its own warm :class:`~repro.api.Session` state (per-worker prepared
-  LRUs, stats; SQLite connections are per worker thread) built by a
-  :class:`~repro.serve.pool.SessionFactory`, with a bounded per-worker
-  :class:`~repro.serve.pool.SessionLRU` keyed by catalog name for
-  multi-catalog serving;
+  LRUs; SQLite connections are per worker thread) built by a
+  :class:`~repro.serve.pool.SessionFactory`, a bounded Session LRU keyed
+  by catalog name for multi-catalog serving, and one ExecutionStats its
+  Sessions share;
 * :mod:`~repro.serve.coalesce` — an in-flight request coalescer
   (singleflight): N concurrent identical requests fold into one
   execution whose byte-identical response fans back out;
@@ -30,7 +30,6 @@ from .pool import (
     DEFAULT_SESSION_LIMIT,
     DEFAULT_WORKERS,
     SessionFactory,
-    SessionLRU,
     Worker,
     WorkerPool,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Quarantine",
     "RETRY_AFTER_S",
     "SessionFactory",
-    "SessionLRU",
     "Worker",
     "WorkerPool",
     "poison_fingerprint",

@@ -1,8 +1,8 @@
 """The worker pool: fixed threads, each owning private warm Sessions.
 
 A :class:`~repro.api.Session` is not thread-safe, so the pool never
-shares one: each worker thread owns a bounded :class:`SessionLRU` of
-Sessions (one per catalog it has served), built by a
+shares one: each worker slot owns a bounded LRU of Sessions (one per
+catalog it has served, see :class:`Worker`), built by a
 :class:`SessionFactory` from the catalog map.  In-memory SQLite
 connections belong to the thread that loaded them (one LRU per thread,
 see :mod:`repro.backends.exec.sqlite_exec`), so N workers execute on N
@@ -24,14 +24,16 @@ The pool is **self-healing** (PR 10):
 
 * **Supervision** — an exception escaping a worker's job loop (fault
   injection: the ``pool.worker`` failpoint) no longer silently shrinks
-  the pool.  The dying thread harvests its sessions' stats into the
-  retired totals, answers the in-flight caller with a typed
-  :class:`~repro.errors.WorkerCrash`, and respawns itself: the same
-  :class:`Worker` slot gets a fresh :class:`SessionLRU` and a new
-  thread, so capacity survives any crash (``workers_respawned``).
+  the pool.  The dying thread closes its Sessions, answers the
+  in-flight caller with a typed :class:`~repro.errors.WorkerCrash`, and
+  respawns itself: the same :class:`Worker` slot gets a new thread, so
+  capacity survives any crash (``workers_respawned``).  The slot's
+  counters live on the slot, not on its Sessions, so they survive the
+  crash (and any LRU eviction) by construction.
 * **Poison quarantine** — each submitted job may carry a request
   *fingerprint*; a fingerprint whose jobs kill workers
-  ``poison_threshold`` times is refused at admission with a typed
+  :data:`~repro.serve.supervise.DEFAULT_POISON_THRESHOLD` times is
+  refused at admission with a typed
   :class:`~repro.errors.PoisonQuery` until its TTL lapses (see
   :mod:`repro.serve.supervise`).
 * **Deadline-aware shedding** — admission estimates queue wait from a
@@ -44,10 +46,12 @@ The pool runs jobs; it does not time them out.  A job bounds itself: the
 server arms each query with one Deadline that already includes its hard
 wall cap (see :class:`repro.api.serve.QueryServer`).
 
-Observability: the pool exports busy-worker and queue-depth gauges,
-per-worker handled counts, respawn/shed counters, and (when
-given a registry) an ``arc_worker_seconds`` histogram labelled by worker
-index plus an ``arc_pool_service_ewma_ms`` gauge.
+Observability: :meth:`WorkerPool.snapshot` reads the pool's plain
+fields (busy workers, queue depth, respawns, sheds, the service-time
+EWMA) and each slot's handled and evicted counts, and
+:meth:`WorkerPool.aggregate_stats` sums the slots' ExecutionStats.
+Given a registry, the pool also observes an ``arc_worker_seconds``
+histogram labelled by worker index.
 """
 
 from __future__ import annotations
@@ -59,14 +63,11 @@ import time
 from collections import OrderedDict
 
 from ..core.conventions import SET_CONVENTIONS
+from ..engine.planner import ExecutionStats
 from ..errors import PoisonQuery, WorkerCrash
 from ..util import failpoints
 from .admission import AdmissionError
-from .supervise import (
-    DEFAULT_POISON_THRESHOLD,
-    DEFAULT_QUARANTINE_TTL_S,
-    Quarantine,
-)
+from .supervise import Quarantine
 
 #: Default worker count for ``repro serve`` (the CLI flag overrides).
 DEFAULT_WORKERS = 4
@@ -209,84 +210,51 @@ class SessionFactory:
         return session
 
 
-class SessionLRU:
-    """A bounded catalog-name → Session map; eviction closes the Session.
+class Worker:
+    """One pool slot: its thread's warm Sessions and its counters.
 
-    Owned by exactly one worker thread — lookups need no lock.  Mutations
-    (insert/evict) happen under *lock* only so that observers (``/stats``
-    aggregation on handler threads) can take consistent snapshots.
+    The slot outlives its thread: a crashed thread's replacement takes
+    the same Worker (see :meth:`WorkerPool._on_worker_death`).  ``stats``
+    is the one :class:`~repro.engine.planner.ExecutionStats` that every
+    Session the slot builds shares, so the slot's counters survive LRU
+    evictions and crashes by construction.  Only the slot's own thread
+    writes here; observers on handler threads read the plain counters.
     """
 
-    __slots__ = ("factory", "limit", "evicted", "_sessions", "_lock")
+    __slots__ = ("index", "factory", "stats", "sessions", "handled", "evicted")
 
-    def __init__(self, factory, limit=DEFAULT_SESSION_LIMIT, *, lock=None):
-        self.factory = factory
-        self.limit = max(1, limit)
-        self.evicted = 0
-        self._sessions = OrderedDict()
-        self._lock = lock if lock is not None else threading.Lock()
-
-    def get(self, catalog=None):
-        """The (possibly freshly built) Session for *catalog*."""
-        name = self.factory.default if catalog is None else catalog
-        session = self._sessions.get(name)
-        if session is not None:
-            self._sessions.move_to_end(name)
-            return session
-        session = self.factory.build(name)
-        with self._lock:
-            self._sessions[name] = session
-            while len(self._sessions) > self.limit:
-                # Drops only the prepared queries: the catalog's SQLite
-                # connection stays warm in this thread's LRU.
-                self._sessions.popitem(last=False)[1].close()
-                self.evicted += 1
-        return session
-
-    def adopt(self, name, session):
-        """Install an externally built Session (the server's warm one)."""
-        with self._lock:
-            self._sessions[name] = session
-
-    def snapshot(self):
-        """A consistent (name, Session) list for cross-thread readers."""
-        with self._lock:
-            return list(self._sessions.items())
-
-    def close(self):
-        with self._lock:
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-        for session in sessions:
-            session.close()
-
-    def __len__(self):
-        with self._lock:
-            return len(self._sessions)
-
-
-class Worker:
-    """One pool thread's identity and warm state."""
-
-    __slots__ = ("index", "sessions", "handled", "pool")
-
-    def __init__(self, index, pool, session_limit):
+    def __init__(self, index, factory):
         self.index = index
-        self.pool = pool
-        self.sessions = SessionLRU(
-            pool.factory, session_limit, lock=pool._lock
-        )
-        #: Jobs this worker completed (written by the worker thread only).
+        self.factory = factory
+        self.stats = ExecutionStats()
+        #: Warm Sessions by catalog name, least recently used first.
+        self.sessions = OrderedDict()
+        #: Jobs this slot completed; Sessions its LRU evicted.
         self.handled = 0
+        self.evicted = 0
 
     def session_for(self, catalog=None):
-        """The worker-private Session for *catalog* (LRU, builds on miss)."""
-        before = self.sessions.evicted
-        session = self.sessions.get(catalog)
-        evicted = self.sessions.evicted - before
-        if evicted:
-            self.pool._note_evictions(evicted)
+        """The slot's Session for *catalog* (default catalog when None).
+
+        A miss builds one; past :data:`DEFAULT_SESSION_LIMIT` the least
+        recent is closed, which drops only its prepared queries: the
+        catalog's SQLite connection stays warm in this thread's LRU.
+        """
+        name = self.factory.default if catalog is None else catalog
+        session = self.sessions.get(name)
+        if session is not None:
+            self.sessions.move_to_end(name)
+            return session
+        session = self.sessions[name] = self.factory.build(name)
+        session.stats = self.stats
+        while len(self.sessions) > DEFAULT_SESSION_LIMIT:
+            self.sessions.popitem(last=False)[1].close()
+            self.evicted += 1
         return session
+
+    def close_sessions(self):
+        while self.sessions:
+            self.sessions.popitem()[1].close()
 
 
 class WorkerPool:
@@ -295,79 +263,37 @@ class WorkerPool:
     *adopt* (optional) is a pre-built Session installed as worker 0's
     default-catalog Session — ``repro serve`` passes its warm control
     session so single-worker servers keep the exact session object tests
-    and callers hold a reference to.
+    and callers hold a reference to.  Worker 0 counts into its stats.
     """
 
     def __init__(self, factory, workers=1, queue_depth=DEFAULT_QUEUE_DEPTH,
-                 *, session_limit=DEFAULT_SESSION_LIMIT, metrics=None,
-                 adopt=None, shed_threshold_ms=None,
-                 poison_threshold=DEFAULT_POISON_THRESHOLD,
-                 quarantine_ttl_s=DEFAULT_QUARANTINE_TTL_S):
+                 *, metrics=None, adopt=None, shed_threshold_ms=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.factory = factory
         self.queue_depth = max(1, queue_depth)
         self.queue = queue.Queue(maxsize=self.queue_depth)
-        self.metrics = metrics
         self.shed_threshold_ms = shed_threshold_ms
         self._lock = threading.Lock()
         self._draining = False
         self._drained = threading.Event()
         self.busy = 0
-        self.jobs_completed = 0
-        self.sessions_evicted = 0
         self.workers_respawned = 0
         self.shed_total = 0
         #: Rolling EWMA of per-job service seconds (under ``_lock``).
         self.service_ewma_s = 0.0
-        self._session_limit = session_limit
-        #: Session stats harvested from crashed workers (under ``_lock``):
-        #: ``{"stats": {...counter sums...}, "catalog_loads": n, ...}``.
-        self._retired_stats = {}
-        self._retired_cache = [0, 0, 0]  # catalog loads / hits / probe hits
-        self.quarantine = Quarantine(
-            threshold=poison_threshold, ttl_s=quarantine_ttl_s
-        )
-        self.workers = [
-            Worker(index, self, session_limit) for index in range(workers)
-        ]
+        self.quarantine = Quarantine()
+        self.workers = [Worker(index, factory) for index in range(workers)]
         if adopt is not None:
-            self.workers[0].sessions.adopt(factory.default, adopt)
+            self.workers[0].stats = adopt.stats
+            self.workers[0].sessions[factory.default] = adopt
         self._histogram = None
-        self._respawn_counter = None
-        self._shed_counter = None
-        self._quarantine_counter = None
-        self._ewma_gauge = None
         if metrics is not None:
             self._histogram = metrics.histogram(
                 "arc_worker_seconds",
                 "Job execution seconds per pool worker.",
                 labels=("worker",),
             )
-            # inc(0) materializes a zero sample so these counters render
-            # in /metrics before the first event — scrapers see the
-            # series from the first scrape, not only after a crash.
-            self._respawn_counter = metrics.counter(
-                "arc_worker_respawns_total",
-                "Pool workers respawned after a crash.",
-            )
-            self._respawn_counter.inc(0)
-            self._shed_counter = metrics.counter(
-                "arc_shed_total",
-                "Requests refused because the estimated queue wait "
-                "exceeded their deadline budget.",
-            )
-            self._shed_counter.inc(0)
-            self._quarantine_counter = metrics.counter(
-                "arc_quarantined_total",
-                "Request fingerprints quarantined as poison.",
-            )
-            self._quarantine_counter.inc(0)
-            self._ewma_gauge = metrics.gauge(
-                "arc_pool_service_ewma_ms",
-                "Rolling EWMA of per-job service time, milliseconds.",
-            )
-            self._ewma_gauge.set(0.0)
         self._threads = [
             threading.Thread(
                 target=self._run, args=(worker,),
@@ -432,8 +358,6 @@ class WorkerPool:
         wait_s = depth * self.service_ewma_s / len(self.workers)
         if budget_ms is not None and wait_s * 1000.0 >= budget_ms:
             self.shed_total += 1
-            if self._shed_counter is not None:
-                self._shed_counter.inc()
             raise AdmissionError(
                 f"estimated queue wait {wait_s * 1000.0:.0f} ms exceeds "
                 f"the {budget_ms} ms budget; shed at admission",
@@ -479,53 +403,35 @@ class WorkerPool:
         worker.handled += 1
         with self._lock:
             self.busy -= 1
-            self.jobs_completed += 1
             if self.service_ewma_s <= 0:
                 self.service_ewma_s = elapsed
             else:
                 self.service_ewma_s += _EWMA_ALPHA * (
                     elapsed - self.service_ewma_s
                 )
-            ewma = self.service_ewma_s
         if self._histogram is not None:
             self._histogram.observe(elapsed, worker=str(worker.index))
-        if self._ewma_gauge is not None:
-            self._ewma_gauge.set(round(ewma * 1e3, 3))
 
     def _on_worker_death(self, worker, job, exc):
-        """The dying worker's last act: harvest, answer, respawn.
+        """The dying worker's last act: close, answer, respawn.
 
-        Runs on the crashing thread.  Harvests the worker's session stats
-        into the retired totals (so ``aggregate_stats`` never loses
-        history), closes the sessions, answers the in-flight caller with
-        a typed :class:`~repro.errors.WorkerCrash`, notes the kill
-        against the job's fingerprint, and starts a replacement thread on
-        the same :class:`Worker` slot with a fresh :class:`SessionLRU`.
+        Runs on the crashing thread.  Closes the slot's Sessions (its
+        counters stay on the slot), answers the in-flight caller with a
+        typed :class:`~repro.errors.WorkerCrash`, notes the kill against
+        the job's fingerprint, and starts a replacement thread on the
+        same :class:`Worker` slot, which builds fresh Sessions on demand.
         """
-        harvested = []
-        for name, session in worker.sessions.snapshot():
-            harvested.append((name, self._harvest(session)))
-        worker.sessions.close()
-        worker.sessions = SessionLRU(
-            self.factory, self._session_limit, lock=self._lock
-        )
+        worker.close_sessions()
         with self._lock:
             self.busy -= 1  # _execute's increment; its decrement was skipped
             self.workers_respawned += 1
-            for name, stats in harvested:
-                self._merge_retired_locked(stats)
-        if self._respawn_counter is not None:
-            self._respawn_counter.inc()
         crash = WorkerCrash(
             f"worker {worker.index} died while executing this request "
             f"({type(exc).__name__}: {exc}); the pool respawned it"
         )
         crash.__cause__ = exc
         job.future.set_error(crash)
-        if job.fingerprint is not None:
-            if self.quarantine.note_kill(job.fingerprint):
-                if self._quarantine_counter is not None:
-                    self._quarantine_counter.inc()
+        self.quarantine.note_kill(job.fingerprint)
         # The replacement thread reuses this Worker slot; during drain it
         # will consume the sentinel meant for its predecessor, so drain's
         # sentinel arithmetic still balances.  Start BEFORE registering:
@@ -540,28 +446,6 @@ class WorkerPool:
         replacement.start()
         with self._lock:
             self._threads[worker.index] = replacement
-
-    @staticmethod
-    def _harvest(session):
-        """A crashed worker Session's counters, as plain dicts."""
-        return {
-            "stats": dict(session.stats.as_dict()),
-            "catalog_loads": session.catalog_loads,
-            "catalog_hits": session.catalog_hits,
-            "probe_hits": session.probe_hits,
-        }
-
-    def _merge_retired_locked(self, harvested):
-        for key, value in harvested["stats"].items():
-            self._retired_stats[key] = self._retired_stats.get(key, 0) + value
-        self._retired_cache[0] += harvested["catalog_loads"]
-        self._retired_cache[1] += harvested["catalog_hits"]
-        self._retired_cache[2] += harvested["probe_hits"]
-
-    def retired_stats(self):
-        """Harvested (stats dict, cache triple) from crashed workers."""
-        with self._lock:
-            return dict(self._retired_stats), tuple(self._retired_cache)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -593,7 +477,7 @@ class WorkerPool:
                     if all(not t.is_alive() for t in self._threads):
                         break
             for worker in self.workers:
-                worker.sessions.close()
+                worker.close_sessions()
             self._drained.set()
         else:
             self._drained.wait()
@@ -605,56 +489,47 @@ class WorkerPool:
 
     # -- observability -----------------------------------------------------
 
-    def _note_evictions(self, n):
-        with self._lock:
-            self.sessions_evicted += n
-
     def depth(self):
         """Jobs queued but not yet started."""
         return self.queue.qsize()
 
-    def saturated(self):
-        """Whether a submission right now would be refused (queue full)."""
-        return self.queue.qsize() >= self.queue_depth
-
     def snapshot(self):
-        """Pool gauges for ``/stats`` and ``/healthz``."""
+        """The pool block of ``/stats``: gauges, counters, per-slot rows."""
         with self._lock:
             busy = self.busy
-            completed = self.jobs_completed
-            evicted = self.sessions_evicted
             respawned = self.workers_respawned
             shed = self.shed_total
             ewma = self.service_ewma_s
             draining = self._draining
+        per_worker = [
+            {
+                "worker": worker.index,
+                "handled": worker.handled,
+                "sessions": len(worker.sessions),
+            }
+            for worker in self.workers
+        ]
         return {
             "workers": len(self.workers),
             "busy": busy,
             "draining": draining,
             "queue_depth": self.queue.qsize(),
             "queue_capacity": self.queue_depth,
-            "jobs_completed": completed,
-            "sessions_evicted": evicted,
+            "jobs_completed": sum(row["handled"] for row in per_worker),
+            "sessions_evicted": sum(w.evicted for w in self.workers),
             "workers_respawned": respawned,
             "shed_total": shed,
             "service_ewma_ms": round(ewma * 1e3, 3),
-            "per_worker": [
-                {
-                    "worker": worker.index,
-                    "handled": worker.handled,
-                    "sessions": len(worker.sessions),
-                }
-                for worker in self.workers
-            ],
+            "per_worker": per_worker,
         }
 
-    def sessions(self):
-        """Every live worker Session (for stats aggregation)."""
-        result = []
+    def aggregate_stats(self):
+        """ExecutionStats summed over the worker slots, as a dict."""
+        totals = ExecutionStats().as_dict()
         for worker in self.workers:
-            for _, session in worker.sessions.snapshot():
-                result.append(session)
-        return result
+            for name, value in worker.stats.as_dict().items():
+                totals[name] += value
+        return totals
 
     def __repr__(self):
         return (

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.api import EvalOptions, Session
-from repro.api.serve import QueryServer, install_sigterm_handler
+from repro.api.serve import MAX_BODY_BYTES, QueryServer, install_sigterm_handler
 from repro.backends.exec import breaker_for, reset_breakers, sqlite_exec
 from repro.backends.exec import registry as registry_mod
 from repro.backends.exec.registry import CircuitBreaker
@@ -47,7 +47,7 @@ def _session(conventions=SET_CONVENTIONS, **options):
 @pytest.fixture
 def served():
     session = _session()
-    server = QueryServer(("127.0.0.1", 0), session, max_body_bytes=4096)
+    server = QueryServer(("127.0.0.1", 0), session)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -142,14 +142,29 @@ class TestRequestTimeout:
         assert answer["error_type"] == "OptionsError"
 
 
+def _post_oversized(server):
+    """A POST declaring a body one byte over the cap, without sending it:
+    the server must refuse before reading."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.putrequest("POST", "/query")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestBodyCap:
     def test_oversized_body_is_refused_with_413(self, served):
-        status, answer = _post(served, {"query": "x" * 8192})
+        status, answer = _post_oversized(served)
         assert status == 413
         assert "byte limit" in answer["error"]
 
     def test_server_survives_an_oversized_request(self, served):
-        _post(served, {"query": "x" * 8192})
+        _post_oversized(served)
         status, answer = _post(served, {"query": SIMPLE})
         assert status == 200
         assert answer["rows"] == [[1]]

@@ -16,6 +16,7 @@ from repro.api import EvalOptions, Session
 from repro.backends.exec import sqlite_exec
 from repro.core.conventions import SQL_CONVENTIONS
 from repro.serve import (
+    DEFAULT_SESSION_LIMIT,
     AdmissionError,
     Coalescer,
     SessionFactory,
@@ -197,7 +198,7 @@ class TestWorkerPool:
             for future in futures:
                 rows = future.wait(10)
                 assert [row["x"] for row in rows] == [1]
-            assert pool.jobs_completed == 8
+            assert pool.snapshot()["jobs_completed"] == 8
         finally:
             pool.drain()
 
@@ -263,29 +264,27 @@ class TestWorkerPool:
             pool.drain()
 
     def test_session_lru_evicts_and_closes_connections(self):
-        catalogs = {
-            "default": _db([(1,)]),
-            "beta": _db([(2,)]),
-            "gamma": _db([(3,)]),
-        }
-        pool = WorkerPool(
-            _factory(catalogs, backend="sqlite"), workers=1, session_limit=2
-        )
+        # One catalog more than a worker keeps warm Sessions for.
+        names = ["default", "beta", "gamma", "delta", "epsilon"]
+        assert len(names) == DEFAULT_SESSION_LIMIT + 1
+        catalogs = {name: _db([(i,)]) for i, name in enumerate(names, 1)}
+        pool = WorkerPool(_factory(catalogs, backend="sqlite"), workers=1)
         try:
             def run_on(catalog):
                 def job(worker):
                     session = worker.session_for(catalog)
+                    loads = session.catalog_loads
                     rows = session.prepare(QUERY).run().sorted_rows()
-                    return session, session.catalog_loads, rows
+                    return session, session.catalog_loads - loads, rows
 
                 return pool.submit(job).wait(10)
 
             session_a, loads_a, rows_a = run_on("default")
-            run_on("beta")
-            run_on("gamma")  # evicts "default" (limit 2)
+            for name in names[1:]:
+                run_on(name)  # the last one evicts "default"
             assert [row["x"] for row in rows_a] == [1]
             assert loads_a == 1
-            assert pool.sessions_evicted == 1
+            assert pool.snapshot()["sessions_evicted"] == 1
             assert not session_a._prepared  # the evicted Session was closed
             # Re-requesting the evicted catalog rebuilds the Session, which
             # answers on the worker thread's still-cached connection.
@@ -293,7 +292,7 @@ class TestWorkerPool:
             assert session_again is not session_a
             assert [row["x"] for row in rows_again] == [1]
             assert loads_again == 0
-            assert pool.sessions_evicted == 2
+            assert pool.snapshot()["sessions_evicted"] == 2
         finally:
             pool.drain()
 

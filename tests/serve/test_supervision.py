@@ -14,8 +14,8 @@ The scenarios pinned here:
   the run's Deadline;
 * a coalescing leader that dies before publishing still resolves its
   followers with a typed 500 (publish-or-fail);
-* execution counters survive a crash: the dead worker's totals move to
-  the retired ledger, so ``/stats`` aggregates never go backwards.
+* execution counters survive a crash: they live on the worker slot, not
+  on its Sessions, so ``/stats`` aggregates never go backwards.
 
 CI's chaos matrix also runs this module under ``REPRO_FAILPOINTS``
 (including ``pool.worker=...`` specs); every test arms its own
@@ -35,6 +35,7 @@ from repro.api import EvalOptions, Session
 from repro.api.serve import QueryServer
 from repro.backends.exec import reset_breakers, sqlite_exec
 from repro.core.conventions import SET_CONVENTIONS, SQL_CONVENTIONS
+from repro.engine.planner import ExecutionStats
 from repro.errors import PoisonQuery, WorkerCrash
 from repro.serve import Quarantine, SessionFactory, WorkerPool, poison_fingerprint
 from repro.util import failpoints
@@ -219,7 +220,7 @@ class TestPoolSupervision:
         finally:
             pool.drain()
 
-    def test_retired_stats_survive_the_crash(self):
+    def test_slot_stats_survive_the_crash(self):
         pool = WorkerPool(_factory(), workers=1, queue_depth=8)
         try:
             def run_query(worker):
@@ -232,9 +233,14 @@ class TestPoolSupervision:
             failpoints.activate("pool.worker", "boom*1")
             with pytest.raises(WorkerCrash):
                 pool.submit(lambda worker: 1).wait(10)
-            retired, _cache = pool.retired_stats()
+            after = pool.aggregate_stats()
             for name, value in live.items():
-                assert retired.get(name, 0) >= value
+                assert after[name] >= value, name
+            # The respawned thread's fresh Sessions count into the slot:
+            # the same run again doubles the slot's enumeration count.
+            again = pool.submit(run_query).wait(10)
+            assert live["rows_enumerated"] > 0
+            assert again["rows_enumerated"] == 2 * live["rows_enumerated"]
         finally:
             pool.drain()
 
@@ -414,20 +420,20 @@ class TestHTTPSelfHealing:
         finally:
             _stop(server, thread)
 
-    def test_aggregate_stats_survive_a_respawn(self):
+    def test_stats_survive_a_respawn(self):
         server, thread = _serve(workers=1, queue_depth=8)
         try:
             status, _, _ = _post(server, {"query": SIMPLE})
             assert status == 200
-            before, *_cache = server.aggregate_stats()
-            assert any(v > 0 for v in before.values())
+            before = json.loads(_get(server, "/stats")[1])
+            assert any(before[name] > 0 for name in ExecutionStats.__slots__)
             failpoints.activate("pool.worker", "boom*1")
             status, _, _ = _post(server, {"query": SIMPLE})
             assert status == 500
             assert _wait_until(lambda: server.pool.workers_respawned == 1)
-            after, *_cache = server.aggregate_stats()
-            for name, value in before.items():
-                assert after.get(name, 0) >= value, name
+            after = json.loads(_get(server, "/stats")[1])
+            for name in ExecutionStats.__slots__:
+                assert after[name] >= before[name], name
         finally:
             _stop(server, thread)
 

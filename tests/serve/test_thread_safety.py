@@ -393,6 +393,6 @@ class TestPoolAdmissionUnderContention:
         for future in accepted:
             future.wait(30)
         assert len(accepted) + len(refused) == THREADS * 50
-        assert pool.jobs_completed == len(accepted)
+        assert pool.snapshot()["jobs_completed"] == len(accepted)
         assert all(exc.status == 429 for exc in refused)
         pool.drain()
