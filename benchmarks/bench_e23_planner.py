@@ -15,16 +15,18 @@ case                                      planner on  planner off   speedup
 ========================================  ==========  ===========  ========
 join width=3 (E21 sweep, 60 rows/rel)       ~0.8 ms       ~450 ms     ~550x
 join width=4 (E21 sweep, 60 rows/rel)       ~1.6 ms    ~25,000 ms  ~15,000x
-grouped aggregate n=900, set conventions   ~1.0 ms        ~3.4 ms     ~3.4x
-grouped aggregate n=900, SQL conventions   ~1.3 ms        ~3.5 ms     ~2.7x
+grouped aggregate n=900, set conventions  ~0.51 ms        ~1.7 ms     ~3.2x
+grouped aggregate n=900, SQL conventions  ~0.64 ms        ~1.6 ms     ~2.5x
 transitive closure, 250 nodes               ~15 ms      ~1,140 ms      ~77x
 correlated lateral, 120 rows                ~26 ms         ~40 ms     ~1.5x
 ========================================  ==========  ===========  ========
 
-The grouped rows (221 groups) were re-measured on a 2-CPU container
-(CPython 3.11.7, min over 400 runs) when the fused grouping stopped caching
-its set-convention result on the relation: with that cache the set row
-read ~0.1 ms and the SQL row ~1.1 ms on the same container.
+The grouped rows (221 groups) were re-measured on a 2-CPU AMD EPYC
+container (CPython 3.11.7; planner on: median of 12 processes, each the
+min over 400 runs; planner off: min over 100 runs) when fused and
+reference groups started sharing one head-row loop.  The commit before
+that change reads the same there (0.51 ms set, 0.64 ms SQL), so the drop
+from the earlier ~1.0 / ~1.3 ms rows is the host, not the code.
 """
 
 import gc

@@ -40,9 +40,9 @@ def aggregate(func, values, conventions):
     if not non_null:
         return _empty_value(base, conventions)
     if base == "sum":
-        return _sum(non_null)
+        return numeric_total(func, non_null)
     if base == "avg":
-        total = _sum(non_null)
+        total = numeric_total(func, non_null)
         count = sum(m for _, m in non_null)
         return total / count
     if base == "min":
@@ -57,10 +57,20 @@ def count_rows(multiplicities):
     return sum(multiplicities)
 
 
-def _sum(pairs):
+def numeric_total(func, pairs):
+    """Σ value × multiplicity over *pairs*, for the aggregate *func*.
+
+    A value that is not a number raises an :class:`EvaluationError` naming
+    the aggregate and the value, rather than Python's ``TypeError``.
+    """
     total = 0
     for value, mult in pairs:
-        total += value * mult
+        try:
+            total += value * mult
+        except TypeError:
+            raise EvaluationError(
+                f"aggregate {func} over a non-numeric value: {value!r}"
+            ) from None
     return total
 
 

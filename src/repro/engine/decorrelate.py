@@ -226,7 +226,7 @@ class CorrelationSpec:
         if grouped:
             quant = self.rewritten
             plan = evaluator._plan_scope(quant)
-            groups = evaluator._scope_groups(quant, plan, {})[0]
+            groups = evaluator._scope_groups(quant, plan, {})
             pairs = ((key(rep_env), having) for _, rep_env, _, having in groups)
             if self.empty_group:
                 miss = evaluator._group_verdict(plan, [], {})[2]

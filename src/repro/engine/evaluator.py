@@ -108,6 +108,7 @@ class _ScopePlan:
         "row_formulas",
         "emitters",
         "aggregates",
+        "head",
     )
 
     def __init__(self):
@@ -117,6 +118,20 @@ class _ScopePlan:
         self.row_formulas = []  # boolean row-level formulas
         self.emitters = []  # nested formulas containing head assignments
         self.aggregates = ()  # distinct AggCall nodes of the two agg lists
+        #: A grouping scope's head reads, one ``(attr, kind, payload, expr)``
+        #: per assignment: *kind* "row" reads ``payload = (var, attr)`` off
+        #: the representative row, "agg" the aggregate value keyed
+        #: ``payload``, and "expr" evaluates *expr*.
+        self.head = ()
+
+
+def _head_read(attr, expr, scope_vars):
+    """One :attr:`_ScopePlan.head` entry for the assignment ``attr = expr``."""
+    if isinstance(expr, n.Attr) and expr.var in scope_vars:
+        return attr, "row", (expr.var, expr.attr), expr
+    if isinstance(expr, n.AggCall):
+        return attr, "agg", id(expr), expr
+    return attr, "expr", None, expr
 
 
 class Evaluator:
@@ -311,17 +326,8 @@ class Evaluator:
             else:
                 booleans.append(child)
         if any(self._truth(b, env) is not Truth.TRUE for b in booleans):
-            return
-        solutions = [({}, 1)]
-        for emitter in emitters:
-            expanded = []
-            for assigns, mult in solutions:
-                for sub_assigns, sub_mult in self._solutions(emitter, env, top=top):
-                    merged = self._merge_assigns(assigns, sub_assigns)
-                    if merged is not None:
-                        expanded.append((merged, mult * sub_mult))
-            solutions = expanded
-        yield from solutions
+            return ()
+        return self._emitter_product(emitters, env, top=top)
 
     @staticmethod
     def _merge_assigns(first, second):
@@ -333,10 +339,13 @@ class Evaluator:
         return merged
 
     def _solutions_quantifier(self, quant, env, *, top):
+        """The quantifier's solutions, as :meth:`_solutions` yields them."""
         plan = self._plan_scope(quant)
         if quant.grouping is not None:
-            yield from self._group_solutions(quant, plan, env)
-            return
+            return self._group_solutions(quant, plan, env)
+        return self._scope_solutions(quant, plan, env, top=top)
+
+    def _scope_solutions(self, quant, plan, env, *, top):
         if plan.agg_assignments or plan.agg_comparisons:
             raise EvaluationError(
                 "aggregation predicate in a scope without a grouping operator"
@@ -374,13 +383,17 @@ class Evaluator:
             for row in results:
                 yield row.as_dict(), 1
 
-    def _emitter_product(self, emitters, env):
+    def _emitter_product(self, emitters, env, *, top=False):
+        """Every merge-compatible combination of the emitters' solutions.
+
+        Emitters nested in a scope are existential (``top=False``): each
+        deduplicates its witnesses.
+        """
         solutions = [({}, 1)]
         for emitter in emitters:
             expanded = []
-            # Nested emitters are existential: deduplicate witnesses.
             for assigns, mult in solutions:
-                for sub_assigns, sub_mult in self._solutions(emitter, env, top=False):
+                for sub_assigns, sub_mult in self._solutions(emitter, env, top=top):
                     merged = self._merge_assigns(assigns, sub_assigns)
                     if merged is not None:
                         expanded.append((merged, mult * sub_mult))
@@ -390,42 +403,46 @@ class Evaluator:
     # -- grouping scopes --------------------------------------------------------
 
     def _group_solutions(self, quant, plan, env):
+        """Yield ``(head assignments, 1)`` for every group of the scope whose
+        HAVING holds — a fused bucket and a reference partition alike.
+
+        The head reads come from :attr:`_ScopePlan.head`, resolved once per
+        scope plan; assignments that disagree within a group drop it.
+        """
         if plan.emitters:
             raise EvaluationError(
                 "a grouping scope cannot contain nested emitting formulas"
             )
-        groups, fused = self._scope_groups(quant, plan, env)
-        if fused is not None:
-            yield from fused._finalized_groups(self, env, groups)
-            return
-        for group_rows, rep_env, agg_values, having in groups:
+        head = plan.head
+        eval_expr = self._eval_expr
+        for rows, rep_env, agg_values, having in self._scope_groups(quant, plan, env):
             if having is not Truth.TRUE:
                 continue
             assigns = {}
-            ok = True
-            for attr, expr in plan.assignments:
-                value = self._eval_group_expr(expr, rep_env, env, group_rows)
+            for attr, kind, payload, expr in head:
+                if not rows:
+                    value = self._eval_empty_group_expr(expr, env, agg_values)
+                elif kind == "row":
+                    value = rep_env[payload[0]][payload[1]]
+                elif kind == "agg":
+                    value = agg_values[payload]
+                else:
+                    value = eval_expr(expr, rep_env, agg_values)
                 if attr in assigns and assigns[attr] != value:
-                    ok = False
                     break
                 assigns[attr] = value
-            if not ok:
-                continue
-            for attr, expr in plan.agg_assignments:
-                assigns[attr] = self._eval_expr(expr, rep_env, agg_values)
-            yield assigns, 1
+            else:
+                yield assigns, 1
 
     def _scope_groups(self, quant, plan, env):
-        """``(groups, fused)``: the scope's groups as :meth:`_groups` yields
-        them, from the compiled scope's fused partition when the planner
-        has one (*fused* is that :class:`CompiledScope`), else from
-        :meth:`_groups` (*fused* is None)."""
+        """The scope's groups as :meth:`_groups` yields them: from the
+        compiled scope's fused partition when the planner has one, else
+        from :meth:`_groups`."""
         if self.planner and quant.join is None:
-            compiled = self._compile_scope(quant, plan)
-            groups = compiled.groups(self, env)
+            groups = self._compile_scope(quant, plan).groups(self, plan, env)
             if groups is not None:
-                return groups, compiled
-        return self._groups(quant, plan, env), None
+                return groups
+        return self._groups(quant, plan, env)
 
     def _groups(self, quant, plan, env):
         """Partition the scope's combinations by grouping key (first-seen
@@ -448,7 +465,7 @@ class Evaluator:
     def _group_verdict(self, plan, group_rows, env):
         """``(rep_env, agg_values, having)`` for one group: a representative
         env (*env* over an empty group), every AggCall of the scope over the
-        group's rows, and the Kleene AND of the aggregate comparisons."""
+        group's rows, and its :meth:`_having` truth."""
         values = {}
         for node in plan.aggregates:
             if node.arg is None:
@@ -460,26 +477,31 @@ class Evaluator:
                 ]
                 values[id(node)] = agg_lib.aggregate(node.func, pairs, self.conventions)
         rep_env = group_rows[0][0] if group_rows else env
+        return rep_env, values, self._having(plan, rep_env, values)
+
+    def _having(self, plan, rep_env, agg_values):
+        """The Kleene AND of the scope's aggregate comparisons (HAVING) for
+        one group."""
         having = Truth.TRUE
         for predicate in plan.agg_comparisons:
-            having = t_and(having, self._truth(predicate, rep_env, values))
+            having = t_and(having, self._truth(predicate, rep_env, agg_values))
             if having is Truth.FALSE:
                 break
-        return rep_env, values, having
+        return having
 
-    def _eval_group_expr(self, expr, rep_env, outer_env, group_rows):
-        """Evaluate a non-aggregate assignment inside a grouping scope.
+    def _eval_empty_group_expr(self, expr, outer_env, agg_values):
+        """Evaluate a head assignment over an empty γ∅ group.
 
-        Well-formed queries only assign grouping-key expressions, which are
-        constant across the group; the representative row supplies them.
-        Over an empty γ∅ group the expression must be computable from the
-        outer environment alone.
+        Well-formed queries only assign grouping-key expressions (constant
+        across a group) and aggregates; over the empty group only the outer
+        environment is bound, so a non-aggregate expression must be
+        computable from it alone.
         """
-        if group_rows:
-            return self._eval_expr(expr, rep_env)
         try:
-            return self._eval_expr(expr, outer_env)
+            return self._eval_expr(expr, outer_env, agg_values)
         except EvaluationError:
+            if n.facts(expr).aggregates:
+                raise
             raise EvaluationError(
                 "non-aggregate assignment over an empty γ∅ group references "
                 "scope variables; no value is defined"
@@ -584,6 +606,12 @@ class Evaluator:
                 for agg in n.facts(conjunct).aggregates
             )
         )
+        if quant.grouping is not None:
+            scope_vars = {binding.var for binding in quant.bindings}
+            plan.head = tuple(
+                _head_read(attr, expr, scope_vars)
+                for attr, expr in plan.assignments + plan.agg_assignments
+            )
         return plan
 
     def _assignment_attr(self, predicate):

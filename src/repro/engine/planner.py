@@ -56,7 +56,7 @@ from __future__ import annotations
 import weakref
 
 from ..core import nodes as n
-from ..data.values import NULL, Truth, t_and
+from ..data.values import NULL, Truth
 from ..errors import EvaluationError
 from ..util.deadline import STRIDE_MASK
 from . import aggregates as agg_lib
@@ -258,23 +258,24 @@ class CompiledScope:
 
     # -- fused grouping ---------------------------------------------------------
 
-    def groups(self, ev, env):
+    def groups(self, ev, plan, env):
         """The scope's groups from the fused partition, or None when the
         scope is not fused or its relation no longer fits the plan (the
         caller then partitions with ``Evaluator._groups``, which also
         surfaces any schema errors with the reference wording).
 
         Yields ``(bucket, rep_env, agg_values, having)`` per group, as
-        ``Evaluator._groups`` does: *having* is the Kleene AND of the
-        aggregate comparisons, and γ∅ over no input still has its one empty
-        group.  *bucket* holds (row, stored-multiplicity) pairs; under set
+        ``Evaluator._groups`` does, so ``Evaluator._group_solutions`` turns
+        either kind of group into a head row: *having* is *plan*'s HAVING
+        truth, and γ∅ over no input still has its one empty group.
+        *bucket* holds (row, stored-multiplicity) pairs; under set
         conventions the multiplicities are ignored (each distinct row
         counts once).
         """
         if self.grouped is None:
             return None
         buckets = self._grouped_buckets(ev, env)
-        return None if buckets is None else self._verdicts(ev, env, buckets)
+        return None if buckets is None else self._verdicts(ev, plan, env, buckets)
 
     def _grouped_buckets(self, ev, env):
         """Partition the stored binding's rows into per-group buckets.
@@ -285,7 +286,8 @@ class CompiledScope:
         attribute-keyed case returns the relation's cached hash index over
         the grouping attributes, so the partition survives across
         evaluations (callers must not mutate the buckets); a correlated
-        scope partitions its one index bucket.
+        scope partitions its one index bucket.  :meth:`_verdicts` folds
+        each bucket into the group entry :meth:`groups` yields.
         """
         spec = self.grouped
         step = self.steps[0]
@@ -354,7 +356,7 @@ class CompiledScope:
         stats.rows_enumerated += count
         return groups
 
-    def _verdicts(self, ev, env, groups):
+    def _verdicts(self, ev, plan, env, groups):
         """Fold each bucket of *groups* into its :meth:`groups` entry."""
         spec = self.grouped
         if not groups and spec.empty_group:
@@ -362,6 +364,7 @@ class CompiledScope:
         var = self.steps[0].var
         conventions = ev.conventions
         is_set = conventions.is_set
+        having = ev._having
         for bucket in groups.values():
             agg_values = {
                 agg_id: _fold_aggregate(
@@ -370,39 +373,7 @@ class CompiledScope:
                 for agg_id, func, arg_kind, payload in spec.agg_specs
             }
             rep_env = {**env, var: bucket[0][0]} if bucket else env
-            having = Truth.TRUE
-            for predicate in spec.agg_comparisons:
-                having = t_and(having, ev._truth(predicate, rep_env, agg_values))
-                if having is Truth.FALSE:
-                    break
-            yield bucket, rep_env, agg_values, having
-
-    def _finalized_groups(self, ev, env, groups):
-        """Yield ``(head assignments, 1)`` for every group of :meth:`groups`
-        whose HAVING holds, from the precompiled head assignments."""
-        spec = self.grouped
-        for bucket, rep_env, agg_values, having in groups:
-            if having is not Truth.TRUE:
-                continue
-            rep_row = bucket[0][0] if bucket else None
-            assigns = {}
-            for kind, attr, payload, expr in spec.assigns:
-                if rep_row is None:
-                    # Empty γ∅ group: mirror the reference fallback (outer
-                    # env only), including its error wording.
-                    assigns[attr] = ev._eval_group_expr(expr, env, env, bucket)
-                elif kind == "attr":
-                    assigns[attr] = rep_row._values[payload]
-                elif kind == "const":
-                    assigns[attr] = payload
-                else:
-                    assigns[attr] = ev._eval_expr(expr, rep_env)
-            for attr, kind, payload in spec.agg_assigns:
-                if kind == "agg":
-                    assigns[attr] = agg_values[payload]
-                else:
-                    assigns[attr] = ev._eval_expr(payload, rep_env, agg_values)
-            yield assigns, 1
+            yield bucket, rep_env, agg_values, having(plan, rep_env, agg_values)
 
 
 _NO_ROWS = ((), (), False)
@@ -509,10 +480,7 @@ class _GroupedSpec:
         "key_attrs",  # tuple of attr names when every key is Attr(var), else None
         "key_exprs",  # the raw key expressions (evaluated per row otherwise)
         "empty_group",  # γ∅: one group even over empty input
-        "assigns",  # [(kind, out_attr, payload, expr)]
-        "agg_assigns",  # [(out_attr, 'agg'|'expr', payload)]
         "agg_specs",  # [(id, func, arg_kind, payload)]
-        "agg_comparisons",
         "row_attrs",  # attr names read straight off scanned rows
     )
 
@@ -545,13 +513,17 @@ def _fold_aggregate(ev, var, env, bucket, is_set, func, arg_kind, payload, conve
             return len(values)
         if not values:
             return agg_lib.aggregate(func, (), conventions)
-        if func == "sum":
-            return sum(values)
-        if func == "avg":
-            return sum(values) / len(values)
         if func == "min":
             return min(values)
-        return max(values)
+        if func == "max":
+            return max(values)
+        try:
+            total = sum(values)
+        except TypeError:
+            # A value that is not a number: the checked fold raises the
+            # typed error naming it.
+            total = agg_lib.numeric_total(func, [(v, 1) for v in values])
+        return total if func == "sum" else total / len(values)
     # Generic / distinct / bag aggregates: extract pairs and reuse the
     # aggregate library so conventions (empty group, distinct) stay
     # identical to the reference path.
@@ -746,21 +718,6 @@ def _compile_grouped(quant, scope_plan, compiled):
     if spec.key_attrs:
         row_attrs.update(spec.key_attrs)
 
-    assigns = []
-    seen_attrs = set()
-    for attr, expr in scope_plan.assignments:
-        if attr in seen_attrs:
-            return None  # duplicate head assignment: generic conflict check
-        seen_attrs.add(attr)
-        if isinstance(expr, n.Attr) and expr.var == var:
-            assigns.append(("attr", attr, expr.attr, expr))
-            row_attrs.add(expr.attr)
-        elif isinstance(expr, n.Const):
-            assigns.append(("const", attr, expr.value, expr))
-        else:
-            assigns.append(("expr", attr, None, expr))
-    spec.assigns = tuple(assigns)
-
     agg_specs = []
     for node in scope_plan.aggregates:
         if node.arg is None:
@@ -772,17 +729,6 @@ def _compile_grouped(quant, scope_plan, compiled):
             agg_specs.append((id(node), node.func, "expr", node.arg))
     spec.agg_specs = tuple(agg_specs)
 
-    agg_assigns = []
-    for attr, expr in scope_plan.agg_assignments:
-        if attr in seen_attrs:
-            return None
-        seen_attrs.add(attr)
-        if isinstance(expr, n.AggCall):
-            agg_assigns.append((attr, "agg", id(expr)))
-        else:
-            agg_assigns.append((attr, "expr", expr))
-    spec.agg_assigns = tuple(agg_assigns)
-    spec.agg_comparisons = tuple(scope_plan.agg_comparisons)
     spec.row_attrs = frozenset(row_attrs)
     return spec
 

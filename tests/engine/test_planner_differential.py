@@ -23,8 +23,8 @@ from repro.core.conventions import (
 )
 from repro.core.parser import parse
 from repro.data import Database, NULL, generators
-from repro.engine import evaluate
-from repro.errors import ArcError
+from repro.engine import Evaluator, evaluate
+from repro.errors import ArcError, EvaluationError
 from repro.workloads import instances, paper_examples, sweeps
 
 ORACLE = EvalOptions(backend="reference")
@@ -247,6 +247,113 @@ def test_grouped_with_having_agrees():
         query = _grouped_query("sum", grouped_key=grouped_key, having=True)
         for _, conventions in CONVENTION_SET:
             assert_agree(query, db, conventions)
+
+
+#: Head shapes of a grouping scope: (name, query, over an empty R?, expected
+#: outcome).  A fused bucket and a reference partition become head rows
+#: through the same loop, so both backends must agree on each.
+GROUPED_HEADS = [
+    (
+        "dup_agreeing",
+        "{Q(a, s) | ∃r ∈ R, γ r.A[Q.a = r.A ∧ Q.a = r.A + 0 ∧ Q.s = sum(r.B)]}",
+        False,
+        "rows",
+    ),
+    (
+        "dup_conflicting",
+        "{Q(a, s) | ∃r ∈ R, γ r.A[Q.a = r.A ∧ Q.a = r.A + 1 ∧ Q.s = sum(r.B)]}",
+        False,
+        "empty",
+    ),
+    (
+        "expr_head",
+        "{Q(a, s) | ∃r ∈ R, γ r.A[Q.a = r.A * 10 ∧ Q.s = sum(r.B) + 1]}",
+        False,
+        "rows",
+    ),
+    (
+        "const_empty_group",
+        "{Q(a, s) | ∃r ∈ R, γ ∅[Q.a = 7 ∧ Q.s = count(r.B)]}",
+        True,
+        "rows",
+    ),
+    (
+        "attr_empty_group",
+        "{Q(a, s) | ∃r ∈ R, γ ∅[Q.a = r.A ∧ Q.s = count(r.B)]}",
+        True,
+        "error",
+    ),
+]
+
+
+def _heads_db(empty):
+    db = Database()
+    db.create("R", ("A", "B"), [] if empty else [(1, 10), (1, 20), (2, 5), (3, NULL)])
+    return db
+
+
+@pytest.mark.parametrize(
+    "text,empty,expect", [case[1:] for case in GROUPED_HEADS],
+    ids=[case[0] for case in GROUPED_HEADS],
+)
+@pytest.mark.parametrize("conv_name,conventions", CONVENTION_SET)
+def test_grouped_head_shapes_agree(text, empty, expect, conv_name, conventions):
+    query = parse(text)
+    db = _heads_db(empty)
+    if expect == "error":
+        assert _planner_error(query, db, conventions) == _reference_error(
+            query, db, conventions
+        )
+        return
+    reference = evaluate(query, db, conventions, options=ORACLE)
+    assert evaluate(query, db, conventions) == reference
+    assert reference.is_empty() == (expect == "empty")
+
+
+def test_aggregate_head_assignment_must_agree_with_a_plain_one():
+    """Both assignments to ``Q.a`` must hold: only the group whose key
+    equals its sum is kept."""
+    db = Database()
+    db.create("R", ("A", "B"), [(1, 1), (2, 5), (2, 6)])
+    query = parse("{Q(a) | ∃r ∈ R, γ r.A[Q.a = r.A ∧ Q.a = sum(r.B)]}")
+    for _, conventions in CONVENTION_SET:
+        reference = evaluate(query, db, conventions, options=ORACLE)
+        assert evaluate(query, db, conventions) == reference
+        assert [row["a"] for row in reference.counter()] == [1]
+
+
+def _reference_error(query, db, conventions):
+    """The reference strategy's EvaluationError text.  It runs on the
+    evaluator itself: through the backend dispatch, consecutive query errors
+    would count toward the reference backend's circuit breaker."""
+    with pytest.raises(EvaluationError) as raised:
+        Evaluator(db, conventions, planner=False).evaluate(query)
+    return str(raised.value)
+
+
+def _planner_error(query, db, conventions):
+    with pytest.raises(EvaluationError) as raised:
+        evaluate(query, db, conventions)
+    return str(raised.value)
+
+
+def test_duplicated_head_assignment_runs_fused():
+    """Agreeing duplicate head assignments keep the fused partition."""
+    evaluator = Evaluator(_heads_db(False))
+    evaluator.evaluate(parse(GROUPED_HEADS[0][1]))
+    assert evaluator.stats.grouped_fast_paths == 1
+
+
+def test_sum_over_non_numeric_values_raises_one_typed_error():
+    """sum/avg over a string raise the same EvaluationError on both backends."""
+    db = Database()
+    db.create("R", ("A", "B"), [(1, 2), (1, "x"), (2, 5)])
+    for func in ("sum", "avg"):
+        query = _grouped_query(func)
+        for _, conventions in CONVENTION_SET:
+            message = _reference_error(query, db, conventions)
+            assert message == f"aggregate {func} over a non-numeric value: 'x'"
+            assert _planner_error(query, db, conventions) == message
 
 
 def test_correlated_lateral_group_agrees():
