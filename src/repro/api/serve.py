@@ -110,7 +110,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..backends.exec import breaker_states
 from ..data.relation import Relation
-from ..data.values import NULL, Truth
+from ..data.values import Truth
 from ..engine.planner import ExecutionStats
 from ..errors import (
     ArcError,
@@ -170,10 +170,6 @@ def configure_request_logging(stream=None):
     return logger
 
 
-def _json_value(value):
-    return None if value is NULL else value
-
-
 def _result_body(result, fallback_reasons):
     if isinstance(result, Truth):
         body = {"kind": "truth", "truth": result.name}
@@ -182,10 +178,7 @@ def _result_body(result, fallback_reasons):
             "kind": "relation",
             "name": result.name,
             "columns": list(result.schema),
-            "rows": [
-                [_json_value(row[attr]) for attr in result.schema]
-                for row in result.sorted_rows()
-            ],
+            "rows": result.json_rows(),
             "row_count": len(result),
         }
     else:  # pragma: no cover - evaluate() only returns Relation or Truth

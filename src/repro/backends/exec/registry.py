@@ -31,7 +31,7 @@ import threading
 import time
 import warnings
 
-from ...errors import EvaluationError, ResourceError
+from ...errors import ArcError, EvaluationError
 from ...obs import NULL_SPAN
 
 
@@ -115,13 +115,13 @@ class CircuitBreaker:
     *Runtime* failures (a ``run`` that raises — :class:`BackendUnsupported`
     the static probe missed, or an untyped infrastructure error) count;
     static probe refusals are expected steady-state behavior and do not,
-    and :class:`~repro.errors.ResourceError` is the caller's budget, not
-    the backend's health.  After ``threshold`` consecutive failures the
-    breaker **opens**: dispatch skips the backend entirely (straight to
-    planner fallback, no probe).  After ``cooldown_s`` it turns
-    **half-open** and admits one trial run — success closes it, failure
-    re-opens it for another cooldown.  The clock is injectable so tests
-    drive the state machine deterministically.
+    nor does any other typed :class:`~repro.errors.ArcError` — a bad query
+    or the caller's deadline/budget, not the backend's health.  After
+    ``threshold`` consecutive failures the breaker **opens**: dispatch
+    skips the backend entirely (straight to planner fallback, no probe).
+    After ``cooldown_s`` it turns **half-open** and admits one trial run —
+    success closes it, failure re-opens it for another cooldown.  The
+    clock is injectable so tests drive the state machine deterministically.
 
     Thread-safe: transitions are read-modify-write sequences (``allow``'s
     cooldown check-and-set, ``record_failure``'s count-and-trip), so every
@@ -350,8 +350,9 @@ def run_backend(node, context, *, reasons=None):
                         "backend.refused", backend=engine.name, reason=str(exc)
                     )
                 problems = [str(exc)]
-            except ResourceError:
-                # The caller's deadline/budget, not the backend's health.
+            except ArcError:
+                # A typed query error or the caller's deadline/budget, not
+                # the backend's health.
                 raise
             except Exception:
                 if breaker is not None:

@@ -67,10 +67,12 @@ import threading
 import time
 import weakref
 from collections import Counter, OrderedDict
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from ...core import nodes as n
 from ...data.relation import Relation, Tuple
-from ...data.values import NULL, Truth, is_null, sort_key
+from ...data.values import NULL, Truth, is_null
 from ...errors import QueryTimeout, RewriteError
 from ...obs import NULL_SPAN
 from ...util import failpoints
@@ -109,6 +111,8 @@ class _FingerprintOwner:
 
 _FP_OWNER = _FingerprintOwner()
 
+_NULL_TYPES = frozenset([type(NULL)])
+
 
 # ---------------------------------------------------------------------------
 # Value mapping
@@ -133,10 +137,6 @@ def _to_sqlite(value, relation_name):
         f"relation {relation_name!r} contains a {type(value).__name__} "
         "value; SQLite holds NULL/int/float/str only"
     )
-
-
-def _from_sqlite(value):
-    return NULL if value is None else value
 
 
 def _fp_token(value, relation_name):
@@ -172,14 +172,11 @@ def relation_fingerprint(relation):
         return cached
     digest = hashlib.sha256()
     digest.update(repr(tuple(relation.schema)).encode("utf-8"))
-    ordered = sorted(
-        relation.counter().items(),
-        key=lambda item: tuple(sort_key(item[0][a]) for a in relation.schema),
-    )
-    for row, mult in ordered:
-        digest.update(b"\x00" + str(mult).encode())
-        for attr in relation.schema:
-            digest.update(b"\x01" + _fp_token(row[attr], relation.name))
+    # Each distinct row's copies sit side by side in the canonical order.
+    for values, copies in groupby(relation.sorted_values()):
+        digest.update(b"\x00" + str(sum(1 for _ in copies)).encode())
+        for value in values:
+            digest.update(b"\x01" + _fp_token(value, relation.name))
     return relation.derived_put(_FP_OWNER, "fingerprint", digest.hexdigest())
 
 
@@ -376,6 +373,118 @@ def _three_valued_hazard(prepared, database):
     return None
 
 
+def _column_types(relation):
+    """attr -> the set of value types stored in that column, NULL aside
+    (cached until the relation mutates)."""
+    cached = relation.derived_get(_FP_OWNER, "column_types")
+    if cached is None:
+        rows = [row._values for row in relation.iter_distinct()]
+        cached = {
+            attr: frozenset(map(type, map(itemgetter(attr), rows))) - _NULL_TYPES
+            for attr in relation.schema
+        }
+        relation.derived_put(_FP_OWNER, "column_types", cached)
+    return cached
+
+
+#: Stands for a string literal among the attribute names that can reach
+#: an expression's value (no attribute has this name).
+_STRING_LITERAL = "'"
+
+
+def _reads(exprs):
+    """Attribute names whose values can reach the value of *exprs*, plus
+    :data:`_STRING_LITERAL` when a string literal can.  ``count``/``sum``/
+    ``avg`` yield numbers, so their arguments do not reach it."""
+    names, stack = set(), list(exprs)
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, n.Attr):
+            names.add(sub.attr)
+        elif isinstance(sub, n.Const):
+            if isinstance(sub.value, str):
+                names.add(_STRING_LITERAL)
+        elif not (
+            isinstance(sub, n.AggCall) and not sub.func.startswith(("min", "max"))
+        ):
+            stack.extend(sub.children())
+    return names
+
+
+#: prepared node -> (names that can reach a sum/avg or arithmetic operand,
+#: names that can reach a min/max argument): a pure function of the AST.
+_CAST_READS = weakref.WeakKeyDictionary()
+
+
+def _cast_reads(prepared):
+    """The attribute names (see :func:`_reads`) under SQLite's silent casts,
+    followed through head assignments of derived and defined collections."""
+    cached = _CAST_READS.get(prepared)
+    if cached is not None:
+        return cached
+    found = n.facts(prepared)
+    numeric, ordered, feeds = set(), set(), {}
+    for _, left, right in found.arithmetic:
+        numeric |= _reads([left, right])
+    for agg in found.aggregates:
+        if agg.func.startswith(("sum", "avg")):
+            numeric |= _reads([agg.arg])
+        elif agg.func.startswith(("min", "max")):
+            ordered |= _reads([agg.arg])
+    for left, right in found.equalities:
+        for target, source in ((left, right), (right, left)):
+            if isinstance(target, n.Attr) and target.var in found.heads:
+                feeds.setdefault(target.attr, set()).update(_reads([source]))
+    for names in (numeric, ordered):
+        frontier = list(names)
+        while frontier:
+            for name in feeds.get(frontier.pop(), ()):
+                if name not in names:
+                    names.add(name)
+                    frontier.append(name)
+    cached = _CAST_READS[prepared] = (frozenset(numeric), frozenset(ordered))
+    return cached
+
+
+def _text_cast_hazard(prepared, database):
+    """Reason SQLite's silent text handling could answer where the engine
+    raises a typed error.
+
+    SQLite reads a string as a number (``'x'`` as 0) in ``sum``/``avg``
+    and arithmetic, and orders text after every number in ``min``/``max``;
+    the engine raises over a non-numeric operand and over values that do
+    not compare.  Like :func:`_three_valued_hazard` the check reads the
+    data: a stored column is a hazard when such an argument can read it
+    (:func:`_cast_reads`) and it holds a string — for ``min``/``max``, a
+    string beside a number.
+    """
+    numeric, ordered = _cast_reads(prepared)
+    if _STRING_LITERAL in numeric:
+        return (
+            "a string literal under sum/avg or arithmetic "
+            "(SQLite reads it as a number)"
+        )
+    if database is None or not (numeric or ordered):
+        return None
+    for name in sorted(set(n.facts(prepared).relation_refs)):
+        if name not in database:
+            continue
+        for attr, types in _column_types(database[name]).items():
+            if str not in types:
+                continue
+            if attr in numeric:
+                return (
+                    f"column {name}.{attr} holds text under sum/avg or "
+                    "arithmetic (SQLite reads it as a number)"
+                )
+            if attr in ordered and len(types) > 1:
+                return (
+                    f"column {name}.{attr} mixes text and numbers under "
+                    "min/max (SQLite orders them; the engine refuses)"
+                )
+    return None
+
+
 def _prepare(node, database):
     """Wrap a self-recursive collection into a one-definition program.
 
@@ -530,19 +639,23 @@ class SqliteBackend(Backend):
                 f"relations {missing} have no stored extension "
                 "(external/abstract access patterns cannot be offloaded)"
             )
-        for op in found.divisions:
-            problems.append(
-                f"arithmetic {op!r} (SQLite integer division/modulo "
-                "differ from the engine's semantics)"
-            )
+        for op, _, _ in found.arithmetic:
+            if op in ("/", "%"):
+                problems.append(
+                    f"arithmetic {op!r} (SQLite integer division/modulo "
+                    "differ from the engine's semantics)"
+                )
         for var, reason in leftover_laterals:
             problems.append(
                 f"correlated lateral binding {var!r} needs LATERAL, which "
                 f"SQLite lacks: {reason}"
             )
-        hazard = _three_valued_hazard(prepared, database)
-        if hazard:
-            problems.append(hazard)
+        for hazard in (
+            _three_valued_hazard(prepared, database),
+            _text_cast_hazard(prepared, database),
+        ):
+            if hazard:
+                problems.append(hazard)
         if not problems:
             try:
                 compile_sql(node, database, decorrelate=decorrelate)
@@ -619,20 +732,23 @@ def _shape_result(prepared, raw):
         return Truth.TRUE if raw and raw[0][0] else Truth.FALSE
     head = main.head
     attrs = tuple(head.attrs)
-    counter = Counter()
     # Deduplicate the raw rows first: cursor rows are plain tuples of
     # primitives, which hash at C speed, so a bag result with duplicates
     # (e.g. a projection) builds each distinct Tuple once instead of per
-    # occurrence — the dominant cost of the warm serve path.
-    for values, mult in Counter(raw).items():
-        if len(values) != len(attrs):
-            raise BackendUnsupported(
-                f"SQLite returned {len(values)} columns for head "
-                f"{head.name}({', '.join(attrs)})"
-            )
-        counter[
-            Tuple._adopt(
-                {attr: _from_sqlite(v) for attr, v in zip(attrs, values)}
-            )
-        ] += mult
+    # occurrence.  Distinct cursor rows make distinct Tuples, so their
+    # counts carry over as they are.
+    counts = Counter(raw)
+    # One cursor: every row is as wide as the first.
+    width = len(next(iter(counts), attrs))
+    if width != len(attrs):
+        raise BackendUnsupported(
+            f"SQLite returned {width} columns for head "
+            f"{head.name}({', '.join(attrs)})"
+        )
+    rows = [
+        [NULL if v is None else v for v in values] if None in values else values
+        for values in counts
+    ]
+    tuples = map(Tuple._adopt, map(dict, map(zip, repeat(attrs), rows)))
+    counter = Counter(dict(zip(tuples, counts.values())))
     return Relation._adopt_counter(head.name, attrs, counter)

@@ -216,6 +216,21 @@ def _fix_quantifier(node, leftovers):
     )
 
 
+def _split_select(head, quant):
+    """:func:`split_scope`, refusing a head attribute assigned twice: a
+    select item holds one expression, so the second assignment (a
+    constraint that both agree) would be silently dropped."""
+    parts = split_scope(head, quant)
+    assigned = [attr for attr, _ in parts[0] + parts[1]]
+    if len(set(assigned)) != len(assigned):
+        twice = sorted({attr for attr in assigned if assigned.count(attr) > 1})
+        raise RewriteError(
+            f"head attributes {twice} have more than one assignment "
+            "(a select item holds one expression)"
+        )
+    return parts
+
+
 class _SqlRenderer:
     def __init__(self):
         #: Active scalar-subquery substitutions: (var, attr) -> SQL text.
@@ -270,7 +285,7 @@ class _SqlRenderer:
         return separator.join(selects)
 
     def _render_quantifier_select(self, head, quant):
-        parts = split_scope(head, quant)
+        parts = _split_select(head, quant)
         (assignments, agg_assignments, agg_comparisons, row_formulas) = parts
 
         eliminated, substitutions = self._scalar_eliminated(quant)
@@ -372,7 +387,7 @@ class _SqlRenderer:
 
     def _render_scalar_subquery(self, source, attr):
         body = source.body
-        parts = split_scope(source.head, body)
+        parts = _split_select(source.head, body)
         _, agg_assignments, _, row_formulas = parts
         expr = dict(agg_assignments)[attr]
         from_sql, consumed = self._render_from(body)

@@ -525,7 +525,10 @@ class Facts(NamedTuple):
     aggregates: tuple  # AggCall nodes, in pre-order
     null_literal: bool  # some Const is NULL
     negated_quantifier: bool  # some Quantifier sits under a Not
-    divisions: tuple  # "/" and "%" Arith operators, in pre-order
+    # Operands, not the nodes: a record that held its own node (the key
+    # of its weak cache entry) would keep that entry alive forever.
+    arithmetic: tuple  # (op, left, right) of each Arith, in pre-order
+    equalities: tuple  # (left, right) of each "=" Comparison, in pre-order
 
 
 _FACTS = weakref.WeakKeyDictionary()
@@ -544,7 +547,7 @@ def facts(node):
     found = _FACTS.get(node)
     if found is not None:
         return found
-    refs, heads, aggregates, divisions = [], set(), [], []
+    refs, heads, aggregates, arithmetic, equalities = [], set(), [], [], []
     null_literal = negated_quantifier = False
     stack = [(node, False)]
     while stack:
@@ -558,8 +561,10 @@ def facts(node):
         elif isinstance(sub, Const):
             null_literal = null_literal or is_null(sub.value)
         elif isinstance(sub, Arith):
-            if sub.op in ("/", "%"):
-                divisions.append(sub.op)
+            arithmetic.append((sub.op, sub.left, sub.right))
+        elif isinstance(sub, Comparison):
+            if sub.op == "=":
+                equalities.append((sub.left, sub.right))
         elif isinstance(sub, Quantifier):
             negated_quantifier = negated_quantifier or negated
         elif isinstance(sub, Not):
@@ -573,7 +578,8 @@ def facts(node):
         tuple(aggregates),
         null_literal,
         negated_quantifier,
-        tuple(divisions),
+        tuple(arithmetic),
+        tuple(equalities),
     )
     return found
 

@@ -76,8 +76,10 @@ def write_csv(relation, target=None, *, delimiter=","):
         handle = target
     writer = csv.writer(handle, delimiter=delimiter)
     writer.writerow(relation.schema)
-    for row in relation.sorted_rows():
-        writer.writerow(["" if is_null(row[a]) else row[a] for a in relation.schema])
+    for values in relation.sorted_values():
+        if NULL in values:
+            values = ["" if v is NULL else v for v in values]
+        writer.writerow(values)
     if buffer is not None:
         return buffer.getvalue()
     return None

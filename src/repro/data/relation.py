@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from ..errors import SchemaError
 from .values import NULL, sort_key
@@ -84,6 +86,35 @@ class Tuple:
     def __repr__(self):
         inner = ", ".join(f"{a}={v!r}" for a, v in sorted(self._values.items()))
         return f"Tuple({inner})"
+
+
+_TUPLE_VALUES = attrgetter("_values")
+
+#: Column value types whose plain tuple comparison makes exactly the
+#: comparisons :func:`~repro.data.values.sort_key` keys make: numbers
+#: (``bool`` excluded, it sorts before every number) or strings alone.
+_NUMBER_TYPES = frozenset([int, float])
+_STRING_TYPES = frozenset([str])
+
+
+def _row_sort_key(values):
+    return tuple(map(sort_key, values))
+
+
+def sort_canonical(rows):
+    """Sort value tuples in place into the canonical row order.
+
+    When every column holds only ``int``/``float`` or only ``str`` values,
+    the tuples compare directly, without a Python call per cell; otherwise
+    each row is keyed by its cells' ``sort_key``.  Both sorts make the same
+    comparisons, so the order (stable, NaN included) is the same.
+    """
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if not (kinds <= _NUMBER_TYPES or kinds == _STRING_TYPES):
+            rows.sort(key=_row_sort_key)
+            return
+    rows.sort()
 
 
 class Relation:
@@ -375,19 +406,50 @@ class Relation:
 
     # -- display -------------------------------------------------------------
 
+    def sorted_values(self):
+        """The bag-expanded rows as value tuples in schema order, sorted into
+        the canonical row order: the :func:`~repro.data.values.sort_key`
+        order, column by column.
+
+        This is the one owner of the order every deterministic rendering
+        uses (served bodies, tables, CSV, reports, fingerprints).
+        """
+        dicts = list(map(_TUPLE_VALUES, self._rows))
+        schema = self.schema
+        if len(schema) > 1:
+            rows = list(map(itemgetter(*schema), dicts))
+        elif schema:
+            rows = list(zip(map(itemgetter(schema[0]), dicts)))
+        else:
+            rows = [()] * len(dicts)
+        if len(dicts) != len(self):
+            rows = list(chain.from_iterable(map(repeat, rows, self._rows.values())))
+        sort_canonical(rows)
+        return rows
+
+    def json_rows(self):
+        """:meth:`sorted_values` as JSON-able lists, NULL as ``None`` (mapped
+        only in the rows that hold one)."""
+        return [
+            [None if v is NULL else v for v in values] if NULL in values
+            else list(values)
+            for values in self.sorted_values()
+        ]
+
     def sorted_rows(self):
-        """Rows in a deterministic order (for tests and display)."""
-        return sorted(
-            self,
-            key=lambda row: tuple(sort_key(row[a]) for a in self.schema),
-        )
+        """Rows as :class:`Tuple` values in the canonical order (for tests
+        and display); see :meth:`sorted_values`."""
+        schema = self.schema
+        return [
+            Tuple._adopt(dict(zip(schema, values))) for values in self.sorted_values()
+        ]
 
     def to_table(self, *, max_rows=50):
         """Render an ASCII table (deterministic order)."""
         header = list(self.schema)
         body = [
-            ["NULL" if v is NULL else str(v) for v in (row[a] for a in header)]
-            for row in self.sorted_rows()[:max_rows]
+            ["NULL" if v is NULL else str(v) for v in values]
+            for values in self.sorted_values()[:max_rows]
         ]
         widths = [
             max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])

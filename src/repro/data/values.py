@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from functools import total_ordering
 
+from ..errors import EvaluationError
+
 
 class _NullType:
     """Singleton marker for a missing value (SQL ``NULL``).
@@ -26,7 +28,8 @@ class _NullType:
     itself at the *Python* level (so relations can be hashed and dedupe
     correctly, mirroring SQL's grouping behaviour where NULLs fall into one
     group), while *query-level* comparisons go through :func:`compare` and
-    return :data:`Truth.UNKNOWN`.
+    return :data:`Truth.UNKNOWN`.  Being a singleton, it keeps the default
+    identity equality, so ``NULL in row`` costs no Python call per cell.
     """
 
     _instance = None
@@ -44,9 +47,6 @@ class _NullType:
 
     def __hash__(self):
         return hash("__arc_null__")
-
-    def __eq__(self, other):
-        return isinstance(other, _NullType)
 
     def __reduce__(self):
         return (_NullType, ())
@@ -180,9 +180,17 @@ def compare(left, op, right, *, three_valued=True):
 
 
 def arithmetic(op, left, right):
-    """Evaluate a binary arithmetic operator; NULL propagates (SQL convention)."""
+    """Evaluate a binary arithmetic operator; NULL propagates (SQL convention).
+
+    An operand that is not a number raises an :class:`EvaluationError`
+    naming the operator and the value (Python would concatenate or repeat
+    a string, or raise a ``TypeError``).
+    """
     if is_null(left) or is_null(right):
         return NULL
+    if not (isinstance(left, (int, float)) and isinstance(right, (int, float))):
+        culprit = right if isinstance(left, (int, float)) else left
+        raise EvaluationError(f"arithmetic {op} over a non-numeric value: {culprit!r}")
     if op == "+":
         return left + right
     if op == "-":

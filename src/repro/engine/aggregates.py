@@ -15,7 +15,7 @@ convention — SQL says NULL, Soufflé says the neutral element (Section 2.6).
 from __future__ import annotations
 
 from ..core.conventions import EmptyAggregate
-from ..data.values import NULL, is_null
+from ..data.values import NULL, is_null, sort_key
 from ..errors import EvaluationError
 
 
@@ -45,10 +45,8 @@ def aggregate(func, values, conventions):
         total = numeric_total(func, non_null)
         count = sum(m for _, m in non_null)
         return total / count
-    if base == "min":
-        return min(v for v, _ in non_null)
-    if base == "max":
-        return max(v for v, _ in non_null)
+    if base in ("min", "max"):
+        return extremum(func, [v for v, _ in non_null])
     raise EvaluationError(f"unknown aggregate function {func!r}")
 
 
@@ -72,6 +70,24 @@ def numeric_total(func, pairs):
                 f"aggregate {func} over a non-numeric value: {value!r}"
             ) from None
     return total
+
+
+def extremum(func, values):
+    """min/max (per *func*) over a non-empty list of non-NULL *values*.
+
+    Values that do not order against each other (a string beside a
+    number) raise an :class:`EvaluationError` naming the aggregate and the
+    least and greatest value in :func:`~repro.data.values.sort_key` order
+    (so the message does not depend on row order), rather than Python's
+    ``TypeError``.
+    """
+    try:
+        return min(values) if func.startswith("min") else max(values)
+    except TypeError:
+        low, high = min(values, key=sort_key), max(values, key=sort_key)
+        raise EvaluationError(
+            f"aggregate {func} over values that do not compare: {low!r} and {high!r}"
+        ) from None
 
 
 def _empty_value(base, conventions):

@@ -513,10 +513,8 @@ def _fold_aggregate(ev, var, env, bucket, is_set, func, arg_kind, payload, conve
             return len(values)
         if not values:
             return agg_lib.aggregate(func, (), conventions)
-        if func == "min":
-            return min(values)
-        if func == "max":
-            return max(values)
+        if func in ("min", "max"):
+            return agg_lib.extremum(func, values)
         try:
             total = sum(values)
         except TypeError:

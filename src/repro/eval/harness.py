@@ -45,7 +45,7 @@ from ..core.conventions import (
     SQL_CONVENTIONS,
 )
 from ..data import NULL, Relation
-from ..data.values import sort_key
+from ..data.relation import sort_canonical
 from ..errors import ArcError
 from ..nl.pipeline import Nl2ArcPipeline
 from ..nl.templates import default_grammar
@@ -75,9 +75,9 @@ def normalize_result(result, *, compare="bag", ndigits=9):
 
     Frontends disagree on column *names* (``cid`` vs ``c``) but corpus
     queries pin column *order*, so rows normalize positionally in schema
-    order: NULL becomes ``None``, floats round to *ndigits* (aggregate
-    arithmetic differs across engines only in the last ulps), and the rows
-    sort by the same total order :meth:`Relation.sorted_rows` uses.
+    order: floats round to *ndigits* (aggregate arithmetic differs across
+    engines only in the last ulps), the rows sort into the canonical order
+    (:func:`~repro.data.relation.sort_canonical`), and NULL becomes ``None``.
     ``compare="set"`` collapses multiplicities first.  Truth values (from
     sentences) normalize to ``("truth", name)``.
     """
@@ -85,23 +85,20 @@ def normalize_result(result, *, compare="bag", ndigits=9):
         return ("truth", getattr(result, "name", str(result)))
     source = result.iter_distinct() if compare == "set" else iter(result)
     rows = [
-        tuple(_normalize_value(row[attr], ndigits) for attr in result.schema)
+        tuple(
+            round(value, ndigits) if isinstance(value, float) else value
+            for value in (row[attr] for attr in result.schema)
+        )
         for row in source
     ]
-    rows.sort(key=_row_sort_key)
-    return ("rows", tuple(rows))
-
-
-def _normalize_value(value, ndigits):
-    if value is NULL:
-        return None
-    if isinstance(value, float):
-        return round(value, ndigits)
-    return value
-
-
-def _row_sort_key(row):
-    return tuple(sort_key(NULL if value is None else value) for value in row)
+    sort_canonical(rows)
+    return (
+        "rows",
+        tuple(
+            tuple(None if v is NULL else v for v in row) if NULL in row else row
+            for row in rows
+        ),
+    )
 
 
 def results_agree(left, right, *, compare="bag", ndigits=9):
@@ -115,10 +112,7 @@ def result_rows(result, *, cap=None):
     """JSON-able row lists (schema order, NULL → null), capped for reports."""
     if not isinstance(result, Relation):
         return [[getattr(result, "name", str(result))]]
-    rows = [
-        [None if row[attr] is NULL else row[attr] for attr in result.schema]
-        for row in result.sorted_rows()
-    ]
+    rows = result.json_rows()
     return rows if cap is None else rows[:cap]
 
 

@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from ...data import NULL, Database
+from ...data import Database
 
 #: Catalog scale factors; ``small`` is sized for CI smoke runs.
 SIZES = {"small": 1, "medium": 4, "large": 16}
@@ -138,12 +138,9 @@ class Scenario:
         relations = {}
         for rel_name in db.names():
             relation = db[rel_name]
-            rows = [
-                [None if value is NULL else value for value in
-                 (row[a] for a in relation.schema)]
-                for row in relation.sorted_rows()
-            ]
-            relations[rel_name] = {"schema": list(relation.schema), "rows": rows}
+            relations[rel_name] = {
+                "schema": list(relation.schema), "rows": relation.json_rows(),
+            }
         return {
             "scenario": self.name,
             "size": size,

@@ -101,8 +101,13 @@ def ref_facts(node):
             and any(isinstance(i, n.Quantifier) for i in ref_walk(s))
             for s in walked
         ),
-        "divisions": tuple(
-            s.op for s in walked if isinstance(s, n.Arith) and s.op in ("/", "%")
+        "arithmetic": tuple(
+            (s.op, s.left, s.right) for s in walked if isinstance(s, n.Arith)
+        ),
+        "equalities": tuple(
+            (s.left, s.right)
+            for s in walked
+            if isinstance(s, n.Comparison) and s.op == "="
         ),
     }
 
@@ -213,3 +218,25 @@ roots = st.one_of(
 @given(roots)
 def test_generated_trees_match_the_recursive_references(root):
     check_node(root)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: n.Comparison(n.Attr("r", "A"), "=", n.Const(1)),
+        lambda: n.Arith("+", n.Attr("r", "A"), n.Const(1)),
+    ],
+    ids=["equality", "arithmetic"],
+)
+def test_facts_do_not_keep_their_node_alive(make):
+    """The cache is weak: a record referring to its own node would keep a
+    never-seen text's AST alive for good."""
+    import gc
+    import weakref
+
+    node = make()
+    n.facts(node)
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
