@@ -67,11 +67,11 @@ import threading
 import time
 import weakref
 from collections import Counter, OrderedDict
-from itertools import groupby, repeat
+from itertools import chain, groupby
 from operator import itemgetter
 
 from ...core import nodes as n
-from ...data.relation import Relation, Tuple
+from ...data.relation import Relation
 from ...data.values import NULL, Truth, is_null
 from ...errors import QueryTimeout, RewriteError
 from ...obs import NULL_SPAN
@@ -112,6 +112,7 @@ class _FingerprintOwner:
 _FP_OWNER = _FingerprintOwner()
 
 _NULL_TYPES = frozenset([type(NULL)])
+_STRING_TYPES = frozenset([str])
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +388,19 @@ def _column_types(relation):
     return cached
 
 
-#: Stands for a string literal among the attribute names that can reach
-#: an expression's value (no attribute has this name).
+#: Stand for a string literal, and for a number no column holds (a
+#: numeric literal or a count/sum/avg), among the attribute names that can
+#: reach an expression's value (no attribute has either name).
 _STRING_LITERAL = "'"
+_NUMBER = "#"
+
+#: The comparisons SQLite decides by its own order across types.
+_ORDERING_OPS = frozenset(["<", "<=", ">", ">="])
 
 
 def _reads(exprs):
     """Attribute names whose values can reach the value of *exprs*, plus
-    :data:`_STRING_LITERAL` when a string literal can.  ``count``/``sum``/
+    :data:`_STRING_LITERAL` and :data:`_NUMBER`.  ``count``/``sum``/
     ``avg`` yield numbers, so their arguments do not reach it."""
     names, stack = set(), list(exprs)
     while stack:
@@ -404,21 +410,25 @@ def _reads(exprs):
         elif isinstance(sub, n.Const):
             if isinstance(sub.value, str):
                 names.add(_STRING_LITERAL)
-        elif not (
-            isinstance(sub, n.AggCall) and not sub.func.startswith(("min", "max"))
-        ):
+            elif not is_null(sub.value):
+                names.add(_NUMBER)
+        elif isinstance(sub, n.AggCall) and not sub.func.startswith(("min", "max")):
+            names.add(_NUMBER)
+        else:
             stack.extend(sub.children())
     return names
 
 
 #: prepared node -> (names that can reach a sum/avg or arithmetic operand,
-#: names that can reach a min/max argument): a pure function of the AST.
+#: names that can reach a min/max argument, (op, left names, right names)
+#: of each ordering comparison): a pure function of the AST.
 _CAST_READS = weakref.WeakKeyDictionary()
 
 
 def _cast_reads(prepared):
-    """The attribute names (see :func:`_reads`) under SQLite's silent casts,
-    followed through head assignments of derived and defined collections."""
+    """The attribute names (see :func:`_reads`) under SQLite's silent casts
+    and cross-type orderings, followed through head assignments of derived
+    and defined collections."""
     cached = _CAST_READS.get(prepared)
     if cached is not None:
         return cached
@@ -431,56 +441,83 @@ def _cast_reads(prepared):
             numeric |= _reads([agg.arg])
         elif agg.func.startswith(("min", "max")):
             ordered |= _reads([agg.arg])
-    for left, right in found.equalities:
+    for op, left, right in found.comparisons:
+        if op != "=":
+            continue
         for target, source in ((left, right), (right, left)):
             if isinstance(target, n.Attr) and target.var in found.heads:
                 feeds.setdefault(target.attr, set()).update(_reads([source]))
-    for names in (numeric, ordered):
+
+    def closed(names):
         frontier = list(names)
         while frontier:
             for name in feeds.get(frontier.pop(), ()):
                 if name not in names:
                     names.add(name)
                     frontier.append(name)
-    cached = _CAST_READS[prepared] = (frozenset(numeric), frozenset(ordered))
+        return frozenset(names)
+
+    cached = _CAST_READS[prepared] = (
+        closed(numeric),
+        closed(ordered),
+        tuple(
+            (op, closed(_reads([left])), closed(_reads([right])))
+            for op, left, right in found.comparisons
+            if op in _ORDERING_OPS
+        ),
+    )
     return cached
 
 
 def _text_cast_hazard(prepared, database):
     """Reason SQLite's silent text handling could answer where the engine
-    raises a typed error.
+    raises a typed error or answers FALSE.
 
     SQLite reads a string as a number (``'x'`` as 0) in ``sum``/``avg``
-    and arithmetic, and orders text after every number in ``min``/``max``;
-    the engine raises over a non-numeric operand and over values that do
-    not compare.  Like :func:`_three_valued_hazard` the check reads the
-    data: a stored column is a hazard when such an argument can read it
-    (:func:`_cast_reads`) and it holds a string — for ``min``/``max``, a
-    string beside a number.
+    and arithmetic, and orders text after every number in ``min``/``max``
+    and in ``<``/``<=``/``>``/``>=``; the engine raises over a non-numeric
+    operand and over values ``min``/``max`` cannot compare, and answers
+    FALSE to an ordering between a string and a number.  Like
+    :func:`_three_valued_hazard` the check reads the data: a stored column
+    is a hazard when such an argument can read it (:func:`_cast_reads`)
+    and it holds a string — for ``min``/``max``, a string beside a number;
+    for an ordering, a string where the other operand can read a number.
     """
-    numeric, ordered = _cast_reads(prepared)
+    numeric, ordered, orderings = _cast_reads(prepared)
     if _STRING_LITERAL in numeric:
         return (
             "a string literal under sum/avg or arithmetic "
             "(SQLite reads it as a number)"
         )
-    if database is None or not (numeric or ordered):
-        return None
-    for name in sorted(set(n.facts(prepared).relation_refs)):
-        if name not in database:
-            continue
-        for attr, types in _column_types(database[name]).items():
-            if str not in types:
+    texts, numbers = {_STRING_LITERAL: "a string literal"}, {_NUMBER}
+    if database is not None and (numeric or ordered or orderings):
+        for name in sorted(set(n.facts(prepared).relation_refs)):
+            if name not in database:
                 continue
-            if attr in numeric:
+            for attr, types in _column_types(database[name]).items():
+                if types - _STRING_TYPES:
+                    numbers.add(attr)
+                if str not in types:
+                    continue
+                if attr in numeric:
+                    return (
+                        f"column {name}.{attr} holds text under sum/avg or "
+                        "arithmetic (SQLite reads it as a number)"
+                    )
+                if attr in ordered and len(types) > 1:
+                    return (
+                        f"column {name}.{attr} mixes text and numbers under "
+                        "min/max (SQLite orders them; the engine refuses)"
+                    )
+                texts.setdefault(attr, f"column {name}.{attr}")
+    for op, left, right in orderings:
+        for text_side, number_side in ((left, right), (right, left)):
+            text = sorted(texts.keys() & text_side)
+            if text and not numbers.isdisjoint(number_side):
                 return (
-                    f"column {name}.{attr} holds text under sum/avg or "
-                    "arithmetic (SQLite reads it as a number)"
-                )
-            if attr in ordered and len(types) > 1:
-                return (
-                    f"column {name}.{attr} mixes text and numbers under "
-                    "min/max (SQLite orders them; the engine refuses)"
+                    f"{op} compares text ({texts[text[0]]}) with a number "
+                    "(SQLite orders text after every number; the engine "
+                    "answers FALSE)"
                 )
     return None
 
@@ -732,11 +769,9 @@ def _shape_result(prepared, raw):
         return Truth.TRUE if raw and raw[0][0] else Truth.FALSE
     head = main.head
     attrs = tuple(head.attrs)
-    # Deduplicate the raw rows first: cursor rows are plain tuples of
-    # primitives, which hash at C speed, so a bag result with duplicates
-    # (e.g. a projection) builds each distinct Tuple once instead of per
-    # occurrence.  Distinct cursor rows make distinct Tuples, so their
-    # counts carry over as they are.
+    # Cursor rows are plain tuples of primitives, which hash at C speed:
+    # counting them gives the value-backed answer's rows directly, and
+    # no Tuple is built unless a caller reads the rows by name.
     counts = Counter(raw)
     # One cursor: every row is as wide as the first.
     width = len(next(iter(counts), attrs))
@@ -745,10 +780,10 @@ def _shape_result(prepared, raw):
             f"SQLite returned {width} columns for head "
             f"{head.name}({', '.join(attrs)})"
         )
-    rows = [
-        [NULL if v is None else v for v in values] if None in values else values
-        for values in counts
-    ]
-    tuples = map(Tuple._adopt, map(dict, map(zip, repeat(attrs), rows)))
-    counter = Counter(dict(zip(tuples, counts.values())))
-    return Relation._adopt_counter(head.name, attrs, counter)
+    if None in chain.from_iterable(counts):
+        counts = {
+            tuple([NULL if v is None else v for v in values])
+            if None in values else values: mult
+            for values, mult in counts.items()
+        }
+    return Relation._adopt_values(head.name, attrs, counts)

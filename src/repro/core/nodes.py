@@ -528,7 +528,7 @@ class Facts(NamedTuple):
     # Operands, not the nodes: a record that held its own node (the key
     # of its weak cache entry) would keep that entry alive forever.
     arithmetic: tuple  # (op, left, right) of each Arith, in pre-order
-    equalities: tuple  # (left, right) of each "=" Comparison, in pre-order
+    comparisons: tuple  # (op, left, right) of each Comparison, in pre-order
 
 
 _FACTS = weakref.WeakKeyDictionary()
@@ -547,7 +547,7 @@ def facts(node):
     found = _FACTS.get(node)
     if found is not None:
         return found
-    refs, heads, aggregates, arithmetic, equalities = [], set(), [], [], []
+    refs, heads, aggregates, arithmetic, comparisons = [], set(), [], [], []
     null_literal = negated_quantifier = False
     stack = [(node, False)]
     while stack:
@@ -563,8 +563,7 @@ def facts(node):
         elif isinstance(sub, Arith):
             arithmetic.append((sub.op, sub.left, sub.right))
         elif isinstance(sub, Comparison):
-            if sub.op == "=":
-                equalities.append((sub.left, sub.right))
+            comparisons.append((sub.op, sub.left, sub.right))
         elif isinstance(sub, Quantifier):
             negated_quantifier = negated_quantifier or negated
         elif isinstance(sub, Not):
@@ -579,7 +578,7 @@ def facts(node):
         null_literal,
         negated_quantifier,
         tuple(arithmetic),
-        tuple(equalities),
+        tuple(comparisons),
     )
     return found
 

@@ -6,12 +6,25 @@ position, and whether a relation is a set or a bag is a *convention*, not a
 property of the query language (Section 2.7).  A :class:`Relation` therefore
 always stores tuples with multiplicities; ``distinct()`` and the evaluator's
 conventions decide when duplicates are collapsed.
+
+A served answer, though, is read positionally: its rows in schema order,
+sorted into the canonical row order (:meth:`Relation.sorted_values`).  An
+answer that arrives as value rows — the SQLite backend's cursor rows — is
+therefore kept *value-backed* (:meth:`Relation._adopt_values`): a dict of
+distinct value tuples in schema order mapped to their multiplicities.
+``len()``, :meth:`~Relation.sorted_values` and the renderings built on it
+read that dict directly, so serving such an answer builds no
+:class:`Tuple` per row.  Any other access — equality, iteration,
+``counter()``, indexes, ``add`` and the derivations — first builds the
+named tuples (late materialization), after which the value dict is dropped
+and the relation behaves exactly like one built from tuples.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
+from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
@@ -131,6 +144,11 @@ class Relation:
         positional sequence matched against *schema*.
     """
 
+    #: Distinct value tuples in schema order -> multiplicity, while the
+    #: relation is value-backed (see :meth:`_adopt_values`); None once the
+    #: :class:`Tuple` rows exist, and always for a relation built from rows.
+    _value_rows = None
+
     def __init__(self, name, schema, rows=()):
         self.name = name
         self.schema = tuple(schema)
@@ -232,6 +250,36 @@ class Relation:
         rel._rows = counter
         return rel
 
+    @classmethod
+    def _adopt_values(cls, name, schema, value_rows):
+        """Take ownership of a value-tuple -> multiplicity dict: a
+        value-backed relation whose :class:`Tuple` rows are built only when
+        something first reads them (see the module docstring).
+
+        Internal fast path: every key must be a tuple of *schema*'s width in
+        schema order, holding ``NULL`` (not ``None``) for a missing value;
+        every multiplicity must be positive.
+        """
+        rel = cls(name, schema)
+        del rel._rows  # uncovers the on-demand builder below
+        rel._value_rows = value_rows
+        return rel
+
+    @cached_property
+    def _rows(self):
+        """The Tuple -> multiplicity Counter of a value-backed relation,
+        built on first read.  Every relation built from rows holds a plain
+        ``_rows`` attribute, which shadows this, so it costs them nothing."""
+        value_rows = self._value_rows
+        if value_rows is None:  # another thread built it first
+            return self.__dict__["_rows"]
+        tuples = map(Tuple._adopt, map(dict, map(zip, repeat(self.schema), value_rows)))
+        rows = self.__dict__["_rows"] = Counter(dict(zip(tuples, value_rows.values())))
+        # Dropped only once the Counter is in place, so a concurrent reader
+        # of len() or sorted_values() always finds one of the two.
+        self._value_rows = None
+        return rows
+
     # -- hash indexes ------------------------------------------------------
 
     def index_on(self, attrs):
@@ -332,7 +380,8 @@ class Relation:
 
     def __len__(self):
         """Bag cardinality (total number of tuples, counting duplicates)."""
-        return sum(self._rows.values())
+        value_rows = self._value_rows
+        return sum((self._rows if value_rows is None else value_rows).values())
 
     def distinct_count(self):
         return len(self._rows)
@@ -412,18 +461,25 @@ class Relation:
         order, column by column.
 
         This is the one owner of the order every deterministic rendering
-        uses (served bodies, tables, CSV, reports, fingerprints).
+        uses (served bodies, tables, CSV, reports, fingerprints).  A
+        value-backed relation answers from its value rows, building no
+        :class:`Tuple`.
         """
-        dicts = list(map(_TUPLE_VALUES, self._rows))
-        schema = self.schema
-        if len(schema) > 1:
-            rows = list(map(itemgetter(*schema), dicts))
-        elif schema:
-            rows = list(zip(map(itemgetter(schema[0]), dicts)))
+        counts = self._value_rows
+        if counts is not None:
+            rows = list(counts)
         else:
-            rows = [()] * len(dicts)
-        if len(dicts) != len(self):
-            rows = list(chain.from_iterable(map(repeat, rows, self._rows.values())))
+            counts = self._rows
+            dicts = list(map(_TUPLE_VALUES, counts))
+            schema = self.schema
+            if len(schema) > 1:
+                rows = list(map(itemgetter(*schema), dicts))
+            elif schema:
+                rows = list(zip(map(itemgetter(schema[0]), dicts)))
+            else:
+                rows = [()] * len(dicts)
+        if len(rows) != sum(counts.values()):
+            rows = list(chain.from_iterable(map(repeat, rows, counts.values())))
         sort_canonical(rows)
         return rows
 

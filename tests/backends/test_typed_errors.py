@@ -119,6 +119,39 @@ def test_text_reaching_a_sum_through_a_derived_table_is_refused():
     assert _error(text, db, "sqlite") == _error(text, db, "reference")
 
 
+ORDERINGS = [
+    "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.B > 1]}",
+    "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ ¬(r.B > 1)]}",
+    "{Q(A) | ∃g ∈ {G(a, v) | ∃r ∈ R[G.a = r.A ∧ G.v = r.B]}[Q.A = g.a ∧ 1 >= g.v]}",
+]
+
+
+@pytest.mark.parametrize("text", ORDERINGS)
+def test_ordering_text_against_a_number_agrees_with_the_oracle(text):
+    """SQLite orders text after every number; the engine answers FALSE to
+    ``'x' > 1``, so SQLite refuses and the planner answers."""
+    db = _db([(1, 2), (2, "x"), (3, 5)])
+    reasons = sqlite_exec.SqliteBackend().capabilities(parse(text), SQL_CONVENTIONS, db)
+    assert any("compares text (column R.B) with a number" in r for r in reasons), reasons
+    with pytest.warns(BackendFallbackWarning):
+        sqlite = _run(text, db, "sqlite")
+    assert sqlite == _run(text, db, "reference") == _run(text, db, "planner")
+
+
+def test_ordering_text_against_text_still_runs_natively():
+    db = repro.Database()
+    db.create("R", ("A", "name"), [(1, "ab"), (2, "b"), (3, "é")])
+    text = "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.name > 'b']}"
+    assert sqlite_exec.SqliteBackend().capabilities(
+        parse(text), SQL_CONVENTIONS, db
+    ) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BackendFallbackWarning)
+        sqlite = _run(text, db, "sqlite")
+    assert sqlite == _run(text, db, "reference")
+    assert [row["A"] for row in sqlite.sorted_rows()] == [3]
+
+
 def test_aggregate_head_assignment_duplicating_a_plain_one_agrees():
     """SQL's select item holds one expression, so SQLite refuses the shape
     instead of dropping the plain assignment."""

@@ -104,10 +104,8 @@ def ref_facts(node):
         "arithmetic": tuple(
             (s.op, s.left, s.right) for s in walked if isinstance(s, n.Arith)
         ),
-        "equalities": tuple(
-            (s.left, s.right)
-            for s in walked
-            if isinstance(s, n.Comparison) and s.op == "="
+        "comparisons": tuple(
+            (s.op, s.left, s.right) for s in walked if isinstance(s, n.Comparison)
         ),
     }
 

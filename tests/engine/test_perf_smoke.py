@@ -461,3 +461,42 @@ def test_grouped_aggregates_walk_once_per_scope_not_per_group(monkeypatch, plann
         walks.append(counts["children"] - before)
         assert len(result) == groups
     assert walks[0] == walks[1], walks
+
+
+def test_serving_a_sqlite_answer_builds_no_tuple(monkeypatch):
+    """A multi-row SQLite answer goes cursor -> value rows -> canonical
+    sort -> response body without a :class:`Tuple` per row; the tuples are
+    built only when a caller reads the rows by name."""
+    from repro.api import Session
+    from repro.api.serve import _result_body
+    from repro.core.conventions import SQL_CONVENTIONS
+    from repro.data import NULL, Tuple
+
+    db = Database()
+    db.create("R", ("A", "B"), [(i % 50, NULL if i % 7 == 0 else i) for i in range(200)])
+    db.create("S", ("A",), [(1,), (1,), (2,)])
+    prepared = Session(db, SQL_CONVENTIONS).prepare(
+        "{Q(A, B) | ∃r ∈ R[Q.A = r.A ∧ Q.B = r.B]}"
+    )
+    bag = Session(db, SQL_CONVENTIONS).prepare("{Q(A) | ∃s ∈ S[Q.A = s.A]}")
+    built = []
+    adopt, init = Tuple._adopt.__func__, Tuple.__init__
+
+    def counting_adopt(cls, values):
+        built.append(values)
+        return adopt(cls, values)
+
+    def counting_init(self, values):
+        built.append(values)
+        init(self, values)
+
+    monkeypatch.setattr(Tuple, "_adopt", classmethod(counting_adopt))
+    monkeypatch.setattr(Tuple, "__init__", counting_init)
+    for query, rows in ((prepared, 200), (prepared, 200), (bag, 3)):
+        info = query.run_info(backend="sqlite")
+        body = _result_body(info["result"], info["fallback_reasons"])
+        assert body["fallback"] == [] and body["row_count"] == len(body["rows"]) == rows
+    assert body["rows"] == [[1], [1], [2]]
+    assert built == []
+    info["result"].counter()
+    assert len(built) == 2
