@@ -95,6 +95,15 @@ _RETRY_BASE_S = 0.01
 #: milliseconds; large enough to stay invisible on the warm serve path.
 _PROGRESS_STRIDE = 4096
 
+#: Rows per fetch between deadline checks.  Each fetched row takes the GIL
+#: back, which a busy Python thread can hold off for milliseconds per row,
+#: and the progress handler counts VM instructions, not that wait: beside
+#: a busy thread, 4096 instructions of a streaming ``WITH RECURSIVE`` took
+#: 0.36–1.27 s to fetch on a 2-CPU host.  So a deadline-armed fetch also
+#: reads the clock once per this many rows.
+_FETCH_ROWS = 32
+
+
 class _ThreadCache(threading.local):
     """The calling thread's fingerprint → in-memory connection LRU."""
 
@@ -732,16 +741,14 @@ class SqliteBackend(Backend):
                     cursor = execute_with_retry(
                         conn, sql, stats_obj=context.stats, tracer=tracer
                     )
-                    if deadline is not None and deadline.max_rows is not None:
-                        raw = []
-                        while True:
-                            chunk = cursor.fetchmany(256)
-                            if not chunk:
-                                break
-                            deadline.count_rows(len(chunk))
-                            raw.extend(chunk)
-                    else:
+                    if deadline is None:
                         raw = cursor.fetchall()
+                    else:
+                        raw = []
+                        while chunk := cursor.fetchmany(_FETCH_ROWS):
+                            deadline.count_rows(len(chunk))
+                            deadline.check()
+                            raw.extend(chunk)
                 except sqlite3.Error as exc:
                     if armed and deadline.expired():
                         raise QueryTimeout(

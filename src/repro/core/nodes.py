@@ -571,7 +571,7 @@ def facts(node):
         stack.extend((child, negated) for child in reversed(sub.children()))
     # Tuples (and the shared empty frozenset) keep the many small records
     # of leaf comparisons cheap to hold.
-    found = _FACTS[node] = Facts(
+    found = Facts(
         tuple(refs),
         frozenset(heads) if heads else _NO_HEADS,
         tuple(aggregates),
@@ -580,6 +580,10 @@ def facts(node):
         tuple(arithmetic),
         tuple(comparisons),
     )
+    # An AggCall root's record lists the node itself among its aggregates,
+    # so caching it would keep its own weak key alive: it is rebuilt instead.
+    if not isinstance(node, AggCall):
+        _FACTS[node] = found
     return found
 
 

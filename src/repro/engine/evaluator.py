@@ -35,6 +35,7 @@ from collections import Counter
 
 from ..core import nodes as n
 from ..core.conventions import Conventions, SET_CONVENTIONS
+from ..core.scopes import assignment_of, split_scope
 from ..data.database import Database
 from ..data.relation import Relation, Tuple
 from ..data.values import (
@@ -96,6 +97,10 @@ class _JoinContext:
 
     def truth(self, formula, env):
         return self._evaluator._truth(formula, env)
+
+
+#: The head a sentence's scopes classify against: no attribute to assign.
+_NO_HEAD = n.Head("", ())
 
 
 class _ScopePlan:
@@ -167,7 +172,10 @@ class Evaluator:
         #: fixpoint checks per round, and collection emission counts rows
         #: against the budget.
         self.deadline = deadline
-        self._head_stack = []
+        #: Heads of the collections being evaluated, innermost last; a
+        #: sentence's scopes read the bottom head, which has no attributes
+        #: and so is never assigned.
+        self._head_stack = [_NO_HEAD]
 
     # -- public API -----------------------------------------------------------
 
@@ -231,7 +239,7 @@ class Evaluator:
     def _eval_collection(self, coll, env):
         """Evaluate a collection under *env*; returns Counter[Tuple]."""
         tracer = self.tracer
-        if tracer is not None and not self._head_stack:
+        if tracer is not None and len(self._head_stack) == 1:
             # Only the top-level collection gets a span: laterally nested
             # collections re-evaluate per outer row and must stay span-free.
             with tracer.span("scope.execute", head=coll.head.name) as span:
@@ -297,7 +305,7 @@ class Evaluator:
             yield from self._solutions_and(formula, env, top=top)
             return
         if isinstance(formula, n.Comparison):
-            target = self._assignment_attr(formula)
+            target = assignment_of(formula, self._head_stack[-1])
             if target is not None:
                 attr, expr = target
                 yield {attr: self._eval_expr(expr, env)}, 1
@@ -511,8 +519,6 @@ class Evaluator:
 
     def _head_key(self):
         """Cache key for head-dependent classifications of a scope."""
-        if not self._head_stack:
-            return None
         head = self._head_stack[-1]
         return (head.name, head.attrs)
 
@@ -578,32 +584,22 @@ class Evaluator:
 
     def _classify_scope(self, quant):
         plan = _ScopePlan()
-        agg_assigners = []
-        for conjunct in n.conjuncts(quant.body):
-            if isinstance(conjunct, n.Comparison):
-                target = self._assignment_attr(conjunct)
-                if target is not None:
-                    attr, expr = target
-                    if conjunct.has_aggregate():
-                        plan.agg_assignments.append((attr, expr))
-                        agg_assigners.append(conjunct)
-                    else:
-                        plan.assignments.append((attr, expr))
-                    continue
-                if conjunct.has_aggregate():
-                    plan.agg_comparisons.append(conjunct)
-                    continue
-                plan.row_formulas.append(conjunct)
-                continue
-            if self._emits(conjunct):
-                plan.emitters.append(conjunct)
+        (
+            plan.assignments,
+            plan.agg_assignments,
+            plan.agg_comparisons,
+            formulas,
+        ) = split_scope(self._head_stack[-1], quant)
+        for formula in formulas:
+            if self._emits(formula):
+                plan.emitters.append(formula)
             else:
-                plan.row_formulas.append(conjunct)
+                plan.row_formulas.append(formula)
+        agg_formulas = [expr for _, expr in plan.agg_assignments]
+        agg_formulas += plan.agg_comparisons
         plan.aggregates = tuple(
             dict.fromkeys(
-                agg
-                for conjunct in agg_assigners + plan.agg_comparisons
-                for agg in n.facts(conjunct).aggregates
+                agg for formula in agg_formulas for agg in n.facts(formula).aggregates
             )
         )
         if quant.grouping is not None:
@@ -614,36 +610,14 @@ class Evaluator:
             )
         return plan
 
-    def _assignment_attr(self, predicate):
-        """Return (attr, value-expression) when *predicate* assigns the
-        current head; the head side must be ``H.attr`` with ``op == '='``."""
-        if not self._head_stack or predicate.op != "=":
-            return None
-        head = self._head_stack[-1]
-        left, right = predicate.left, predicate.right
-        if self._is_head_attr(left, head) and not self._is_head_attr(right, head):
-            return (left.attr, right)
-        if self._is_head_attr(right, head) and not self._is_head_attr(left, head):
-            return (right.attr, left)
-        return None
-
-    @staticmethod
-    def _is_head_attr(expr, head):
-        return (
-            isinstance(expr, n.Attr)
-            and expr.var == head.name
-            and expr.attr in head.attrs
-        )
-
     def _emits(self, formula):
         """True when *formula* contains a positive assignment to the current
         head (so it must be enumerated, not just tested)."""
-        if not self._head_stack:
-            return False
+        head = self._head_stack[-1]
 
         def walk(node, negated):
             if isinstance(node, n.Comparison):
-                return not negated and self._assignment_attr(node) is not None
+                return not negated and assignment_of(node, head) is not None
             if isinstance(node, (n.And, n.Or)):
                 return any(walk(c, negated) for c in node.children_list)
             if isinstance(node, n.Not):

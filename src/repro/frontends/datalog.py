@@ -27,6 +27,7 @@ least fixed point.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from itertools import count as _counter
 
 from ..core import nodes as n
@@ -86,6 +87,36 @@ class Rule:
         self.head_predicate = head_predicate
         self.head_args = head_args  # list of _Var | _Const | AggLit
         self.body = body  # list of Atom | CompareLit | AggLit
+
+
+def bind_atom(atom, schema, ids, scope, conjuncts):
+    """Bind a positional *atom* to a fresh range variable; return its Binding.
+
+    The variable is the predicate's initial and the next of *ids*; argument
+    *i* reads its attribute ``schema[i]``.  A wildcard binds nothing, a
+    constant or a variable *scope* already binds becomes an equality in
+    *conjuncts*, and any other variable is bound in *scope* on this first
+    occurrence — except in a negated atom, which cannot bind (range
+    restriction).  Datalog's rule bodies, aggregate bodies and negated atoms
+    and Rel's atoms all read atoms through this one binder.
+    """
+    var = f"{atom.predicate.lower()[:1]}{next(ids)}"
+    for attr, arg in zip(schema, atom.args):
+        if isinstance(arg, _Wildcard):
+            continue
+        here = n.Attr(var, attr)
+        if isinstance(arg, _Const):
+            conjuncts.append(n.Comparison(here, "=", n.Const(arg.value)))
+        elif arg.name in scope:
+            conjuncts.append(n.Comparison(here, "=", scope[arg.name]))
+        elif atom.negated:
+            raise ParseError(
+                f"variable {arg.name!r} in a negated atom must be "
+                "bound by a positive atom (range restriction)"
+            )
+        else:
+            scope[arg.name] = here
+    return n.Binding(var, n.RelationRef(atom.predicate))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +361,7 @@ class _DatalogTranslator:
         aggregates = [l for l in rule.body if isinstance(l, AggLit)]
 
         for atom in positives:
-            bindings.append(self._bind_atom(atom, var_map, conjuncts))
+            self._translate_atom(atom, var_map, bindings, conjuncts)
         # Aggregates before comparisons: an aggregate literal *binds* its
         # target variable, and Soufflé-style bodies filter on that target
         # (``ct = count v : {...}, ct >= 2``) regardless of literal order.
@@ -341,7 +372,7 @@ class _DatalogTranslator:
         for comparison in comparisons:
             conjuncts.append(self._translate_comparison(comparison, var_map))
         for atom in negatives:
-            conjuncts.append(self._translate_negated(atom, var_map))
+            self._translate_atom(atom, var_map, bindings, conjuncts)
 
         assignments = []
         for attr, arg in zip(head_attrs, rule.head_args):
@@ -367,45 +398,15 @@ class _DatalogTranslator:
 
         return n.Quantifier(bindings, n.make_and(conjuncts + assignments))
 
-    def _bind_atom(self, atom, var_map, conjuncts):
+    def _translate_atom(self, atom, scope, bindings, conjuncts):
+        """A positive atom joins *bindings*; a negated one becomes ``¬∃``."""
         schema = self._relation_schema(atom.predicate, len(atom.args))
-        var = self._fresh(atom.predicate.lower()[:1] or "r")
-        for attr, arg in zip(schema, atom.args):
-            if isinstance(arg, _Wildcard):
-                continue
-            if isinstance(arg, _Const):
-                conjuncts.append(
-                    n.Comparison(n.Attr(var, attr), "=", n.Const(arg.value))
-                )
-            elif isinstance(arg, _Var):
-                if arg.name in var_map:
-                    conjuncts.append(
-                        n.Comparison(n.Attr(var, attr), "=", var_map[arg.name])
-                    )
-                else:
-                    var_map[arg.name] = n.Attr(var, attr)
-        return n.Binding(var, n.RelationRef(atom.predicate))
-
-    def _translate_negated(self, atom, var_map):
-        schema = self._relation_schema(atom.predicate, len(atom.args))
-        var = self._fresh(atom.predicate.lower()[:1] or "r")
+        if not atom.negated:
+            bindings.append(bind_atom(atom, schema, self._ids, scope, conjuncts))
+            return
         equalities = []
-        for attr, arg in zip(schema, atom.args):
-            if isinstance(arg, _Wildcard):
-                continue
-            if isinstance(arg, _Const):
-                equalities.append(n.Comparison(n.Attr(var, attr), "=", n.Const(arg.value)))
-            elif isinstance(arg, _Var):
-                if arg.name not in var_map:
-                    raise ParseError(
-                        f"variable {arg.name!r} in a negated atom must be "
-                        "bound by a positive atom (range restriction)"
-                    )
-                equalities.append(n.Comparison(n.Attr(var, attr), "=", var_map[arg.name]))
-        quant = n.Quantifier(
-            [n.Binding(var, n.RelationRef(atom.predicate))], n.make_and(equalities)
-        )
-        return n.Not(quant)
+        binding = bind_atom(atom, schema, self._ids, scope, equalities)
+        conjuncts.append(n.Not(n.Quantifier([binding], n.make_and(equalities))))
 
     def _translate_comparison(self, comparison, var_map):
         return n.Comparison(
@@ -432,26 +433,19 @@ class _DatalogTranslator:
         """
         inner_name = self._fresh("X")
         value_attr = "val"
-        inner_map = {}
+        # Writes land in the aggregate's own scope; reads fall through to
+        # the rule's variables, which correlate the body (FOI).
+        scope = ChainMap({}, outer_var_map)
         inner_bindings = []
         inner_conjuncts = []
         for literal in aggregate.body:
             if isinstance(literal, Atom):
-                if literal.negated:
-                    inner_conjuncts.append(
-                        self._translate_negated_inner(literal, inner_map, outer_var_map)
-                    )
-                else:
-                    inner_bindings.append(
-                        self._bind_atom_inner(
-                            literal, inner_map, outer_var_map, inner_conjuncts
-                        )
-                    )
+                self._translate_atom(literal, scope, inner_bindings, inner_conjuncts)
             elif isinstance(literal, CompareLit):
-                merged = {**outer_var_map, **inner_map}
-                inner_conjuncts.append(self._translate_comparison(literal, merged))
+                inner_conjuncts.append(self._translate_comparison(literal, scope))
             else:
                 raise ParseError("nested aggregates are not supported")
+        inner_map = scope.maps[0]
         if aggregate.value_var is None:
             agg_expr = n.AggCall("count", None)
         else:
@@ -468,29 +462,3 @@ class _DatalogTranslator:
         collection = n.Collection(n.Head(inner_name, (value_attr,)), quant)
         var = self._fresh("x")
         return n.Binding(var, collection), value_attr
-
-    def _bind_atom_inner(self, atom, inner_map, outer_var_map, conjuncts):
-        schema = self._relation_schema(atom.predicate, len(atom.args))
-        var = self._fresh(atom.predicate.lower()[:1] or "r")
-        for attr, arg in zip(schema, atom.args):
-            if isinstance(arg, _Wildcard):
-                continue
-            if isinstance(arg, _Const):
-                conjuncts.append(n.Comparison(n.Attr(var, attr), "=", n.Const(arg.value)))
-            elif isinstance(arg, _Var):
-                if arg.name in inner_map:
-                    conjuncts.append(
-                        n.Comparison(n.Attr(var, attr), "=", inner_map[arg.name])
-                    )
-                elif arg.name in outer_var_map:
-                    # Correlation with the outer rule: the FOI pattern.
-                    conjuncts.append(
-                        n.Comparison(n.Attr(var, attr), "=", outer_var_map[arg.name])
-                    )
-                else:
-                    inner_map[arg.name] = n.Attr(var, attr)
-        return n.Binding(var, n.RelationRef(atom.predicate))
-
-    def _translate_negated_inner(self, atom, inner_map, outer_var_map):
-        merged = {**outer_var_map, **inner_map}
-        return self._translate_negated(atom, merged)

@@ -23,6 +23,7 @@ from itertools import count as _counter
 from ..core import nodes as n
 from ..core.lexer import EOF, IDENT, NUMBER, STRING, TokenCursor, literal_value
 from ..errors import ParseError
+from .datalog import Atom, _Const, _Var, bind_atom
 
 AGGREGATE_WORDS = {
     "sum": "sum",
@@ -44,13 +45,7 @@ class RelDef:
     def __init__(self, name, params, literals):
         self.name = name
         self.params = params  # head variable names
-        self.literals = literals  # list of RelAgg | RelCompare | RelAtom
-
-
-class RelAtom:
-    def __init__(self, predicate, args):
-        self.predicate = predicate
-        self.args = args  # variable names or constants
+        self.literals = literals  # list of RelAgg | Atom
 
 
 class RelAgg:
@@ -60,7 +55,7 @@ class RelAgg:
     def __init__(self, func, tuple_vars, body, target=None, op=None, value=None):
         self.func = func
         self.tuple_vars = tuple_vars
-        self.body = body  # list of RelAtom
+        self.body = body  # list of Atom
         self.target = target
         self.op = op
         self.value = value
@@ -150,14 +145,14 @@ class _RelParser(TokenCursor):
             self._next()
             args.append(self._parse_arg())
         self._expect_symbol(")")
-        return RelAtom(predicate, args)
+        return Atom(predicate, args)
 
     def _parse_arg(self):
         token = self._next()
         if token.type == IDENT:
-            return token.value
+            return _Var(token.value)
         if token.type in (NUMBER, STRING):
-            return ("const", literal_value(token))
+            return _Const(literal_value(token))
         raise ParseError(
             f"expected atom argument, got {token.value!r}", token.line, token.column
         )
@@ -197,25 +192,16 @@ def _translate_def(definition, database, head_name):
     ids = _counter(1)
     bindings = []
     conjuncts = []
-    key_sources = {}  # head param -> Attr producing it
-
-    plain_atoms = [l for l in definition.literals if isinstance(l, RelAtom)]
-    aggregates = [l for l in definition.literals if isinstance(l, RelAgg)]
-
     var_map = {}
-    for atom in plain_atoms:
-        schema = _schema(atom.predicate, len(atom.args), database)
-        var = f"{atom.predicate.lower()[:1]}{next(ids)}"
-        bindings.append(n.Binding(var, n.RelationRef(atom.predicate)))
-        for attr, arg in zip(schema, atom.args):
-            if isinstance(arg, tuple):  # constant
-                conjuncts.append(n.Comparison(n.Attr(var, attr), "=", n.Const(arg[1])))
-            elif arg in var_map:
-                conjuncts.append(n.Comparison(n.Attr(var, attr), "=", var_map[arg]))
-            else:
-                var_map[arg] = n.Attr(var, attr)
-                if arg in definition.params:
-                    key_sources[arg] = n.Attr(var, attr)
+    for literal in definition.literals:
+        if isinstance(literal, Atom):
+            schema = _schema(literal.predicate, len(literal.args), database)
+            bindings.append(bind_atom(literal, schema, ids, var_map, conjuncts))
+    # head param -> Attr producing it
+    key_sources = {
+        name: attr for name, attr in var_map.items() if name in definition.params
+    }
+    aggregates = [l for l in definition.literals if isinstance(l, RelAgg)]
 
     for aggregate in aggregates:
         collection, keys, value_attr = _translate_aggregate(
@@ -265,24 +251,13 @@ def _translate_aggregate(aggregate, definition, database, ids):
     inner_map = {}
     inner_bindings = []
     inner_conjuncts = []
-    keys = []  # head params mentioned in the aggregate body (grouping keys)
     for atom in aggregate.body:
         schema = _schema(atom.predicate, len(atom.args), database)
-        var = f"{atom.predicate.lower()[:1]}{next(ids)}"
-        inner_bindings.append(n.Binding(var, n.RelationRef(atom.predicate)))
-        for attr, arg in zip(schema, atom.args):
-            if isinstance(arg, tuple):
-                inner_conjuncts.append(
-                    n.Comparison(n.Attr(var, attr), "=", n.Const(arg[1]))
-                )
-            elif arg in inner_map:
-                inner_conjuncts.append(
-                    n.Comparison(n.Attr(var, attr), "=", inner_map[arg])
-                )
-            else:
-                inner_map[arg] = n.Attr(var, attr)
-                if arg in definition.params and arg not in keys:
-                    keys.append(arg)
+        inner_bindings.append(
+            bind_atom(atom, schema, ids, inner_map, inner_conjuncts)
+        )
+    # The head params the body mentions, in binding order: the grouping keys.
+    keys = [name for name in inner_map if name in definition.params]
 
     value_var = aggregate.tuple_vars[-1]
     if value_var not in inner_map:
@@ -294,10 +269,7 @@ def _translate_aggregate(aggregate, definition, database, ids):
     assignments = [
         n.Comparison(n.Attr(inner_name, key), "=", inner_map[key]) for key in keys
     ]
-    if aggregate.func == "count":
-        agg_expr = n.AggCall("count", inner_map[value_var])
-    else:
-        agg_expr = n.AggCall(aggregate.func, inner_map[value_var])
+    agg_expr = n.AggCall(aggregate.func, inner_map[value_var])
     assignments.append(n.Comparison(n.Attr(inner_name, value_attr), "=", agg_expr))
     quant = n.Quantifier(
         inner_bindings,

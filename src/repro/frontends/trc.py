@@ -14,14 +14,18 @@ ARC makes two changes (the paper's Section 2.1):
    expressions become explicit *assignment predicates*
    (``{r.A | ...}`` becomes ``{Q(A) | ∃...[Q.A = r.A ∧ ...]}``).
 
-This module parses the loose textbook syntax and performs both steps,
-producing a strict ARC collection.
+The textbook syntax is ARC's own formula and expression grammar
+(:mod:`repro.core.parser`) plus two textbook forms: membership ``r ∈ R``
+as a predicate, and a quantifier ``∃s[...]`` whose variable has no
+source.  This module parses it and performs both steps, producing a
+strict ARC collection.
 """
 
 from __future__ import annotations
 
 from ..core import nodes as n
-from ..core.lexer import IDENT, KEYWORD, NUMBER, STRING, TokenCursor, literal_value
+from ..core.lexer import IDENT
+from ..core.parser import _Parser
 from ..errors import ParseError
 
 
@@ -62,12 +66,14 @@ def parse_trc(text):
     return _TrcParser(text).parse_query()
 
 
-class _TrcParser(TokenCursor):
+class _TrcParser(_Parser):
+    """ARC's formula and expression grammar plus the two textbook forms:
+    membership ``r ∈ R`` as a predicate, and ``∃s[...]`` without a source."""
+
     def parse_query(self):
         self._expect_symbol("{")
+        # Tuple heads ({r.A, s.B | ...}) are a comma list of expressions.
         head_exprs = [self._parse_expr()]
-        # Tuple heads: {(r.A, s.B) | ...} are parenthesized by _parse_expr
-        # only for single expressions; accept comma lists directly.
         while self._peek().is_symbol(","):
             self._next()
             head_exprs.append(self._parse_expr())
@@ -77,59 +83,14 @@ class _TrcParser(TokenCursor):
         self._expect_end()
         return LooseQuery(head_exprs, body)
 
-    def _parse_or(self):
-        parts = [self._parse_and()]
-        while self._peek().is_keyword("or"):
-            self._next()
-            parts.append(self._parse_and())
-        if len(parts) == 1:
-            return parts[0]
-        return n.Or(parts)
-
-    def _parse_and(self):
-        parts = [self._parse_unary()]
-        while self._peek().is_keyword("and"):
-            self._next()
-            parts.append(self._parse_unary())
-        if len(parts) == 1:
-            return parts[0]
-        return n.And(parts)
-
     def _parse_unary(self):
-        token = self._peek()
-        if token.is_keyword("not"):
-            self._next()
-            return n.Not(self._parse_unary())
-        if token.is_keyword("exists"):
-            return self._parse_exists()
-        if token.is_symbol("("):
-            saved = self._pos
-            try:
-                self._next()
-                inner = self._parse_or()
-                self._expect_symbol(")")
-                return inner
-            except ParseError:
-                self._pos = saved
-        # Membership or comparison.
-        if (
-            token.type == IDENT
-            and self._peek(1).is_keyword("in")
-        ):
+        if self._peek().type == IDENT and self._peek(1).is_keyword("in"):
             var = self._next().value
             self._next()
-            relation_token = self._next()
-            if relation_token.type != IDENT:
-                raise ParseError(
-                    f"expected relation name, got {relation_token.value!r}",
-                    relation_token.line,
-                    relation_token.column,
-                )
-            return Membership(var, relation_token.value)
-        return self._parse_comparison()
-
-    def _parse_exists(self):
-        self._next()  # exists
+            return Membership(var, self._relation_name())
+        if not self._peek().is_keyword("exists"):
+            return super()._parse_unary()
+        self._next()
         items = []
         while True:
             token = self._next()
@@ -137,92 +98,26 @@ class _TrcParser(TokenCursor):
                 raise ParseError(
                     f"expected variable, got {token.value!r}", token.line, token.column
                 )
-            var = token.value
             relation = None
             if self._peek().is_keyword("in"):
                 self._next()
-                rel_token = self._next()
-                if rel_token.type != IDENT:
-                    raise ParseError(
-                        f"expected relation name, got {rel_token.value!r}",
-                        rel_token.line,
-                        rel_token.column,
-                    )
-                relation = rel_token.value
-            items.append((var, relation))
-            if self._peek().is_symbol(","):
-                self._next()
-                continue
-            break
+                relation = self._relation_name()
+            items.append((token.value, relation))
+            if not self._peek().is_symbol(","):
+                break
+            self._next()
         self._expect_symbol("[")
         body = self._parse_or()
         self._expect_symbol("]")
         return LooseExists(items, body)
 
-    def _parse_comparison(self):
-        left = self._parse_expr()
+    def _relation_name(self):
         token = self._next()
-        if token.is_keyword("is"):
-            negated = False
-            if self._peek().is_keyword("not"):
-                self._next()
-                negated = True
-            null_token = self._next()
-            if not null_token.is_keyword("null"):
-                raise ParseError("expected NULL after IS")
-            return n.IsNull(left, negated)
-        if not token.is_symbol("=", "<>", "!=", "<", "<=", ">", ">="):
+        if token.type != IDENT:
             raise ParseError(
-                f"expected comparison operator, got {token.value!r}",
-                token.line,
-                token.column,
+                f"expected relation name, got {token.value!r}", token.line, token.column
             )
-        right = self._parse_expr()
-        return n.Comparison(left, token.value, right)
-
-    def _parse_expr(self):
-        left = self._parse_term()
-        while self._peek().is_symbol("+", "-"):
-            op = self._next().value
-            left = n.Arith(op, left, self._parse_term())
-        return left
-
-    def _parse_term(self):
-        left = self._parse_factor()
-        while self._peek().is_symbol("*", "/", "%"):
-            op = self._next().value
-            left = n.Arith(op, left, self._parse_factor())
-        return left
-
-    def _parse_factor(self):
-        token = self._peek()
-        if token.is_symbol("("):
-            self._next()
-            inner = self._parse_expr()
-            self._expect_symbol(")")
-            return inner
-        if token.type in (NUMBER, STRING) or token.is_keyword("true", "false", "null"):
-            return n.Const(literal_value(self._next()))
-        if token.is_symbol("-"):
-            self._next()
-            inner = self._parse_factor()
-            if isinstance(inner, n.Const) and isinstance(inner.value, (int, float)):
-                return n.Const(-inner.value)
-            return n.Arith("-", n.Const(0), inner)
-        if token.type == IDENT:
-            var = self._next().value
-            self._expect_symbol(".")
-            attr_token = self._next()
-            if attr_token.type not in (IDENT, KEYWORD, NUMBER):
-                raise ParseError(
-                    f"expected attribute, got {attr_token.value!r}",
-                    attr_token.line,
-                    attr_token.column,
-                )
-            return n.Attr(var, attr_token.value)
-        raise ParseError(
-            f"expected expression, got {token.value!r}", token.line, token.column
-        )
+        return token.value
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +129,7 @@ def normalize(loose, *, head_name="Q"):
     """Apply the paper's two Section-2.1 steps to a loose TRC query."""
     # Step 1a: collect top-level membership conjuncts — they become the
     # outermost bindings.
-    conjuncts = _loose_conjuncts(loose.body)
+    conjuncts = n.conjuncts(loose.body)
     top_memberships = [c for c in conjuncts if isinstance(c, Membership)]
     rest = [c for c in conjuncts if not isinstance(c, Membership)]
     bindings = [n.Binding(m.var, n.RelationRef(m.relation)) for m in top_memberships]
@@ -262,19 +157,10 @@ def normalize(loose, *, head_name="Q"):
     return n.Collection(n.Head(head_name, tuple(attrs)), body)
 
 
-def _loose_conjuncts(formula):
-    if isinstance(formula, n.And):
-        result = []
-        for child in formula.children_list:
-            result.extend(_loose_conjuncts(child))
-        return result
-    return [formula]
-
-
 def _clean_formula(formula):
     """Move membership predicates into their quantifier's binding list."""
     if isinstance(formula, LooseExists):
-        conjuncts = _loose_conjuncts(formula.body)
+        conjuncts = n.conjuncts(formula.body)
         memberships = {
             c.var: c.relation for c in conjuncts if isinstance(c, Membership)
         }

@@ -223,8 +223,9 @@ def test_generated_trees_match_the_recursive_references(root):
     [
         lambda: n.Comparison(n.Attr("r", "A"), "=", n.Const(1)),
         lambda: n.Arith("+", n.Attr("r", "A"), n.Const(1)),
+        lambda: n.AggCall("sum", n.Attr("r", "A")),
     ],
-    ids=["equality", "arithmetic"],
+    ids=["equality", "arithmetic", "aggregate"],
 )
 def test_facts_do_not_keep_their_node_alive(make):
     """The cache is weak: a record referring to its own node would keep a
@@ -232,9 +233,12 @@ def test_facts_do_not_keep_their_node_alive(make):
     import gc
     import weakref
 
+    gc.collect()
+    entries = len(n._FACTS)
     node = make()
     n.facts(node)
     ref = weakref.ref(node)
     del node
     gc.collect()
     assert ref() is None
+    assert len(n._FACTS) == entries

@@ -10,8 +10,12 @@ the *same* question.
 
 import pytest
 
+from repro.backends.comprehension import render
+from repro.core import nodes as n
 from repro.core.conventions import SQL_CONVENTIONS
+from repro.core.parser import parse
 from repro.api import EvalOptions, Session
+from repro.frontends import load_query
 from repro.eval.harness import CONVENTIONS, normalize_result
 from repro.workloads.scenarios import SCENARIOS
 
@@ -23,6 +27,15 @@ CASES = [
 
 MULTI_FRONTEND_CASES = [
     case for case in CASES if len(case.values[1].texts) > 1
+]
+
+TEXTS = [
+    pytest.param(
+        scenario, frontend, text, id=f"{scenario.name}-{query.name}-{frontend}"
+    )
+    for scenario in SCENARIOS.values()
+    for query in scenario.queries()
+    for frontend, text in sorted(query.texts.items())
 ]
 
 
@@ -96,3 +109,13 @@ def test_datalog_filters_on_aggregate_targets():
     result = evaluate(node, db, SQL_CONVENTIONS)
     rows = sorted(tuple(row[a] for a in result.schema) for row in result)
     assert rows == [("a", 2), ("a", 2)]
+
+
+@pytest.mark.parametrize("scenario,frontend,text", TEXTS)
+def test_every_text_translates_to_arc_that_renders_and_reparses(
+    scenario, frontend, text, catalogs
+):
+    """Each frontend's translation is ordinary ARC: its comprehension
+    rendering parses back to the same tree."""
+    node = load_query(text, frontend, database=catalogs[scenario.name])
+    assert n.structurally_equal(parse(render(node)), node), render(node)

@@ -66,6 +66,42 @@ class TestNormalization:
         assert arc.head.name == "Out"
 
 
+class TestArcGrammar:
+    """TRC reads formulas and expressions with ARC's own grammar."""
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "r.B IS NULL",
+            "r.B IS NOT NULL",
+            "(r.A + 1) * 2 > r.B",
+            "(r.B > 1 ∨ (r.B < 0 ∨ r.A = 2))",
+            "-r.B < -3",
+            "-(r.A - r.B) >= 0",
+        ],
+        ids=["is-null", "is-not-null", "paren-arith", "nested-or", "unary-minus",
+             "negated-paren"],
+    )
+    def test_condition_reads_as_in_arc(self, condition):
+        arc = trc.to_arc(f"{{r.A | r ∈ R ∧ {condition}}}")
+        strict = parse(f"{{Q(A) | ∃r ∈ R[Q.A = r.A ∧ {condition}]}}")
+        assert n.structurally_equal(arc, strict)
+
+    @pytest.mark.parametrize(
+        "text,message,column",
+        [
+            ("{r.A | r ∈ R ∧ r.B >}", "expected expression, got '}'", 21),
+            ("{r.A | r ∈ R ∧ r.B IS 3}", "expected 'null', got '3'", 23),
+            ("{r.A | r ∈ 3}", "expected relation name, got '3'", 12),
+        ],
+    )
+    def test_parse_error_carries_position(self, text, message, column):
+        with pytest.raises(ParseError) as info:
+            trc.to_arc(text)
+        assert info.value.message == message
+        assert (info.value.line, info.value.column) == (1, column)
+
+
 class TestSafety:
     def test_unbound_quantifier_rejected(self):
         with pytest.raises(ParseError, match="unsafe|membership"):
