@@ -76,7 +76,11 @@ Errors return 400 (bad request / query errors), 404, 408
 (:class:`~repro.errors.PoisonQuery`), 429 (admission/shedding), or 500
 (including :class:`~repro.errors.WorkerCrash`), always with
 ``{"error": ..., "error_type": ...}`` — the stdlib's own refusals of a
-malformed or unsupported request (400, 414, 431, 501, 505) too.
+malformed or unsupported request (400, 414, 431, 501, 505) too.  A
+request whose body cannot be framed — any ``Transfer-Encoding`` (501),
+a ``Content-Length`` that is not one decimal number (400) — and a head
+line that is not ``name: value`` (400) are refused and the connection
+closed, so no byte of them is read as the next request.
 
 Observability
 -------------
@@ -99,12 +103,15 @@ when no signal arrived first.
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import json
 import logging
+import os
+import re
 import signal
 import threading
 import time
-import uuid
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -148,6 +155,44 @@ _JOB_WAIT_S = 600.0
 
 #: Numeric encoding of breaker states for the ``arc_breaker_state`` gauge.
 _BREAKER_STATE_CODE = {"closed": 0, "half-open": 1, "open": 2}
+
+#: Longest request-head line, and most head lines (the blank line ending
+#: the head included), before a 431: the bounds ``http.client`` reads
+#: a head with.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+#: ``HTTP/major.minor``, each part at most ten ASCII digits.
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+#: A field name: an RFC 9110 token, so no whitespace before the colon.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second):
+    """The ``Date`` header value, formatted once per second."""
+    return email.utils.formatdate(second, usegmt=True)
+
+
+def _body_length(declared):
+    """The body length a ``Content-Length`` value declares.
+
+    Only ASCII digits count (no sign, no ``_``, none of the other digits
+    ``int`` reads), with surrounding whitespace stripped; a list of equal
+    values reads as one (RFC 9112 §6.3).  Raises :class:`ValueError`
+    for anything else, differing repeats included.
+    """
+    values = {value.strip() for value in declared.split(",")}
+    if len(values) > 1:
+        raise ValueError(f"differing Content-Length values {declared!r}")
+    (value,) = values
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(
+            f"Content-Length must be a non-negative decimal integer, "
+            f"got {value!r}"
+        )
+    return int(value)
 
 
 def configure_request_logging(stream=None):
@@ -554,10 +599,92 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence the stdlib's stderr line; ``--log-requests`` logs instead."""
 
+    def parse_request(self):
+        """Parse the request line and the head in one pass over its lines.
+
+        The stdlib's refusals stay: 400 for a malformed request line or
+        version, 505 for HTTP/2 and later, HTTP/0.9 framing for a
+        two-word ``GET`` only, the ``//`` path fold, 431 for a head line
+        over :data:`_MAX_LINE` bytes or more than :data:`_MAX_HEAD_LINES`
+        head lines, and ``Connection`` and ``Expect: 100-continue``.
+        ``self.headers`` is a dict keyed by lower-case field name, a
+        repeated field's values joined by ``", "`` (RFC 9110 §5.3).
+
+        A head line that is not ``name: value`` — no colon, whitespace
+        before the colon, or an obs-fold continuation — is refused with
+        400 and the connection closed (RFC 9112 §5).  ``email.parser``
+        ended the head at such a line, or unfolded it, and the bytes
+        after it were read as the body or the next request.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(
+            self.raw_requestline, "iso-8859-1"
+        ).rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        if path.startswith("//"):
+            # gh-87389: a client reads ``//host/...`` as another origin.
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        self.headers = headers = {}
+        readline = self.rfile.readline
+        for _ in range(_MAX_HEAD_LINES):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.partition(b":")
+            if not colon or _FIELD_NAME.fullmatch(name) is None:
+                text = line.rstrip(b"\r\n").decode("iso-8859-1")
+                self.send_error(400, f"Bad header line ({text!r})")
+                return False
+            name = name.lower().decode("ascii")
+            value = value.strip(b" \t\r\n").decode("iso-8859-1")
+            previous = headers.get(name)
+            headers[name] = (
+                value if previous is None else f"{previous}, {value}"
+            )
+        else:
+            self.send_error(431, "Too many headers")
+            return False
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
     def log_request(self, code="-", size="-"):
         """One structured line per request (``--log-requests``).
 
-        ``send_response`` calls this for every response, so each request —
+        ``_send_payload`` calls this for every response, so each request —
         success or error — logs exactly once, with its status code, elapsed
         time, and (for ``/query``) the query id the response headers carry.
         """
@@ -595,30 +722,34 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_payload(self, status, payload, headers=(),
                       content_type="application/json; charset=utf-8"):
-        """Send the status line, headers and body in one write.
+        """Send the status line, headers and body as one ``bytes`` write.
 
         ``wfile`` is unbuffered: flushing the headers, then writing the
         body, sends two small TCP segments, and under Nagle's algorithm
         the second waits for the client's delayed ACK — ~40 ms on every
-        keep-alive request.
+        keep-alive request.  An HTTP/0.9 request gets the bare body and
+        a ``HEAD`` the head alone.
         """
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
+        self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(payload)
+            return
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}"
+            f"\r\nServer: {self.version_string()}"
+            f"\r\nDate: {_http_date(int(time.time()))}"
+            f"\r\nContent-Type: {content_type}"
+            f"\r\nContent-Length: {len(payload)}\r\n"
+        ]
         # Every response to an identified request — success *or* error —
         # carries the query id, so client logs always correlate.
         query_id = getattr(self, "_query_id", None)
         if query_id is not None:
-            self.send_header("X-Arc-Query-Id", query_id)
-        for name, value in headers:
-            self.send_header(name, value)
-        if self.request_version == "HTTP/0.9":  # a bare body, no head
-            self._headers_buffer = []
-        else:
-            self._headers_buffer.append(b"\r\n")
-        if self.command != "HEAD":
-            self._headers_buffer.append(payload)
-        self.flush_headers()
+            lines.append(f"X-Arc-Query-Id: {query_id}\r\n")
+        lines.extend(f"{name}: {value}\r\n" for name, value in headers)
+        lines.append("\r\n")
+        head = "".join(lines).encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + payload)
 
     def _send_json(self, status, body, headers=()):
         self._send_payload(
@@ -642,16 +773,27 @@ class _Handler(BaseHTTPRequestHandler):
 
         On a keep-alive (HTTP/1.1) connection, unread body bytes would be
         parsed as the next request line, desyncing every follow-up request
-        — so every method drains, even one that ignores its body.
+        — so every method drains, even one that ignores its body.  A body
+        whose end cannot be known is refused and the socket dropped: a
+        ``Transfer-Encoding`` (501, RFC 9112 §6.1) or a ``Content-Length``
+        that is not one decimal number (400).
         """
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            # Cannot drain an unknown length: refuse and drop the socket.
-            self._error(400, "bad Content-Length", close=True)
+        headers = self.headers
+        if "transfer-encoding" in headers:
+            self._error(
+                501,
+                "Transfer-Encoding is not supported; send the body with "
+                "Content-Length",
+                close=True,
+            )
             return None
-        if length < 0:
-            self._error(400, "negative Content-Length", close=True)
+        declared = headers.get("content-length")
+        if declared is None:
+            return b""
+        try:
+            length = _body_length(declared)
+        except ValueError as exc:
+            self._error(400, str(exc), close=True)
             return None
         if length > MAX_BODY_BYTES:
             # Refused *before* reading: draining an attacker-sized body
@@ -730,7 +872,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._request_started = time.perf_counter()
         # A fresh id per request, assigned before any parsing: even a
         # malformed request's error response ties back to the server logs.
-        self._query_id = uuid.uuid4().hex[:16]
+        self._query_id = os.urandom(8).hex()
         payload = self._read_body()
         if payload is None:
             return

@@ -24,7 +24,7 @@ merges genuinely concurrent work and never serves stale results.
 
 The coalescer stores outcomes opaquely; it never inspects them.  All
 state transitions happen under one lock; the uncontended ``join`` is a
-dict get + insert.
+dict get + insert, and a flight no follower joins builds no Event.
 """
 
 from __future__ import annotations
@@ -33,14 +33,26 @@ import threading
 
 
 class InFlight:
-    """One in-flight execution: a latch plus the outcome it publishes."""
+    """One in-flight execution: the outcome it publishes, and a latch its
+    followers wait on.
+
+    Most flights have no follower, so the latch (an Event) is built only
+    when the first one joins, under the coalescer's lock; :meth:`resolve`
+    runs after the flight left the map, when no follower can still join.
+    """
 
     __slots__ = ("outcome", "followers", "_done")
 
     def __init__(self):
         self.outcome = None
         self.followers = 0
-        self._done = threading.Event()
+        self._done = None
+
+    def follow(self):
+        """Count one follower (caller holds the coalescer's lock)."""
+        self.followers += 1
+        if self._done is None:
+            self._done = threading.Event()
 
     def wait(self, timeout=None):
         """Block until the leader publishes; the outcome, or None on timeout."""
@@ -50,7 +62,8 @@ class InFlight:
 
     def resolve(self, outcome):
         self.outcome = outcome
-        self._done.set()
+        if self._done is not None:
+            self._done.set()
 
 
 class Coalescer:
@@ -76,7 +89,7 @@ class Coalescer:
                 entry = self._inflight[key] = InFlight()
                 self.flights_total += 1
                 return entry, True
-            entry.followers += 1
+            entry.follow()
             self.coalesced_total += 1
             return entry, False
 

@@ -9,7 +9,8 @@ see :mod:`repro.backends.exec.sqlite_exec`), so N workers execute on N
 connections and never share a handle.
 
 Jobs are plain callables ``fn(worker) -> result`` submitted through a
-**bounded** queue.  :meth:`WorkerPool.submit` never blocks: one admission
+**bounded** queue: a ``queue.SimpleQueue`` whose depth admission checks
+under the pool lock.  :meth:`WorkerPool.submit` never blocks: one admission
 decision refuses a job the queue cannot take in time with
 :class:`~repro.serve.admission.AdmissionError` (HTTP 429), and a
 draining pool refuses with status 503 — overload is refused at the
@@ -88,22 +89,34 @@ _STOP = object()  # queue sentinel: one per worker, enqueued only by drain()
 
 
 class Future:
-    """The pending result of a submitted job (one-shot, thread-safe)."""
+    """The pending result of a submitted job (one-shot, thread-safe).
 
-    __slots__ = ("_done", "_result", "_error")
+    The latch is one lock, held from construction until the job's answer
+    is stored: a waiter blocks in C on ``acquire`` and releases at once,
+    so the latch stays open for :meth:`done` and later waits.
+    """
+
+    __slots__ = ("_latch", "_value", "_failed")
 
     def __init__(self):
-        self._done = threading.Event()
-        self._result = None
-        self._error = None
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._value = None
+        #: None while pending; then whether ``_value`` is an error.
+        self._failed = None
 
     def set_result(self, result):
-        self._result = result
-        self._done.set()
+        self._resolve(result, False)
 
     def set_error(self, error):
-        self._error = error
-        self._done.set()
+        self._resolve(error, True)
+
+    def _resolve(self, value, failed):
+        # The first answer wins: a worker that dies after answering its
+        # job (see WorkerPool._on_worker_death) must not release twice.
+        if self._failed is None:
+            self._value, self._failed = value, failed
+            self._latch.release()
 
     def wait(self, timeout=None):
         """The job's return value; re-raises what the job raised.
@@ -112,14 +125,15 @@ class Future:
         *timeout* seconds (it keeps running — the pool never abandons an
         accepted job).
         """
-        if not self._done.wait(timeout):
+        if not self._latch.acquire(timeout=-1 if timeout is None else timeout):
             raise TimeoutError("job did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._result
+        self._latch.release()
+        if self._failed:
+            raise self._value
+        return self._value
 
     def done(self):
-        return self._done.is_set()
+        return self._failed is not None
 
 
 class _Job:
@@ -272,7 +286,9 @@ class WorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.factory = factory
         self.queue_depth = max(1, queue_depth)
-        self.queue = queue.Queue(maxsize=self.queue_depth)
+        # Unbounded itself: submit() bounds it, checking the depth and
+        # enqueueing under one lock.
+        self.queue = queue.SimpleQueue()
         self.shed_threshold_ms = shed_threshold_ms
         self._lock = threading.Lock()
         self._draining = False
@@ -338,8 +354,8 @@ class WorkerPool:
                     )
             self._admit_locked(timeout_ms)
             # Until drain, every enqueue happens here under this lock and
-            # admission just saw room, so put_nowait cannot raise Full.
-            self.queue.put_nowait(job)
+            # admission just saw room, so the depth stays bounded.
+            self.queue.put(job)
         return job.future
 
     def _admit_locked(self, timeout_ms):

@@ -23,7 +23,6 @@ background thread is needed.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 
@@ -39,11 +38,10 @@ def poison_fingerprint(catalog, query, frontend, backend):
 
     Budget fields (``timeout_ms`` / ``max_rows``) are excluded on
     purpose: they change what the request is *allowed* to cost, not what
-    it executes.
+    it executes.  The identity's ``repr`` is the hashed text: each field
+    is a str or None, whose repr is stable and escapes lone surrogates.
     """
-    blob = json.dumps(
-        [catalog, query, frontend, backend], sort_keys=True
-    ).encode("utf-8")
+    blob = repr((catalog, query, frontend, backend)).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

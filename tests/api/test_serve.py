@@ -1,6 +1,7 @@
 """The ``repro serve`` HTTP endpoint: warm sessions over the wire."""
 
 import http.client
+import email.utils
 import json
 import socket
 import statistics
@@ -247,6 +248,16 @@ def _round_trip(conn, method, path, body=None):
     return time.perf_counter() - start, response, payload
 
 
+def _raw_reply(server, request):
+    """Send *request* bytes in one write on a fresh socket; read until the
+    server closes it."""
+    with socket.create_connection(
+        server.server_address[:2], timeout=10
+    ) as sock:
+        sock.sendall(request)
+        return sock.makefile("rb").read()
+
+
 class TestKeepAlive:
     """Every response leaves in one write, so a keep-alive round trip costs
     the work, not a delayed ACK (~40 ms) waiting on a second segment."""
@@ -339,15 +350,25 @@ class TestKeepAlive:
             conn.close()
 
     @pytest.mark.parametrize(
-        "length, status", [("12x", 400), ("-1", 400), (str(2 << 20), 413)]
+        "lengths, status",
+        [
+            (("12x",), 400),
+            (("-1",), 400),
+            (("+5",), 400),  # int() reads a sign
+            (("1_0",), 400),  # and a digit separator
+            (("5", "6"), 400),  # differing repeats
+            ((str(2 << 20),), 413),
+        ],
+        ids=["12x-400", "-1-400", "+5-400", "1_0-400", "5,6-400", "2097152-413"],
     )
     def test_get_with_an_undrainable_body_is_refused_and_closed(
-        self, server, length, status
+        self, server, lengths, status
     ):
         conn = _connection(server)
         try:
             conn.putrequest("GET", "/healthz")
-            conn.putheader("Content-Length", length)
+            for length in lengths:
+                conn.putheader("Content-Length", length)
             conn.endheaders()
             response = conn.getresponse()
             payload = response.read()
@@ -392,22 +413,122 @@ class TestStdlibErrors:
         assert response.getheader("Connection") == "close"
         assert json.loads(payload)["error_type"] == "RequestURITooLong"
 
-    def _raw_reply(self, server, request):
-        """Send *request* bytes on a fresh socket; read until the server
-        closes it."""
-        with socket.create_connection(
-            server.server_address[:2], timeout=10
-        ) as sock:
-            sock.sendall(request)
-            return sock.makefile("rb").read()
-
     def test_garbage_request_line_is_a_bare_json_400(self, server):
         # The stdlib cannot tell the version of a malformed request line,
         # so it answers in HTTP/0.9 framing: the body with no head.
-        reply = self._raw_reply(server, b"garbage\r\n")
+        reply = _raw_reply(server, b"garbage\r\n")
         assert json.loads(reply)["error_type"] == "BadRequest"
 
     def test_head_is_501_with_no_body(self, server):
-        reply = self._raw_reply(server, b"HEAD /healthz HTTP/1.1\r\n\r\n")
+        reply = _raw_reply(server, b"HEAD /healthz HTTP/1.1\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 501 ")
         assert reply.endswith(b"\r\n\r\n")  # Content-Length, but no body
+
+
+def _exchange(server, request):
+    """:func:`_raw_reply`, split into a list of ``(status, headers,
+    body)``; an HTTP/0.9 reply is one ``(None, {}, body)``."""
+    reply = _raw_reply(server, request)
+    if not reply.startswith(b"HTTP/"):
+        return [(None, {}, reply)]
+    responses = []
+    while reply:
+        head, _, reply = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers.get("Content-Length", 0))
+        body, reply = reply[:length], reply[length:]
+        responses.append((int(status_line.split()[1]), headers, body))
+    return responses
+
+
+QUERY_BODY = json.dumps({"query": QUERY}).encode("utf-8")
+
+
+def _post_bytes(query, *head):
+    """A raw ``POST /query`` of *query* with extra *head* lines."""
+    body = json.dumps({"query": query}).encode("utf-8")
+    lines = [b"POST /query HTTP/1.1", *head, b"Content-Length: %d" % len(body)]
+    return b"\r\n".join(lines) + b"\r\n\r\n" + body
+
+
+LOW_QUERY = "{Q(A) | ∃r ∈ R[Q.A = r.A ∧ r.B < 15]}"
+
+
+class TestFraming:
+    """The request line and head, byte by byte, on a raw socket."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, expected",
+        [
+            # A version the server cannot read: answered in HTTP/0.9.
+            (b"GET /healthz HTTP/1.x\r\n\r\n", [(None, "BadRequest")]),
+            (b"GET /healthz HTTP/2.0\r\n\r\n",
+             [(None, "HTTPVersionNotSupported")]),
+            (b"GET /a b HTTP/1.1\r\n\r\n", [(400, "BadRequest")]),
+            (b"POST /query\r\n\r\n", [(None, "BadRequest")]),
+            (b"GET /healthz HTTP/1.1\r\nX-Long: "
+             + b"a" * (65537 - 10) + b"\r\n",
+             [(431, "RequestHeaderFieldsTooLarge")]),
+            (b"GET /healthz HTTP/1.1\r\n"
+             + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n",
+             [(431, "RequestHeaderFieldsTooLarge")]),
+            (b"GET /healthz\r\n\r\n", [(None, "ok")]),
+            (b"GET //healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+             [(200, "ok")]),
+            (_post_bytes(QUERY, b"connection: close").replace(
+                b"Content-Length", b"content-length"), [(200, [[2], [3]])]),
+            (_post_bytes(QUERY, b"Expect: 100-continue",
+                         b"Connection: close"),
+             [(100, None), (200, [[2], [3]])]),
+            (_post_bytes(QUERY)
+             + _post_bytes(LOW_QUERY, b"Connection: close"),
+             [(200, [[2], [3]]), (200, [[1]])]),
+        ],
+        ids=[
+            "bad-version", "http2", "four-words", "versionless-post",
+            "long-line", "101-headers", "http0.9-get", "slash-fold",
+            "lower-case-head", "expect-100", "pipelined",
+        ],
+    )
+    def test_framing(self, server, request_bytes, expected):
+        responses = _exchange(server, request_bytes)
+        assert len(responses) == len(expected), responses
+        for (status, headers, body), (want, what) in zip(responses, expected):
+            assert status == want, (status, body)
+            if status not in (None, 100):
+                email.utils.parsedate_to_datetime(headers["Date"])
+            if what is None:
+                assert body == b""
+                continue
+            answer = json.loads(body)
+            if isinstance(what, list):
+                assert answer["rows"] == what
+            else:
+                assert what in (answer.get("error_type"), answer.get("status"))
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            # A chunked body was read as empty and its chunk-size line as
+            # the next request: two answers on one request.
+            (b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+             + b"%x\r\n%s\r\n0\r\n\r\n" % (len(QUERY_BODY), QUERY_BODY),
+             501),
+            # A line with no colon ended the head: Content-Length was lost
+            # and the rest of the head read as the next request.
+            (_post_bytes(QUERY, b"no colon here"), 400),
+            (_post_bytes(QUERY, b"Bad : spacing"), 400),
+            # An obs-fold continuation was unfolded silently.
+            (_post_bytes(QUERY, b"X-Folded: a", b" b"), 400),
+        ],
+        ids=["chunked", "no-colon", "space-before-colon", "obs-fold"],
+    )
+    def test_unframeable_request_is_refused_once_then_closed(
+        self, server, request_bytes, status
+    ):
+        (response,) = _exchange(server, request_bytes)
+        got, headers, body = response
+        assert got == status, body
+        assert headers["Connection"] == "close"
+        assert "error" in json.loads(body)

@@ -64,6 +64,15 @@ class TestFuture:
         with pytest.raises(TimeoutError):
             Future().wait(0.01)
 
+    def test_first_answer_wins(self):
+        # A worker that dies after answering its job reports the crash to
+        # a future already set: the answer stands and the latch holds.
+        future = Future()
+        future.set_result(42)
+        future.set_error(RuntimeError("late crash"))
+        assert future.wait(1) == 42
+        assert future.wait(1) == 42
+
 
 class TestCoalescer:
     def test_first_join_leads_followers_coalesce(self):

@@ -14,6 +14,7 @@ HTTP concurrency tests.
 """
 
 import sqlite3
+import sys
 import threading
 import time
 
@@ -376,23 +377,38 @@ class TestPoolAdmissionUnderContention:
         pool = WorkerPool(factory, workers=4, queue_depth=16)
         accepted = []
         refused = []
+        depths = []
         lock = threading.Lock()
 
+        def job(answer):
+            time.sleep(0.0005)
+            return answer
+
         def storm(index):
-            for _ in range(50):
+            for round_ in range(50):
+                answer = (index, round_)
                 try:
-                    future = pool.submit(lambda worker: time.sleep(0.0005))
+                    future = pool.submit(lambda worker, a=answer: job(a))
                 except Exception as exc:
                     with lock:
                         refused.append(exc)
                 else:
                     with lock:
-                        accepted.append(future)
+                        accepted.append((future, answer))
+                depths.append(pool.depth())
 
-        _hammer(storm)
-        for future in accepted:
-            future.wait(30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(storm)
+            # Each future answers its own job, exactly once.
+            for future, answer in accepted:
+                assert future.wait(30) == answer
+        finally:
+            sys.setswitchinterval(interval)
         assert len(accepted) + len(refused) == THREADS * 50
         assert pool.snapshot()["jobs_completed"] == len(accepted)
         assert all(exc.status == 429 for exc in refused)
+        # The queue is unbounded itself; admission holds it to its depth.
+        assert max(depths) <= 16
         pool.drain()
