@@ -101,7 +101,7 @@ def _scan_quantifier(quant, found, head_names, negation_depth, in_nested):
     for binding in quant.bindings:
         if isinstance(binding.source, n.Collection):
             found.add("lateral")
-            if _references_outside(binding.source, n.facts(binding.source).heads):
+            if n.facts(binding.source).free:
                 found.add("correlated-lateral")
             nested_heads = head_names | {binding.source.head.name}
             _scan(
@@ -127,31 +127,15 @@ def _scan_quantifier(quant, found, head_names, negation_depth, in_nested):
 
 
 def _assigns_any_head(quant, head_names):
-    for node in quant.walk():
-        if isinstance(node, n.Comparison) and node.op == "=":
-            for side in (node.left, node.right):
-                if isinstance(side, n.Attr) and side.var in head_names:
-                    return True
-    return False
+    return any(
+        op == "=" and isinstance(side, n.Attr) and side.var in head_names
+        for op, *sides in n.facts(quant).comparisons
+        for side in sides
+    )
 
 
 def _is_correlated(quant, head_names=()):
-    bound = {b.var for b in quant.bindings} | set(head_names)
-    for node in quant.walk():
-        if isinstance(node, n.Attr) and node.var not in bound:
-            return True
-    return False
-
-
-def _references_outside(collection, internal_names):
-    bound = set(internal_names)
-    for node in collection.walk():
-        if isinstance(node, n.Binding):
-            bound.add(node.var)
-    for node in collection.walk():
-        if isinstance(node, n.Attr) and node.var not in bound:
-            return True
-    return False
+    return not n.facts(quant).free <= set(head_names)
 
 
 def _is_recursive(collection):

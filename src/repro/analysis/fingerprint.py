@@ -89,9 +89,7 @@ def pattern_summary(node):
             return
         if isinstance(item, n.Comparison):
             features["comparisons"] += 1
-            features["aggregates"] += sum(
-                1 for x in item.walk() if isinstance(x, n.AggCall)
-            )
+            features["aggregates"] += len(n.facts(item).aggregates)
             return
         if isinstance(item, n.Collection):
             visit(item.body, depth)

@@ -606,7 +606,8 @@ class _Handler(BaseHTTPRequestHandler):
         version, 505 for HTTP/2 and later, HTTP/0.9 framing for a
         two-word ``GET`` only, the ``//`` path fold, 431 for a head line
         over :data:`_MAX_LINE` bytes or more than :data:`_MAX_HEAD_LINES`
-        head lines, and ``Connection`` and ``Expect: 100-continue``.
+        head lines, and ``Connection``; ``Expect`` waits for
+        :meth:`_read_body`.
         ``self.headers`` is a dict keyed by lower-case field name, a
         repeated field's values joined by ``", "`` (RFC 9110 §5.3).
 
@@ -676,9 +677,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
         elif connection == "keep-alive":
             self.close_connection = False
-        if (headers.get("expect", "").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
-            return self.handle_expect_100()
+        self._expect_continue = (headers.get("expect", "").lower() == "100-continue"
+                                 and self.request_version >= "HTTP/1.1")
         return True
 
     def log_request(self, code="-", size="-"):
@@ -776,7 +776,8 @@ class _Handler(BaseHTTPRequestHandler):
         — so every method drains, even one that ignores its body.  A body
         whose end cannot be known is refused and the socket dropped: a
         ``Transfer-Encoding`` (501, RFC 9112 §6.1) or a ``Content-Length``
-        that is not one decimal number (400).
+        that is not one decimal number (400).  ``Expect: 100-continue``
+        is answered only once framing and the size bound accept the body.
         """
         headers = self.headers
         if "transfer-encoding" in headers:
@@ -805,6 +806,8 @@ class _Handler(BaseHTTPRequestHandler):
                 close=True,
             )
             return None
+        if self._expect_continue:
+            self.handle_expect_100()
         return self.rfile.read(length)
 
     def do_GET(self):

@@ -16,6 +16,7 @@ Warm-state inventory (and what invalidates each piece):
 state                     where it lives                           invalidated by
 ========================  =======================================  =====================
 scope plans               weak per-AST-node cache (planner)        AST garbage-collected
+static-analysis records   weak per-AST-node cache (``facts``)      AST garbage-collected
 relation hash indexes     ``Relation._indexes``                    ``Relation.add``
 decorrelation indexes     shared derived cache on inner relations  any inner mutation
 probe verdicts            shared derived cache on all relations    any catalog mutation

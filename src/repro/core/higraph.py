@@ -276,9 +276,7 @@ class _Builder:
         source = self._port(predicate.left, region)
         target = self._port(predicate.right, region)
         if predicate.has_aggregate():
-            agg = next(
-                node for node in predicate.walk() if isinstance(node, n.AggCall)
-            )
+            agg = n.facts(predicate).aggregates[0]
             label = f"{agg.func} {predicate.op}" if kind != "assignment" else agg.func
         if source is None and target is None:
             return

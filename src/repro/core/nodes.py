@@ -518,78 +518,155 @@ def transform(node, fn):
 
 
 class Facts(NamedTuple):
-    """What one pre-order walk of a subtree found (see :func:`facts`)."""
+    """What a subtree holds, merged from its children's (see :func:`facts`)."""
 
     relation_refs: tuple  # RelationRef names, in pre-order
     heads: frozenset  # head names of every Collection
     aggregates: tuple  # AggCall nodes, in pre-order
     null_literal: bool  # some Const is NULL
-    negated_quantifier: bool  # some Quantifier sits under a Not
+    negated_quantifier: bool  # some Quantifier or Collection sits under a Not
     # Operands, not the nodes: a record that held its own node (the key
     # of its weak cache entry) would keep that entry alive forever.
     arithmetic: tuple  # (op, left, right) of each Arith, in pre-order
     comparisons: tuple  # (op, left, right) of each Comparison, in pre-order
+    vars: frozenset  # the variable of every Attr
+    free: frozenset  # the Attr variables no enclosed scope binds
+    join_vars: frozenset  # JoinVar leaves
+    join_consts: frozenset  # JoinConst leaf values
+    scoped: bool  # some Quantifier or Collection occurs
 
 
 _FACTS = weakref.WeakKeyDictionary()
-_NO_HEADS = frozenset()
+_NONE = frozenset()
+_EMPTY = Facts((), _NONE, (), False, False, (), (), _NONE, _NONE, _NONE, _NONE, False)
+
+
+def _names(name):
+    return frozenset((name,))
+
+
+def _attr_facts(attr):
+    names = _names(attr.var)
+    return Facts((), _NONE, (), False, False, (), (), names, names, _NONE, _NONE, False)
+
+
+# Childless nodes: their records are shared or built on demand, never
+# cached, so the many Attr and Const leaves of a live AST cost no entry.
+_LEAVES = {
+    Attr: _attr_facts,
+    Const: lambda c: _EMPTY._replace(null_literal=True) if is_null(c.value) else _EMPTY,
+    RelationRef: lambda r: _EMPTY._replace(relation_refs=(r.name,)),
+    JoinVar: lambda j: _EMPTY._replace(join_vars=_names(j.var)),
+    JoinConst: lambda j: _EMPTY._replace(join_consts=_names(j.value)),
+    Head: lambda h: _EMPTY,
+    BoolConst: lambda b: _EMPTY,
+}
 
 
 def facts(node):
-    """The :class:`Facts` of *node*'s subtree, from one walk.
+    """The :class:`Facts` of *node*'s subtree.
 
-    Static questions about a query (which relations it reads, whether an
-    aggregate or a NULL literal occurs, ...) all read this record, so each
-    subtree is walked once however many analyses ask.  It is weakly cached
-    per node, which treats an analysed AST as immutable — as every other
-    per-node cache of the engine does.
+    Static questions about a query (which relations it reads, which
+    variables it uses or leaves free, whether an aggregate or a NULL
+    literal occurs, ...) all read this record.  One post-order walk records
+    every subtree it has not seen, each record merged from its children's,
+    so ``facts(sub)`` after ``facts(root)`` walks nothing.  Records are
+    weakly cached per node, which treats an analysed AST as immutable — as
+    every other per-node cache of the engine does.  Leaves are not cached
+    (:data:`_LEAVES`), nor is an AggCall, whose record lists the node itself
+    among its aggregates and would keep its own weak key alive.
     """
-    found = _FACTS.get(node)
+    leaf = _LEAVES.get(type(node))
+    found = leaf(node) if leaf is not None else _FACTS.get(node)
     if found is not None:
         return found
-    refs, heads, aggregates, arithmetic, comparisons = [], set(), [], [], []
-    null_literal = negated_quantifier = False
-    stack = [(node, False)]
+    order, stack, made = [], [node], {}
     while stack:
-        sub, negated = stack.pop()
-        if isinstance(sub, RelationRef):
-            refs.append(sub.name)
-        elif isinstance(sub, Collection):
-            heads.add(sub.head.name)
-        elif isinstance(sub, AggCall):
-            aggregates.append(sub)
-        elif isinstance(sub, Const):
-            null_literal = null_literal or is_null(sub.value)
-        elif isinstance(sub, Arith):
-            arithmetic.append((sub.op, sub.left, sub.right))
-        elif isinstance(sub, Comparison):
-            comparisons.append((sub.op, sub.left, sub.right))
-        elif isinstance(sub, Quantifier):
-            negated_quantifier = negated_quantifier or negated
-        elif isinstance(sub, Not):
-            negated = True
-        stack.extend((child, negated) for child in reversed(sub.children()))
-    # Tuples (and the shared empty frozenset) keep the many small records
-    # of leaf comparisons cheap to hold.
-    found = Facts(
-        tuple(refs),
-        frozenset(heads) if heads else _NO_HEADS,
-        tuple(aggregates),
-        null_literal,
-        negated_quantifier,
-        tuple(arithmetic),
-        tuple(comparisons),
-    )
-    # An AggCall root's record lists the node itself among its aggregates,
-    # so caching it would keep its own weak key alive: it is rebuilt instead.
-    if not isinstance(node, AggCall):
-        _FACTS[node] = found
+        sub = stack.pop()
+        kids = sub.children()
+        order.append((sub, kids))
+        for kid in kids:
+            leaf = _LEAVES.get(type(kid))
+            found = leaf(kid) if leaf is not None else _FACTS.get(kid)
+            if found is None:
+                stack.append(kid)
+            else:
+                made[id(kid)] = found
+    for sub, kids in reversed(order):
+        found = made[id(sub)] = _combine(sub, [made[id(k)] for k in kids])
+        if type(sub) is not AggCall:
+            _FACTS[sub] = found
     return found
+
+
+def _combine(node, records):
+    """*node*'s record: its children's *records* (in ``children()``
+    order) merged, plus what *node* itself adds."""
+    found = functools.reduce(_merge, records, _EMPTY)
+    kind = type(node)
+    if kind is Comparison or kind is Arith:
+        field = "comparisons" if kind is Comparison else "arithmetic"
+        own = ((node.op, node.left, node.right),)
+        return _set(found, field, own + getattr(found, field))
+    if kind is AggCall:
+        return _set(found, "aggregates", (node,) + found.aggregates)
+    if kind is Not:
+        return _set(found, "negated_quantifier", True) if found.scoped else found
+    if kind is Collection:
+        head = _names(node.head.name)
+        return found._replace(
+            heads=_union(found.heads, head), free=_without(found.free, head), scoped=True
+        )
+    if kind is Quantifier:
+        # A binding's source sees the bindings before it (lateral nesting);
+        # the body and the grouping keys see them all.
+        scope = [binding.var for binding in node.bindings]
+        free = (_without(r.free, scope[:i]) for i, r in enumerate(records))
+        return found._replace(free=functools.reduce(_union, free, _NONE), scoped=True)
+    return found
+
+
+def _set(record, field, value):
+    """``record._replace(field=value)``, without its keyword machinery."""
+    index = Facts._fields.index(field)
+    return tuple.__new__(Facts, (*record[:index], value, *record[index + 1 :]))
+
+
+# A merged field is one of its parts whenever the other adds nothing to it
+# (``t + ()`` is ``t``), so most records share their fields with the
+# records below them; below the first binder ``free`` stays ``vars``.
+def _merge(a, b):
+    if a is _EMPTY or b is _EMPTY:
+        return b if a is _EMPTY else a
+    names = _union(a.vars, b.vars)
+    shared = a.free is a.vars and b.free is b.vars
+    return Facts(
+        a.relation_refs + b.relation_refs,
+        _union(a.heads, b.heads),
+        a.aggregates + b.aggregates,
+        a.null_literal or b.null_literal,
+        a.negated_quantifier or b.negated_quantifier,
+        a.arithmetic + b.arithmetic,
+        a.comparisons + b.comparisons,
+        names,
+        names if shared else _union(a.free, b.free),
+        _union(a.join_vars, b.join_vars),
+        _union(a.join_consts, b.join_consts),
+        a.scoped or b.scoped,
+    )
+
+
+def _union(a, b):
+    return a if b <= a else b if a <= b else a | b
+
+
+def _without(names, bound):
+    return names if names.isdisjoint(bound) else names.difference(bound)
 
 
 def vars_used(node):
     """All range-variable names referenced by attributes in the subtree."""
-    return {n.var for n in node.walk() if isinstance(n, Attr)}
+    return facts(node).vars
 
 
 def conjuncts(formula):

@@ -145,10 +145,7 @@ def unnest_lateral(quant, binding):
         or shadows_binding(quant, binding)
     ):
         return None
-    if quant.join is not None and any(
-        isinstance(sub, n.JoinVar) and sub.var == binding.var
-        for sub in quant.join.walk()
-    ):
+    if quant.join is not None and binding.var in n.facts(quant.join).join_vars:
         return None
     head = source.head
     assignments = {}

@@ -41,36 +41,9 @@ def free_variables(node):
     execute it.  The analysis is scope-aware — a variable bound in a nested
     sub-scope does not shadow an outer reference *outside* that sub-scope —
     and collection head names count as bound (head-assignment predicates
-    reference them as ``Head.attr``).
+    reference them as ``Head.attr``).  It is read off :func:`nodes.facts`.
     """
-    return _free_vars(node, frozenset())
-
-
-def _free_vars(node, bound):
-    if isinstance(node, n.Attr):
-        return set() if node.var in bound else {node.var}
-    if isinstance(node, n.Collection):
-        return _free_vars(node.body, bound | {node.head.name})
-    if isinstance(node, n.Quantifier):
-        free = set()
-        scope = set(bound)
-        for binding in node.bindings:
-            # A binding's source sees earlier bindings of the same scope
-            # (lateral nesting), not itself.
-            free |= _free_vars(binding.source, frozenset(scope))
-            scope.add(binding.var)
-        inner = frozenset(scope)
-        free |= _free_vars(node.body, inner)
-        if node.grouping is not None:
-            for key in node.grouping.keys:
-                free |= _free_vars(key, inner)
-        return free
-    if not isinstance(node, n.Node):
-        return set()
-    free = set()
-    for child in node.children():
-        free |= _free_vars(child, bound)
-    return free
+    return n.facts(node).free
 
 
 def assignment_of(predicate, head):
@@ -180,7 +153,7 @@ def shadows_binding(quant, binding):
 
 def orient_aggregate(predicate):
     """``(aggregate side, other side, op)``: *predicate* as ``other OP agg``."""
-    if any(isinstance(sub, n.AggCall) for sub in predicate.left.walk()):
+    if n.facts(predicate.left).aggregates:
         return predicate.left, predicate.right, FLIP[predicate.op]
     return predicate.right, predicate.left, predicate.op
 
@@ -228,11 +201,7 @@ def renames_apart(outer, inner, skip=None):
     clashes = [b.var for b in inner.bindings if b.var in taken]
     if not clashes:
         return {}
-    if any(
-        isinstance(sub, (n.Quantifier, n.Collection))
-        for child in inner.children()
-        for sub in child.walk()
-    ):
+    if any(n.facts(child).scoped for child in inner.children()):
         return None
     taken |= names_in(inner)
     return {var: fresh_name(var, taken) for var in clashes}

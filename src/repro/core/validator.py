@@ -269,7 +269,7 @@ def _validate_body(formula, linked, report, *, context, in_grouping_scope=False)
             )
         for node in formula.walk():
             if isinstance(node, n.AggCall) and node.arg is not None:
-                if any(isinstance(inner, n.AggCall) for inner in node.arg.walk()):
+                if n.facts(node.arg).aggregates:
                     report.add(
                         ERROR,
                         "nested-aggregate",

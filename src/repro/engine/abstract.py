@@ -52,11 +52,7 @@ class AbstractSource:
                     isinstance(side, n.Attr)
                     and side.var == head.name
                     and side.attr in head.attrs
-                    and all(
-                        isinstance(a, n.Attr) and a.var == head.name
-                        for a in other.walk()
-                        if isinstance(a, n.Attr)
-                    )
+                    and n.vars_used(other) <= {head.name}
                 ):
                     assignments[side.attr] = other
                     break

@@ -661,9 +661,7 @@ def _correlation(conjunct_list, free, inner_vars, head_name, theta_ops):
             continue
         if head_name in used:
             return "outer variables appear in a head assignment"
-        if any(
-            isinstance(sub, (n.Quantifier, n.Collection)) for sub in conjunct.walk()
-        ):
+        if n.facts(conjunct).scoped:
             return "outer variables are referenced inside a nested scope"
         if not used - free:
             return (

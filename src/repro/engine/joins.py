@@ -21,8 +21,6 @@ of the unmatched subtree, mirroring SQL outer-join semantics.
 
 from __future__ import annotations
 
-import weakref
-
 from ..core import nodes as n
 from ..data.values import NULL, Truth, t_and
 from ..errors import EvaluationError
@@ -49,33 +47,14 @@ class _NullRow:
 NULL_ROW = _NullRow()
 
 
-# Annotation trees are immutable once built, and ConditionAssignment walks
-# them once per conjunct per node — memoize the leaf sets per subtree
-# (weakly, so temporary trees do not leak).
-_VARS_CACHE = weakref.WeakKeyDictionary()
-_CONSTS_CACHE = weakref.WeakKeyDictionary()
-
-
 def annotation_vars(join):
-    """All range-variable names under an annotation subtree (memoized)."""
-    cached = _VARS_CACHE.get(join)
-    if cached is None:
-        cached = frozenset(
-            node.var for node in join.walk() if isinstance(node, n.JoinVar)
-        )
-        _VARS_CACHE[join] = cached
-    return cached
+    """All range-variable names under an annotation subtree."""
+    return n.facts(join).join_vars
 
 
 def annotation_consts(join):
-    """All literal leaf values under an annotation subtree (memoized)."""
-    cached = _CONSTS_CACHE.get(join)
-    if cached is None:
-        cached = frozenset(
-            node.value for node in join.walk() if isinstance(node, n.JoinConst)
-        )
-        _CONSTS_CACHE[join] = cached
-    return cached
+    """All literal leaf values under an annotation subtree."""
+    return n.facts(join).join_consts
 
 
 class ConditionAssignment:
@@ -97,7 +76,7 @@ class ConditionAssignment:
     def _assign(self, conjunct_list):
         all_vars = annotation_vars(self.join)
         for conjunct in conjunct_list:
-            used_vars = {v for v in n.vars_used(conjunct) if v in all_vars}
+            used_vars = n.vars_used(conjunct) & all_vars
             used_consts = {
                 node.value
                 for node in conjunct.walk()

@@ -24,6 +24,16 @@ class TestAggregationPatterns:
         # The inner collection is uncorrelated: it exports dept itself.
         assert "correlated-lateral" not in patterns
 
+    def test_nested_scope_inside_an_uncorrelated_group_is_fio(self):
+        # The inner ∃t binds t itself: the γ scope references nothing outside.
+        patterns = detect_patterns(parse(
+            "{Q(A, m) | ∃r ∈ R, x ∈ {X(m) | ∃s ∈ S, γ ∅[X.m = sum(s.B) ∧ "
+            "∃t ∈ T[t.A = s.A]]}[Q.A = r.A ∧ Q.m = x.m]}"
+        ))
+        assert "fio-aggregation" in patterns
+        assert "foi-aggregation" not in patterns
+        assert "correlated-lateral" not in patterns
+
     def test_aggregate_test(self):
         patterns = detect_patterns(paper_examples.arc("eq27"))
         assert "aggregate-test" in patterns

@@ -481,6 +481,16 @@ class TestFraming:
             (_post_bytes(QUERY, b"Expect: 100-continue",
                          b"Connection: close"),
              [(100, None), (200, [[2], [3]])]),
+            # A body the server refuses is never invited to upload.
+            (b"POST /query HTTP/1.1\r\nExpect: 100-continue\r\n"
+             b"Content-Length: 99999999\r\n\r\n",
+             [(413, "RequestEntityTooLarge")]),
+            (b"POST /query HTTP/1.1\r\nExpect: 100-continue\r\n"
+             b"Transfer-Encoding: chunked\r\n\r\n",
+             [(501, "NotImplemented")]),
+            (b"POST /query HTTP/1.1\r\nExpect: 100-continue\r\n"
+             b"Content-Length: 12a\r\n\r\n",
+             [(400, "BadRequest")]),
             (_post_bytes(QUERY)
              + _post_bytes(LOW_QUERY, b"Connection: close"),
              [(200, [[2], [3]]), (200, [[1]])]),
@@ -488,7 +498,8 @@ class TestFraming:
         ids=[
             "bad-version", "http2", "four-words", "versionless-post",
             "long-line", "101-headers", "http0.9-get", "slash-fold",
-            "lower-case-head", "expect-100", "pipelined",
+            "lower-case-head", "expect-100", "expect-100-too-large",
+            "expect-100-chunked", "expect-100-bad-length", "pipelined",
         ],
     )
     def test_framing(self, server, request_bytes, expected):

@@ -8,12 +8,16 @@ explicit-stack implementations must agree with.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import nodes as n
+from repro.core.scopes import free_variables
 from repro.data.values import NULL, is_null
+from repro.engine.joins import annotation_consts, annotation_vars
 from repro.frontends import load_query
 from repro.workloads import paper_examples
 from repro.workloads.scenarios import SCENARIOS
@@ -86,9 +90,39 @@ def ref_rebuild(node, fn):
     return fn(type(node)(**kwargs))
 
 
+def ref_free(node, bound=frozenset()):
+    """Free variables by the scope-aware recursion ``facts`` replaced."""
+    if isinstance(node, n.Attr):
+        return set() if node.var in bound else {node.var}
+    if isinstance(node, n.Collection):
+        return ref_free(node.body, bound | {node.head.name})
+    if isinstance(node, n.Quantifier):
+        free = set()
+        scope = set(bound)
+        for binding in node.bindings:
+            # A binding's source sees earlier bindings of the same scope
+            # (lateral nesting), not itself.
+            free |= ref_free(binding.source, frozenset(scope))
+            scope.add(binding.var)
+        inner = frozenset(scope)
+        free |= ref_free(node.body, inner)
+        if node.grouping is not None:
+            for key in node.grouping.keys:
+                free |= ref_free(key, inner)
+        return free
+    free = set()
+    for child in ref_children(node):
+        free |= ref_free(child, bound)
+    return free
+
+
 def ref_facts(node):
     """What each replaced analysis read, by its own direct walk."""
     walked = list(ref_walk(node))
+
+    def scoped(sub):
+        return any(isinstance(s, (n.Quantifier, n.Collection)) for s in ref_walk(sub))
+
     return {
         "relation_refs": tuple(s.name for s in walked if isinstance(s, n.RelationRef)),
         "heads": frozenset(s.head.name for s in walked if isinstance(s, n.Collection)),
@@ -97,9 +131,7 @@ def ref_facts(node):
             isinstance(s, n.Const) and is_null(s.value) for s in walked
         ),
         "negated_quantifier": any(
-            isinstance(s, n.Not)
-            and any(isinstance(i, n.Quantifier) for i in ref_walk(s))
-            for s in walked
+            isinstance(s, n.Not) and scoped(s.child) for s in walked
         ),
         "arithmetic": tuple(
             (s.op, s.left, s.right) for s in walked if isinstance(s, n.Arith)
@@ -107,6 +139,13 @@ def ref_facts(node):
         "comparisons": tuple(
             (s.op, s.left, s.right) for s in walked if isinstance(s, n.Comparison)
         ),
+        "vars": frozenset(s.var for s in walked if isinstance(s, n.Attr)),
+        "free": frozenset(ref_free(node)),
+        "join_vars": frozenset(s.var for s in walked if isinstance(s, n.JoinVar)),
+        "join_consts": frozenset(
+            s.value for s in walked if isinstance(s, n.JoinConst)
+        ),
+        "scoped": scoped(node),
     }
 
 
@@ -117,6 +156,18 @@ def check_node(node):
         assert list(sub.children()) == ref_children(sub)
     assert n.facts(node)._asdict() == ref_facts(node)
     assert n.facts(node) is n.facts(node)
+    # One walk records every subtree: each one is now a hit, and each
+    # record equals the direct walk of that subtree.
+    for sub in walked:
+        if type(sub) not in n._LEAVES and not isinstance(sub, n.AggCall):
+            assert sub in n._FACTS, sub
+        found = n.facts(sub)
+        assert found._asdict() == ref_facts(sub)
+        assert n.vars_used(sub) == found.vars
+        assert free_variables(sub) == found.free
+        if isinstance(sub, n.JoinExpr):
+            assert annotation_vars(sub) == found.join_vars
+            assert annotation_consts(sub) == found.join_consts
     for sub in walked:
         if isinstance(sub, n.Comparison):
             assert sub.has_aggregate() == any(
@@ -185,7 +236,12 @@ def _quantifier(body):
         st.one_of(
             st.none(),
             st.builds(
-                n.Join, st.just("inner"), st.lists(st.builds(n.JoinVar, names), max_size=2)
+                n.Join,
+                st.just("inner"),
+                st.lists(
+                    st.one_of(st.builds(n.JoinVar, names), st.builds(n.JoinConst, consts)),
+                    max_size=2,
+                ),
             ),
         ),
     )
@@ -218,27 +274,56 @@ def test_generated_trees_match_the_recursive_references(root):
     check_node(root)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: n.Comparison(n.Attr("r", "A"), "=", n.Const(1)),
-        lambda: n.Arith("+", n.Attr("r", "A"), n.Const(1)),
-        lambda: n.AggCall("sum", n.Attr("r", "A")),
-    ],
-    ids=["equality", "arithmetic", "aggregate"],
-)
-def test_facts_do_not_keep_their_node_alive(make):
+def _recorded(sub):
+    return type(sub) not in n._LEAVES and not isinstance(sub, n.AggCall)
+
+
+@pytest.mark.parametrize("name,node", ALL, ids=[name for name, _ in ALL])
+def test_one_walk_records_every_subtree(name, node, monkeypatch):
+    """``facts(root)`` of a never-seen tree walks it once and leaves a
+    record for every subtree but the leaves and AggCalls, so no later
+    ``facts(sub)`` walks again."""
+    monkeypatch.setattr(n, "_FACTS", weakref.WeakKeyDictionary())
+    copy = n.clone(node)
+    walks = []
+    for cls in (n.Node, n.Program):
+
+        def counting(self, _children=cls.children):
+            walks.append(self)
+            return _children(self)
+
+        monkeypatch.setattr(cls, "children", counting)
+    n.facts(copy)
+    expanded = [sub for sub in ref_walk(copy) if type(sub) not in n._LEAVES]
+    assert sorted(map(id, walks)) == sorted(map(id, expanded))
+    recorded = {id(sub) for sub in ref_walk(copy) if _recorded(sub)}
+    assert {id(sub) for sub in n._FACTS.keys()} == recorded
+    walks.clear()
+    for sub in ref_walk(copy):
+        n.facts(sub)
+    assert [sub for sub in walks if not isinstance(sub, n.AggCall)] == []
+
+
+def _trees():
+    yield "equality", lambda: n.Comparison(n.Attr("r", "A"), "=", n.Const(1))
+    yield "arithmetic", lambda: n.Arith("+", n.Attr("r", "A"), n.Const(1))
+    yield "aggregate", lambda: n.AggCall("sum", n.Attr("r", "A"))
+    for name, node in ALL:
+        yield name, lambda node=node: n.clone(node)
+
+
+TREES = list(_trees())
+
+
+@pytest.mark.parametrize("make", [make for _, make in TREES], ids=[k for k, _ in TREES])
+def test_facts_do_not_keep_their_node_alive(make, monkeypatch):
     """The cache is weak: a record referring to its own node would keep a
     never-seen text's AST alive for good."""
-    import gc
-    import weakref
-
-    gc.collect()
-    entries = len(n._FACTS)
+    monkeypatch.setattr(n, "_FACTS", weakref.WeakKeyDictionary())
     node = make()
     n.facts(node)
-    ref = weakref.ref(node)
+    refs = [weakref.ref(sub) for sub in ref_walk(node)]
     del node
     gc.collect()
-    assert ref() is None
-    assert len(n._FACTS) == entries
+    assert [ref() for ref in refs if ref() is not None] == []
+    assert len(n._FACTS) == 0
