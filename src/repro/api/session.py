@@ -20,6 +20,8 @@ static-analysis records   weak per-AST-node cache (``facts``)      AST garbage-c
 relation hash indexes     ``Relation._indexes``                    ``Relation.add``
 decorrelation indexes     shared derived cache on inner relations  any inner mutation
 probe verdicts            shared derived cache on all relations    any catalog mutation
+SQLite compile records    weak per-AST-node cache (sqlite_exec)    AST garbage-collected,
+                                                                   catalog names change
 SQLite connection         the thread's fingerprint-keyed LRU       any catalog mutation
 parsed queries            the Session's prepared-query LRU         eviction only
 ========================  =======================================  =====================
@@ -257,7 +259,8 @@ class SessionContext:
             "probe.capabilities", engine=engine.name
         ) as span:
             problems = engine.capabilities(
-                node, conventions, database, decorrelate=decorrelate
+                node, conventions, database, decorrelate=decorrelate,
+                externals=session.externals,
             )
             span.tag(problems=len(problems))
         if relations:

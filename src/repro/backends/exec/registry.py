@@ -62,12 +62,13 @@ class Backend:
 
     name = None
 
-    def capabilities(self, node, conventions, database=None, *, decorrelate=True):
+    def capabilities(self, node, conventions, database=None, *, decorrelate=True,
+                     externals=None):
         """Reasons this backend cannot evaluate *node*; ``[]`` = supported.
 
         Static: it needs no session, so the corpus harness and tests probe
-        directly.  *decorrelate* mirrors the run's option, so the verdict
-        matches what the engine will actually execute.
+        directly.  *decorrelate* and *externals* mirror the run's option and
+        registry, so the verdict matches what the engine will execute.
         """
         return []
 

@@ -35,7 +35,11 @@ are reloaded only when it changes, so separate processes start warm.
 
 Capability probe
 ----------------
-``capabilities`` reports (triggering planner fallback in the registry):
+Each query node compiles once into one weakly cached record
+(:func:`_compiled`), which ``capabilities`` and ``run`` both read; a
+self-recursive collection is wrapped by the evaluator's own rule,
+:func:`repro.engine.fixpoint.recursive_program`.  ``capabilities``
+reports (triggering planner fallback in the registry):
 
 * non-SQL conventions — set semantics, two-valued NULL comparisons, or the
   ZERO empty-aggregate convention;
@@ -52,11 +56,11 @@ Capability probe
 * negated or sentence-level quantifiers over NULL-bearing sources — SQL's
   EXISTS collapses an UNKNOWN Kleene fold to FALSE, observable under ``¬``
   (see :func:`_three_valued_hazard`);
-* anything ``to_sql`` itself refuses to render.
+* recursion SQLite's ``WITH RECURSIVE`` rejects (:func:`_recursion_refusal`)
+  and anything ``to_sql`` itself refuses to render.
 
-Constructs the static probe cannot see (e.g. nonlinear recursion, which
-SQLite rejects with "multiple references to recursive table") surface as
-:class:`BackendUnsupported` at execution time and take the same fallback.
+What still fails inside SQLite surfaces as :class:`BackendUnsupported` at
+execution time, takes the same fallback, and counts toward the breaker.
 """
 
 from __future__ import annotations
@@ -66,13 +70,16 @@ import sqlite3
 import threading
 import time
 import weakref
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, namedtuple
 from itertools import chain, groupby
 from operator import itemgetter
 
 from ...core import nodes as n
+from ...core.validator import strongly_connected
 from ...data.relation import Relation
 from ...data.values import NULL, Truth, is_null
+from ...engine.externals import standard_registry
+from ...engine.fixpoint import recursive_program
 from ...errors import QueryTimeout, RewriteError
 from ...obs import NULL_SPAN
 from ...util import failpoints
@@ -428,19 +435,12 @@ def _reads(exprs):
     return names
 
 
-#: prepared node -> (names that can reach a sum/avg or arithmetic operand,
-#: names that can reach a min/max argument, (op, left names, right names)
-#: of each ordering comparison): a pure function of the AST.
-_CAST_READS = weakref.WeakKeyDictionary()
-
-
 def _cast_reads(prepared):
     """The attribute names (see :func:`_reads`) under SQLite's silent casts
     and cross-type orderings, followed through head assignments of derived
-    and defined collections."""
-    cached = _CAST_READS.get(prepared)
-    if cached is not None:
-        return cached
+    and defined collections: (names that can reach a sum/avg or arithmetic
+    operand, names that can reach a min/max argument, (op, left names,
+    right names) of each ordering comparison)."""
     found = n.facts(prepared)
     numeric, ordered, feeds = set(), set(), {}
     for _, left, right in found.arithmetic:
@@ -466,7 +466,7 @@ def _cast_reads(prepared):
                     frontier.append(name)
         return frozenset(names)
 
-    cached = _CAST_READS[prepared] = (
+    return (
         closed(numeric),
         closed(ordered),
         tuple(
@@ -475,10 +475,9 @@ def _cast_reads(prepared):
             if op in _ORDERING_OPS
         ),
     )
-    return cached
 
 
-def _text_cast_hazard(prepared, database):
+def _text_cast_hazard(prepared, cast_reads, database):
     """Reason SQLite's silent text handling could answer where the engine
     raises a typed error or answers FALSE.
 
@@ -488,11 +487,11 @@ def _text_cast_hazard(prepared, database):
     operand and over values ``min``/``max`` cannot compare, and answers
     FALSE to an ordering between a string and a number.  Like
     :func:`_three_valued_hazard` the check reads the data: a stored column
-    is a hazard when such an argument can read it (:func:`_cast_reads`)
-    and it holds a string — for ``min``/``max``, a string beside a number;
+    is a hazard when such an argument can read it (*cast_reads*) and it
+    holds a string — for ``min``/``max``, a string beside a number;
     for an ordering, a string where the other operand can read a number.
     """
-    numeric, ordered, orderings = _cast_reads(prepared)
+    numeric, ordered, orderings = cast_reads
     if _STRING_LITERAL in numeric:
         return (
             "a string literal under sum/avg or arithmetic "
@@ -531,58 +530,99 @@ def _text_cast_hazard(prepared, database):
     return None
 
 
-def _prepare(node, database):
-    """Wrap a self-recursive collection into a one-definition program.
+#: The external relations (Section 2.13) of a compile with no session: the
+#: standard registry, which every Session evaluates with by default.
+_EXTERNAL_NAMES = frozenset(standard_registry().names())
 
-    Mirrors the evaluator's handling (Section 2.9): a collection whose body
-    references its own head name — and whose name is not a stored relation —
-    denotes a least fixpoint, which renders as ``WITH RECURSIVE``.
-    """
-    if isinstance(node, n.Collection):
-        name = node.head.name
-        stored = database is not None and name in database
-        if not stored and name in n.facts(node).relation_refs:
-            return n.Program({name: node}, name)
-    return node
+#: SQLite's compiled form of one query node; its first three fields say
+#: what it was compiled for.  ``node`` is None when it is the key itself:
+#: an entry holding its own key would never expire.
+_Compiled = namedtuple(
+    "_Compiled", "names decorrelate externals node laterals sql refusal cast_reads"
+)
 
-
-#: node -> (catalog-names token, prepared node).  ``_prepare`` depends on
-#: the catalog only through relation *names* (stored vs recursive), so the
-#: token invalidates on schema changes while row mutations stay warm.
-_PREPARED_NODES = weakref.WeakKeyDictionary()
-
-#: rewritten node -> rendered SQL text (a pure function of the AST).
-_RENDERED_SQL = weakref.WeakKeyDictionary()
+#: query node -> its :class:`_Compiled` record.
+_COMPILED = weakref.WeakKeyDictionary()
 
 
-def _prepared_for(node, database):
-    """Memoized :func:`_prepare` (per node, keyed by the catalog's names).
-
-    The common case (non-recursive node) returns the node itself; it is
-    stored as None so the weak-keyed entry never strongly references its
-    own key (which would make it immortal).
-    """
+def _compiled(node, database, decorrelate, externals=None):
+    """*node*'s weakly cached compile record.  It reads the catalog only
+    through relation names, so row mutations keep it warm.  The probe
+    builds it with the session's *externals*, which decide the recursion
+    wrap; a run passes None and keeps the registry the record was built
+    with (the standard one if none was)."""
     names = frozenset(database.names()) if database is not None else frozenset()
-    try:
-        cached = _PREPARED_NODES.get(node)
-    except TypeError:  # pragma: no cover - every AST node is weakref-able
-        return _prepare(node, database)
-    if cached is not None and cached[0] == names:
-        return node if cached[1] is None else cached[1]
-    prepared = _prepare(node, database)
-    _PREPARED_NODES[node] = (names, None if prepared is node else prepared)
-    return prepared
+    record = _COMPILED.get(node)
+    if externals is None:
+        externals = _EXTERNAL_NAMES if record is None else record.externals
+    if record is not None and record[:3] == (names, decorrelate, externals):
+        return record
+    program = recursive_program(node, names, externals)
+    if decorrelate:
+        executable, laterals = rewrite_for_sql(node if program is None else program)
+    else:
+        # A copy of the wrap: the wrap itself holds *node*, this entry's key.
+        executable = node if program is None else n.clone(program)
+        laterals = tuple(
+            (binding.var, "decorrelation disabled (--no-decorrelate)")
+            for binding in lateral_bindings(executable)
+        )
+    reason = _recursion_refusal(executable)
+    sql, refusal = None, reason and f"SQLite's recursive CTE cannot run {reason}"
+    if refusal is None:
+        try:
+            sql = to_sql(executable)
+        except RewriteError as exc:
+            refusal = f"not renderable as SQL ({exc})"
+    record = _COMPILED[node] = _Compiled(
+        names, decorrelate, externals, None if executable is node else executable,
+        laterals, sql, refusal, _cast_reads(executable),
+    )
+    return record
+
+
+def _recursion_refusal(executable):
+    """Why SQLite's ``WITH RECURSIVE`` cannot run *executable*'s recursion:
+    it runs non-recursive selects, then selects that each read the CTE
+    once, in their FROM and without grouping, and no CTEs recurse through
+    each other.  Recursion through negation or aggregation, which the
+    fixpoint rejects, fails this too, so the planner raises its error."""
+    if not isinstance(executable, n.Program):
+        return None
+    definitions = executable.definitions
+    graph = {
+        name: [ref for ref in n.facts(definition).relation_refs if ref in definitions]
+        for name, definition in definitions.items()
+    }
+    for component in strongly_connected(graph):
+        name = component[0]
+        if len(component) > 1:
+            return f"mutual recursion across definitions {sorted(component)}"
+        if name not in graph[name]:
+            continue
+        body = definitions[name].body
+        branches = body.children_list if isinstance(body, n.Or) else [body]
+        reads = [n.facts(branch).relation_refs.count(name) for branch in branches]
+        if 0 not in reads:
+            return f"recursion in {name} with no base branch"
+        for branch, count in zip(branches, reads):
+            if count > 1:
+                return f"nonlinear recursion: a branch reads {name} {count} times"
+            read_in_from = isinstance(branch, n.Quantifier) and name in [
+                b.source.name for b in branch.bindings if isinstance(b.source, n.RelationRef)
+            ]
+            if count and not (read_in_from and branch.grouping is None):
+                return f"a branch reading {name} in a subquery or under grouping"
+    return None
 
 
 def compile_sql(node, database, *, decorrelate=True):
     """Compile *node* for SQLite: ``(executable node, SQL text)``.
 
-    The executable node is :func:`_prepare`-wrapped and (unless disabled)
-    FOI → FIO rewritten; the SQL text is its rendering.  Every step is
-    memoized on the AST, so a prepared query that stays alive — a
-    :class:`repro.api.Session` ``Prepared`` — compiles exactly once and
-    re-runs render-free.  Raises :class:`BackendUnsupported` when the node
-    is not renderable.
+    Reads *node*'s compile record (:func:`_compiled`), so a prepared query
+    that stays alive — a :class:`repro.api.Session` ``Prepared`` —
+    compiles exactly once and re-runs render-free.  Raises
+    :class:`BackendUnsupported` when SQLite cannot run the node.
     """
     try:
         failpoints.hit("sql.render")
@@ -591,17 +631,10 @@ def compile_sql(node, database, *, decorrelate=True):
         # produce SQL" — surface it as the typed refusal so the registry
         # falls back instead of leaking a raw OperationalError.
         raise BackendUnsupported(f"SQL render failed ({exc})") from exc
-    prepared = _prepared_for(node, database)
-    if decorrelate:
-        prepared, _ = rewrite_for_sql(prepared)
-    sql = _RENDERED_SQL.get(prepared)
-    if sql is None:
-        try:
-            sql = to_sql(prepared)
-        except RewriteError as exc:
-            raise BackendUnsupported(f"not renderable as SQL ({exc})") from exc
-        _RENDERED_SQL[prepared] = sql
-    return prepared, sql
+    record = _compiled(node, database, decorrelate)
+    if record.refusal is not None:
+        raise BackendUnsupported(record.refusal)
+    return (node if record.node is None else record.node), record.sql
 
 
 def _is_transient(exc):
@@ -648,7 +681,8 @@ class SqliteBackend(Backend):
 
     name = "sqlite"
 
-    def capabilities(self, node, conventions, database=None, *, decorrelate=True):
+    def capabilities(self, node, conventions, database=None, *, decorrelate=True,
+                     externals=None):
         problems = []
         if not conventions.is_bag:
             problems.append("set semantics (SQL evaluates bags)")
@@ -658,26 +692,15 @@ class SqliteBackend(Backend):
             problems.append(
                 "ZERO empty-aggregate convention (SQLite returns NULL)"
             )
-        prepared = _prepared_for(node, database)
-        if decorrelate:
-            prepared, leftover_laterals = rewrite_for_sql(prepared)
-        else:
-            # Mirror run(decorrelate=False): no rewrite happens, so every
-            # correlated lateral that is not scalar-inlined needs LATERAL.
-            leftover_laterals = [
-                (binding.var, "decorrelation disabled (--no-decorrelate)")
-                for binding in lateral_bindings(prepared)
-            ]
+        record = _compiled(node, database, decorrelate, externals)
+        prepared = node if record.node is None else record.node
         found = n.facts(prepared)
-        defined = (
-            set(prepared.definitions) if isinstance(prepared, n.Program) else set()
-        )
+        defined = prepared.definitions if isinstance(prepared, n.Program) else ()
         missing = sorted(
             {
                 name
                 for name in found.relation_refs
-                if name not in defined
-                and (database is None or name not in database)
+                if name not in defined and name not in record.names
             }
         )
         if missing:
@@ -691,14 +714,14 @@ class SqliteBackend(Backend):
                     f"arithmetic {op!r} (SQLite integer division/modulo "
                     "differ from the engine's semantics)"
                 )
-        for var, reason in leftover_laterals:
+        for var, reason in record.laterals:
             problems.append(
                 f"correlated lateral binding {var!r} needs LATERAL, which "
                 f"SQLite lacks: {reason}"
             )
         for hazard in (
             _three_valued_hazard(prepared, database),
-            _text_cast_hazard(prepared, database),
+            _text_cast_hazard(prepared, record.cast_reads, database),
         ):
             if hazard:
                 problems.append(hazard)

@@ -17,7 +17,7 @@ The inverse direction of the paper's planned ``SQL ↔ ARC`` translator
   SELECT DISTINCT; recursion becomes WITH RECURSIVE, with the recursive
   disjuncts joined by set-based UNION — the engine's fixpoint materializes
   recursive relations under set semantics (Section 2.9), and UNION is what
-  makes the SQL iteration terminate on cyclic data.
+  makes the SQL iteration terminate on cyclic data — base disjuncts first.
 
 Derived tables carry the ``lateral`` keyword only when the nested collection
 actually references outer bindings; uncorrelated subqueries render as plain
@@ -43,6 +43,8 @@ collections that resist unnesting become uncorrelated derived tables
 joined through the *inequality* key.  γ∅ aggregate-only scopes — any
 correlation operator — are left to the scalar-subquery device.
 :func:`lateral_bindings` names what stays lateral when the lowering is off.
+Nothing here is cached: the SQLite backend keeps the results in its one
+compile record per query node.
 
 The produced text parses back through :mod:`repro.frontends.sql` for the
 non-recursive fragment, enabling round-trip testing, and executes on the
@@ -50,8 +52,6 @@ SQLite offload backend (:mod:`repro.backends.exec.sqlite_exec`).
 """
 
 from __future__ import annotations
-
-import weakref
 
 from ..core import nodes as n
 from ..core.rewrites import unnest_lateral
@@ -121,9 +121,6 @@ def lateral_bindings(node):
 # FOI → FIO lowering (bag semantics; used by the SQLite backend)
 # ---------------------------------------------------------------------------
 
-_SQL_REWRITES = weakref.WeakKeyDictionary()
-
-
 def rewrite_for_sql(node):
     """Decorrelate *node* for SQL rendering; ``(rewritten, leftovers)``.
 
@@ -132,15 +129,12 @@ def rewrite_for_sql(node):
     empty group must still emit a row).  *leftovers* lists ``(var,
     reason)`` for bindings that remain correlated and will need the
     ``lateral`` keyword — the backend's capability probe turns each into a
-    specific fallback message.
+    specific fallback message.  The rewritten tree is rebuilt, so it holds
+    no node of *node*'s; the SQLite backend keeps it in its compile record.
     """
-    cached = _SQL_REWRITES.get(node)
-    if cached is None:
-        leftovers = []
-        rewritten = n.transform(node, lambda sub: _fix_quantifier(sub, leftovers))
-        cached = (rewritten, tuple(leftovers))
-        _SQL_REWRITES[node] = cached
-    return cached
+    leftovers = []
+    rewritten = n.transform(node, lambda sub: _fix_quantifier(sub, leftovers))
+    return rewritten, tuple(leftovers)
 
 
 def _fio_join_conjuncts(spec, var):
@@ -231,6 +225,12 @@ def _split_select(head, quant):
     return parts
 
 
+def _parenthesized(sql):
+    """*sql* as an indented parenthesized subquery."""
+    indented = "\n   ".join(sql.splitlines())
+    return f"(\n   {indented})"
+
+
 class _SqlRenderer:
     def __init__(self):
         #: Active scalar-subquery substitutions: (var, attr) -> SQL text.
@@ -244,13 +244,12 @@ class _SqlRenderer:
         ctes = []
         recursive = False
         for name, definition in program.definitions.items():
-            is_recursive = self._is_recursive(name, definition)
+            is_recursive = name in n.facts(definition).relation_refs
             recursive = recursive or is_recursive
             attrs = ", ".join(definition.head.attrs)
-            # Recursive definitions iterate to a *set-based* least fixpoint
-            # (Section 2.9), so their disjuncts are joined by UNION — which
-            # also makes the SQL recursion terminate on cyclic inputs.
-            body = self.render_collection(definition, set_union=is_recursive)
+            body = self.render_collection(
+                definition, recursive=name if is_recursive else None
+            )
             ctes.append(f"{name}({attrs}) as (\n{body}\n)")
         main = program.resolve_main()
         if isinstance(program.main, str):
@@ -262,17 +261,20 @@ class _SqlRenderer:
         keyword = "with recursive" if recursive else "with"
         return f"{keyword} " + ",\n".join(ctes) + f"\n{main_sql}"
 
-    @staticmethod
-    def _is_recursive(name, definition):
-        return name in n.facts(definition).relation_refs
-
     # -- collections ------------------------------------------------------------
 
-    def render_collection(self, coll, *, set_union=False):
+    def render_collection(self, coll, *, recursive=None):
+        """*coll*'s disjunct selects; those of a definition reading its own
+        name *recursive* are joined by UNION, base disjuncts first (a
+        recursive CTE runs its non-recursive selects before the others)."""
         head = coll.head
         disjuncts = (
             coll.body.children_list if isinstance(coll.body, n.Or) else [coll.body]
         )
+        if recursive is not None:
+            disjuncts = sorted(
+                disjuncts, key=lambda d: recursive in n.facts(d).relation_refs
+            )
         selects = []
         for disjunct in disjuncts:
             if not isinstance(disjunct, n.Quantifier):
@@ -281,34 +283,18 @@ class _SqlRenderer:
                     f"(got {type(disjunct).__name__})"
                 )
             selects.append(self._render_quantifier_select(head, disjunct))
-        separator = "\nunion\n" if set_union else "\nunion all\n"
+        separator = "\nunion all\n" if recursive is None else "\nunion\n"
         return separator.join(selects)
 
     def _render_quantifier_select(self, head, quant):
         parts = _split_select(head, quant)
-        (assignments, agg_assignments, agg_comparisons, row_formulas) = parts
-
-        eliminated, substitutions = self._scalar_eliminated(quant)
-        saved = self._scalar
-        if substitutions:
-            self._scalar = {**saved, **substitutions}
-        try:
-            return self._render_select_body(
-                head, quant, parts, eliminated
-            )
-        finally:
-            self._scalar = saved
+        return self._with_scalars(
+            quant, self._render_select_body, head, quant, parts
+        )
 
     def _render_select_body(self, head, quant, parts, eliminated):
         (assignments, agg_assignments, agg_comparisons, row_formulas) = parts
-
-        from_sql, on_consumed = self._render_from(quant, skip=eliminated)
-        where = [
-            self._render_formula(f)
-            for f in row_formulas
-            if id(f) not in on_consumed
-        ]
-
+        tail = self._from_where(quant, row_formulas, eliminated)
         select_items = []
         for attr in head.attrs:
             expr = dict(assignments + agg_assignments).get(attr)
@@ -318,40 +304,39 @@ class _SqlRenderer:
                 )
             select_items.append(f"{self._render_expr(expr)} as {attr}")
 
-        grouping = quant.grouping
         distinct = ""
-        group_by = ""
-        having = ""
-        if grouping is not None:
-            has_aggs = bool(agg_assignments or agg_comparisons)
-            if not has_aggs:
-                # Pure deduplication: grouping on all projected expressions.
-                assigned = {self._render_expr(e) for _, e in assignments}
-                keys = {self._render_expr(k) for k in grouping.keys}
-                if keys == assigned:
-                    distinct = "distinct "
-                else:
-                    group_by = "\ngroup by " + ", ".join(
-                        self._render_expr(k) for k in grouping.keys
-                    )
-            elif grouping.keys:
-                group_by = "\ngroup by " + ", ".join(
-                    self._render_expr(k) for k in grouping.keys
-                )
-            if agg_comparisons:
-                having = "\nhaving " + " and ".join(
-                    self._render_formula(f) for f in agg_comparisons
-                )
+        if quant.grouping is not None:
+            keys = [self._render_expr(k) for k in quant.grouping.keys]
+            if agg_assignments or agg_comparisons:
+                tail += self._group_tail(keys, agg_comparisons)
+            elif set(keys) == {self._render_expr(e) for _, e in assignments}:
+                distinct = "distinct "  # pure deduplication of the projection
+            else:
+                tail += "\ngroup by " + ", ".join(keys)
+        return f"select {distinct}" + ", ".join(select_items) + tail
 
-        sql = f"select {distinct}" + ", ".join(select_items)
-        if from_sql:
-            sql += f"\nfrom {from_sql}"
-        if where:
-            sql += "\nwhere " + " and ".join(where)
-        sql += group_by + having
-        return sql
+    def _group_tail(self, keys, agg_comparisons):
+        """The ``group by … having …`` tail of an aggregating select."""
+        tail = "\ngroup by " + ", ".join(keys) if keys else ""
+        if agg_comparisons:
+            tail += "\nhaving " + " and ".join(
+                self._render_formula(f) for f in agg_comparisons
+            )
+        return tail
 
     # -- correlated scalar subqueries -----------------------------------------
+
+    def _with_scalars(self, quant, render, *args):
+        """``render(*args, eliminated)`` with *quant*'s scalar-inlined
+        bindings (:meth:`_scalar_eliminated`) substituted."""
+        eliminated, substitutions = self._scalar_eliminated(quant)
+        saved = self._scalar
+        if substitutions:
+            self._scalar = {**saved, **substitutions}
+        try:
+            return render(*args, eliminated)
+        finally:
+            self._scalar = saved
 
     def _scalar_eliminated(self, quant):
         """Bindings inlined as scalar subqueries: (ids to skip, substitutions).
@@ -390,21 +375,21 @@ class _SqlRenderer:
         parts = _split_select(source.head, body)
         _, agg_assignments, _, row_formulas = parts
         expr = dict(agg_assignments)[attr]
-        from_sql, consumed = self._render_from(body)
-        where = [
-            self._render_formula(f)
-            for f in row_formulas
-            if id(f) not in consumed
-        ]
-        sub = f"select {self._render_expr(expr)}"
-        if from_sql:
-            sub += f"\nfrom {from_sql}"
-        if where:
-            sub += "\nwhere " + " and ".join(where)
-        indented = "\n   ".join(sub.splitlines())
-        return f"(\n   {indented})"
+        tail = self._from_where(body, row_formulas)
+        return _parenthesized(f"select {self._render_expr(expr)}{tail}")
 
     # -- FROM / joins -----------------------------------------------------------------
+
+    def _from_where(self, quant, row_formulas, skip=frozenset()):
+        """The ``from … where …`` tail of a select over *quant*: its FROM
+        items and the row formulas no join annotation's ON consumed."""
+        from_sql, consumed = self._render_from(quant, skip=skip)
+        where = [
+            self._render_formula(f) for f in row_formulas if id(f) not in consumed
+        ]
+        return (f"\nfrom {from_sql}" if from_sql else "") + (
+            "\nwhere " + " and ".join(where) if where else ""
+        )
 
     def _render_from(self, quant, skip=frozenset()):
         """Render the FROM clause; returns (sql, ids of consumed conjuncts).
@@ -524,14 +509,7 @@ class _SqlRenderer:
         raise RewriteError(f"cannot render formula {type(formula).__name__} as SQL")
 
     def _render_boolean_quantifier(self, quant):
-        eliminated, substitutions = self._scalar_eliminated(quant)
-        saved = self._scalar
-        if substitutions:
-            self._scalar = {**saved, **substitutions}
-        try:
-            return self._render_boolean_quantifier_body(quant, eliminated)
-        finally:
-            self._scalar = saved
+        return self._with_scalars(quant, self._render_boolean_quantifier_body, quant)
 
     def _render_boolean_quantifier_body(self, quant, eliminated):
         conjuncts = n.conjuncts(quant.body)
@@ -541,38 +519,17 @@ class _SqlRenderer:
             if isinstance(c, n.Comparison) and c.has_aggregate()
         ]
         row_formulas = [c for c in conjuncts if c not in agg_comparisons]
-        from_sql, consumed = self._render_from(quant, skip=eliminated)
-        where = [
-            self._render_formula(f) for f in row_formulas if id(f) not in consumed
-        ]
+        tail = self._from_where(quant, row_formulas, eliminated)
         if quant.grouping is not None and not quant.grouping.keys and len(agg_comparisons) == 1:
             # γ∅ + single aggregation comparison: correlated scalar subquery
             # (Fig. 21a / Fig. 9 pattern).
-            predicate = agg_comparisons[0]
-            agg_side, other_side, op = orient_aggregate(predicate)
-            sub = f"select {self._render_expr(agg_side)}"
-            if from_sql:
-                sub += f"\nfrom {from_sql}"
-            if where:
-                sub += "\nwhere " + " and ".join(where)
-            indented = "\n   ".join(sub.splitlines())
-            return f"{self._render_expr(other_side)} {op} (\n   {indented})"
-        sql = "select 1"
-        if from_sql:
-            sql += f"\nfrom {from_sql}"
-        if where:
-            sql += "\nwhere " + " and ".join(where)
+            agg_side, other_side, op = orient_aggregate(agg_comparisons[0])
+            sub = _parenthesized(f"select {self._render_expr(agg_side)}{tail}")
+            return f"{self._render_expr(other_side)} {op} {sub}"
         if quant.grouping is not None:
-            if quant.grouping.keys:
-                sql += "\ngroup by " + ", ".join(
-                    self._render_expr(k) for k in quant.grouping.keys
-                )
-            if agg_comparisons:
-                sql += "\nhaving " + " and ".join(
-                    self._render_formula(f) for f in agg_comparisons
-                )
-        indented = "\n   ".join(sql.splitlines())
-        return f"exists (\n   {indented})"
+            keys = [self._render_expr(k) for k in quant.grouping.keys]
+            tail += self._group_tail(keys, agg_comparisons)
+        return f"exists {_parenthesized('select 1' + tail)}"
 
     def render_sentence(self, sentence):
         """A sentence becomes a one-value boolean SELECT.

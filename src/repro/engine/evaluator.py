@@ -53,6 +53,7 @@ from ..util.deadline import STRIDE_MASK
 from . import aggregates as agg_lib
 from . import decorrelate
 from .externals import ExternalRegistry, standard_registry
+from .fixpoint import materialize_program, recursive_program
 from .joins import ConditionAssignment, annotation_vars, enumerate_annotation
 from .planner import (
     ExecutionStats,
@@ -192,8 +193,8 @@ class Evaluator:
         if isinstance(node, n.Program):
             return self._evaluate_program(node)
         if isinstance(node, n.Collection):
-            if self._is_self_recursive(node):
-                program = n.Program({node.head.name: node}, node.head.name)
+            program = recursive_program(node, self.database, self.externals)
+            if program is not None:
                 return self._evaluate_program(program)
             return self._relation_from_counter(
                 node.head, self._eval_collection(node, {})
@@ -205,8 +206,6 @@ class Evaluator:
     # -- programs -----------------------------------------------------------
 
     def _evaluate_program(self, program):
-        from .fixpoint import materialize_program
-
         materialize_program(program, self)
         main = program.resolve_main()
         if main is None:
@@ -221,12 +220,6 @@ class Evaluator:
         if isinstance(main, n.Sentence):
             return self._truth(main.body, {})
         return self._relation_from_counter(main.head, self._eval_collection(main, {}))
-
-    def _is_self_recursive(self, coll):
-        name = coll.head.name
-        if name in self.database or name in self.externals:
-            return False
-        return name in n.facts(coll).relation_refs
 
     # -- collections -------------------------------------------------------------
 

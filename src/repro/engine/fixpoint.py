@@ -39,6 +39,20 @@ from ..obs import NULL_SPAN
 from .abstract import AbstractSource
 
 
+def recursive_program(node, stored, externals):
+    """The one-definition program *node* denotes when it is a collection
+    reading its own head name (Section 2.9), or None.  A name that is
+    stored (in *stored*) or external (in *externals*, Section 2.13) is
+    read, not defined.  Every engine, SQLite included, wraps by this rule.
+    """
+    if not isinstance(node, n.Collection):
+        return None
+    name = node.head.name
+    if name in stored or name in externals or name not in n.facts(node).relation_refs:
+        return None
+    return n.Program({name: node}, name)
+
+
 def materialize_program(program, evaluator, *, seminaive=True):
     """Fill ``evaluator.defined`` / ``evaluator.abstract`` from *program*."""
     stratification_error, abstract_names, order = _analysis(program)
@@ -63,12 +77,19 @@ _ANALYSES = weakref.WeakKeyDictionary()
 def _analysis(program):
     """``(stratification error, abstract names, SCC order)`` of *program*.
 
-    The analysis depends on the AST alone, so it is computed once per
-    ``Program`` node (weakly cached) and every later run reuses it.  The
-    order lists each strongly connected component of the concrete
-    definitions, dependencies first, with whether it is recursive.
+    The analysis depends on the AST alone and holds only names, so it is
+    computed once per program and weakly cached — keyed on the definition
+    for a one-definition program named by its head, the wrap
+    :func:`recursive_program` builds afresh on every run.  The order lists
+    each strongly connected component of the concrete definitions,
+    dependencies first, with whether it is recursive.
     """
-    analysis = _ANALYSES.get(program)
+    key = program
+    if isinstance(program.main, str) and len(program.definitions) == 1:
+        only = program.definitions.get(program.main)
+        if only is not None and only.head.name == program.main:
+            key = only
+    analysis = _ANALYSES.get(key)
     if analysis is not None:
         return analysis
     linked = linked_or_none(program)
@@ -92,7 +113,7 @@ def _analysis(program):
         for component in strongly_connected(graph)
     )
     analysis = (stratification_error, abstract_names, order)
-    _ANALYSES[program] = analysis
+    _ANALYSES[key] = analysis
     return analysis
 
 

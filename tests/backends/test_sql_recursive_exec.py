@@ -87,10 +87,9 @@ def test_transitive_closure_matches_fixpoint(text, db):
 
 
 def test_rendering_is_with_recursive_union():
-    from repro.backends.exec.sqlite_exec import _prepare
+    from repro.backends.exec.sqlite_exec import compile_sql
 
-    prepared = _prepare(parse(LINEAR_TC), CHAIN)
-    sql = to_sql(prepared)
+    _, sql = compile_sql(parse(LINEAR_TC), CHAIN)
     assert sql.startswith("with recursive")
     assert "\nunion\n" in sql and "union all" not in sql
 
@@ -142,3 +141,148 @@ def test_nonlinear_recursion_falls_back_but_agrees():
     with pytest.warns(BackendFallbackWarning):
         result = evaluate(nonlinear, CHAIN, SQL_CONVENTIONS, options=SQLITE)
     assert result == evaluate(nonlinear, CHAIN, SQL_CONVENTIONS, options=ORACLE)
+
+
+# -- recursion SQLite's WITH RECURSIVE cannot run -------------------------------
+
+RECURSIVE_SHAPES = {
+    "no base branch": (
+        "{A(s, t) | ∃a ∈ A, p ∈ P[A.s = a.s ∧ a.t = p.s ∧ A.t = p.t]}"
+    ),
+    "nonlinear recursion": (
+        "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
+        "∃a1 ∈ A, a2 ∈ A[A.s = a1.s ∧ a1.t = a2.s ∧ A.t = a2.t]}"
+    ),
+    "mutual recursion": (
+        "A := {A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
+        "∃b ∈ B, p ∈ P[A.s = b.s ∧ b.t = p.s ∧ A.t = p.t]} ;\n"
+        "B := {B(s, t) | ∃a ∈ A[B.s = a.s ∧ B.t = a.t]} ; main A"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RECURSIVE_SHAPES))
+def test_recursion_sqlite_rejects_is_refused_at_probe_time(shape):
+    """Each shape falls back at the probe, not in ``execute``: five runs
+    agree with the planner, name the shape, and leave SQLite's circuit
+    breaker without a failure (five runtime refusals would open it)."""
+    from repro.api import Session
+    from repro.backends.exec import breaker_states, probe_capabilities, reset_breakers
+
+    reset_breakers()
+    try:
+        session = Session(CHAIN, SQL_CONVENTIONS, options=SQLITE)
+        planner = evaluate(
+            parse(RECURSIVE_SHAPES[shape]), CHAIN, SQL_CONVENTIONS,
+            options=EvalOptions(backend="planner"),
+        )
+        for _ in range(5):
+            prepared = session.prepare(parse(RECURSIVE_SHAPES[shape]))
+            info = prepared.run_info()
+            assert info["result"] == planner
+            assert any(shape in reason for reason in info["fallback_reasons"])
+            probed = probe_capabilities(
+                prepared.node, CHAIN, SQL_CONVENTIONS, ["sqlite"]
+            )["sqlite"]
+            assert list(probed) == info["fallback_reasons"]
+        assert breaker_states()["sqlite"]["failures"] == 0
+    finally:
+        reset_breakers()
+
+
+def test_recursive_branch_before_its_base_runs_natively():
+    """A recursive CTE runs its base selects first; the rendering puts
+    them there whatever the disjunct order (UNION is order-free)."""
+    node = parse(
+        "{A(s, t) | ∃p ∈ P, a2 ∈ A[A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t] ∨ "
+        "∃p ∈ P[A.s = p.s ∧ A.t = p.t]}"
+    )
+    assert run_native(node, CYCLE) == evaluate(
+        node, CYCLE, SQL_CONVENTIONS, options=ORACLE
+    )
+
+
+def _double():
+    """A session's own external relation: Double(x, y) with y = 2x."""
+    from repro.engine.externals import ExternalRelation, standard_registry
+
+    registry = standard_registry()
+    registry.add(ExternalRelation(
+        "Double", ("x", "y"),
+        {frozenset({"x"}): lambda known: [{"x": known["x"], "y": 2 * known["x"]}]},
+    ))
+    return registry
+
+
+EXTERNAL_HEADS = {
+    # The paper's Minus, in the standard registry.
+    "Minus": (
+        None,
+        "{Minus(left, right, out) | ∃r ∈ R[Minus.left = r.A ∧ "
+        "Minus.right = r.B ∧ Minus.out = r.A] ∨ ∃m ∈ Minus, r ∈ R["
+        "m.left = r.A ∧ m.right = r.B ∧ Minus.left = m.left ∧ "
+        "Minus.right = m.right ∧ Minus.out = m.out]}",
+        [(5, 2, 3), (5, 2, 5), (9, 4, 5), (9, 4, 9)],
+    ),
+    "Double": (
+        _double,
+        "{Double(x, y) | ∃r ∈ R[Double.x = r.A ∧ Double.y = r.A] ∨ "
+        "∃d ∈ Double, r ∈ R[d.x = r.A ∧ Double.x = d.x ∧ Double.y = d.y]}",
+        [(5, 5), (5, 10), (9, 9), (9, 18)],
+    ),
+}
+
+
+@pytest.mark.parametrize("head", sorted(EXTERNAL_HEADS))
+def test_a_head_named_by_an_external_relation_is_not_recursion(head):
+    """Section 2.13: the head names an external relation, so the second
+    branch reads its access patterns, not the collection being defined.
+    Every engine reads it so, with the session's registry; SQLite, which
+    stores no external, falls back instead of running ``WITH RECURSIVE``."""
+    from repro.api import Session
+
+    registry, text, expected = EXTERNAL_HEADS[head]
+    externals = registry() if registry is not None else None
+    db = Database()
+    db.create("R", ("A", "B"), [(5, 2), (9, 4)])
+    infos = {
+        backend: Session(
+            db, SQL_CONVENTIONS, externals=externals,
+            options=EvalOptions(backend=backend),
+        ).prepare(text).run_info()
+        for backend in ("reference", "planner", "sqlite")
+    }
+    assert sorted(infos["reference"]["result"].sorted_values()) == expected
+    assert infos["planner"]["result"] == infos["reference"]["result"]
+    assert infos["sqlite"]["result"] == infos["reference"]["result"]
+    assert infos["sqlite"]["fallback_reasons"] == [] or any(
+        head in reason for reason in infos["sqlite"]["fallback_reasons"]
+    )
+
+
+def test_a_run_keeps_the_registry_its_probe_compiled_with():
+    """Without ``Minus`` in the session's registry the collection is
+    recursion, and SQLite runs it.  Sessions that share the node and
+    alternate decorrelation recompile at run time, with the probe's
+    registry, not the standard one (which would read a ``Minus`` table)."""
+    from repro.api import Session
+    from repro.backends.exec import breaker_states, reset_breakers
+    from repro.engine.externals import ExternalRegistry
+
+    reset_breakers()
+    try:
+        db = Database()
+        db.create("R", ("A", "B"), [(5, 2), (9, 4)])
+        node = parse(EXTERNAL_HEADS["Minus"][1])
+        sessions = [
+            Session(db, SQL_CONVENTIONS, externals=ExternalRegistry(),
+                    options=EvalOptions(backend="sqlite", decorrelate=flag))
+            for flag in (True, False)
+        ]
+        for session in sessions * 2:
+            info = session.prepare(node).run_info()
+            assert sorted(info["result"].sorted_values()) == [(5, 2, 5), (9, 4, 9)]
+            assert info["fallback_reasons"] == []
+        assert breaker_states()["sqlite"]["failures"] == 0
+    finally:
+        reset_breakers()

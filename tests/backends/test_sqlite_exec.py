@@ -453,8 +453,8 @@ class TestDispatch:
         assert result == evaluate(parse(IDENTITY), db, SET_CONVENTIONS)
 
     def test_runtime_rejection_falls_back(self):
-        """Constructs the static probe cannot see (nonlinear recursion) still
-        answer correctly via the runtime BackendUnsupported fallback."""
+        """Recursion SQLite rejects (nonlinear) still answers correctly
+        through the fallback."""
         db = Database()
         db.create("P", ("s", "t"), [("a", "b"), ("b", "c")])
         nonlinear = parse(

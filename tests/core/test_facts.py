@@ -8,6 +8,7 @@ explicit-stack implementations must agree with.
 """
 
 import dataclasses
+import functools
 import gc
 import weakref
 
@@ -315,15 +316,82 @@ def _trees():
 TREES = list(_trees())
 
 
-@pytest.mark.parametrize("make", [make for _, make in TREES], ids=[k for k, _ in TREES])
-def test_facts_do_not_keep_their_node_alive(make, monkeypatch):
-    """The cache is weak: a record referring to its own node would keep a
-    never-seen text's AST alive for good."""
-    monkeypatch.setattr(n, "_FACTS", weakref.WeakKeyDictionary())
+#: Never-seen self-recursive texts: each wraps into a fresh program.
+RECURSIVE_TEXTS = [
+    f"{{T{i}(s, t) | ∃p ∈ P[T{i}.s = p.s ∧ T{i}.t = p.t] ∨ "
+    f"∃p ∈ P, a ∈ T{i}[T{i}.s = p.s ∧ p.t = a.s ∧ T{i}.t = a.t]}}"
+    for i in range(50)
+]
+
+
+def _record_tree(make):
+    """Record one tree's facts; weak references to its subtrees."""
     node = make()
     n.facts(node)
-    refs = [weakref.ref(sub) for sub in ref_walk(node)]
-    del node
+    return [weakref.ref(sub) for sub in ref_walk(node)]
+
+
+def _run_everywhere():
+    """Every corpus text and every recursive text on the reference, the
+    planner and SQLite with decorrelation on and off; weak references to
+    the queries it prepared, none of which outlives the call."""
+    from repro.api import EvalOptions, Session
+    from repro.core.conventions import SQL_CONVENTIONS
+    from repro.data import Database
+
+    edges = Database()
+    edges.create("P", ("s", "t"), [("a", "b"), ("b", "c"), ("c", "a")])
+    work = [
+        (scenario.catalog(size="small", seed=0), [
+            (text, frontend)
+            for query in scenario.queries()
+            for frontend, text in sorted(query.texts.items())
+        ])
+        for scenario in SCENARIOS.values()
+    ] + [(edges, [(text, "arc") for text in RECURSIVE_TEXTS])]
+    options = [
+        EvalOptions(backend="reference"),
+        EvalOptions(backend="planner"),
+        EvalOptions(backend="sqlite"),
+        EvalOptions(backend="sqlite", decorrelate=False),
+    ]
+    refs = []
+    for db, texts in work:
+        for option in options:
+            session = Session(db, SQL_CONVENTIONS, options=option)
+            for text, frontend in texts:
+                prepared = session.prepare(text, frontend)
+                prepared.run_info()
+                refs.append(weakref.ref(prepared.node))
+    return refs
+
+
+@pytest.mark.parametrize(
+    "run",
+    [functools.partial(_record_tree, make) for _, make in TREES] + [_run_everywhere],
+    ids=[k for k, _ in TREES] + ["every-engine"],
+)
+def test_facts_do_not_keep_their_node_alive(run, monkeypatch):
+    """Every per-node cache is weak, and no entry holds its own key: a
+    record referring to its node (or to a program wrapping it) would keep
+    a never-seen text's AST, and the entry, alive for good."""
+    from repro.backends.exec import sqlite_exec
+    from repro.engine import decorrelate, fixpoint, planner
+
+    caches = {
+        "nodes._FACTS": (n, "_FACTS"),
+        "planner._PLAN_CACHE": (planner, "_PLAN_CACHE"),
+        "decorrelate._SPECS": (decorrelate, "_SPECS"),
+        "fixpoint._ANALYSES": (fixpoint, "_ANALYSES"),
+        "sqlite_exec._COMPILED": (sqlite_exec, "_COMPILED"),
+    }
+    for module, name in caches.values():
+        monkeypatch.setattr(module, name, weakref.WeakKeyDictionary())
+    refs = run()
     gc.collect()
     assert [ref() for ref in refs if ref() is not None] == []
-    assert len(n._FACTS) == 0
+    left = {
+        label: len(getattr(module, name))
+        for label, (module, name) in caches.items()
+    }
+    assert left == dict.fromkeys(caches, 0)

@@ -95,6 +95,29 @@ def test_stratification_and_link_failures_match():
     assert analyses["does-not-link"][:2] == ("", frozenset({"W"}))
 
 
+def test_a_prepared_recursive_collection_is_analysed_once(monkeypatch):
+    """The evaluator wraps a self-recursive collection into a fresh program
+    on every run; the wrap's analysis is keyed on the collection, so ten
+    planner runs of one prepared query link it once."""
+    from repro.api import Session
+    from repro.data import Database
+
+    db = Database()
+    db.create("P", ("s", "t"), [(1, 2), (2, 3)])
+    prepared = Session(db).prepare(
+        "{A(s, t) | ∃p ∈ P[A.s = p.s ∧ A.t = p.t] ∨ "
+        "∃p ∈ P, a ∈ A[A.s = p.s ∧ p.t = a.s ∧ A.t = a.t]}"
+    )
+    calls = []
+    original = fixpoint.linked_or_none
+    monkeypatch.setattr(
+        fixpoint, "linked_or_none", lambda root: calls.append(root) or original(root)
+    )
+    for _ in range(10):
+        assert len(prepared.run(backend="planner")) == 3
+    assert len(calls) == 1
+
+
 # -- relation classification -----------------------------------------------------
 
 
